@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import PairPotential
-from .meshing import Mesh, boundary_layer
+from .meshing import Mesh
 from .volumetric import NonPositiveJacobianError, VolumetricParams, w_vol_eta_j
 
 UNIFORM_WEIGHTS = "uniform-h"
@@ -80,17 +80,27 @@ class BoundaryCondition:
 
 
 def _pair_data(mesh: Mesh):
-    """Per-mesh geometry cache: pair index arrays, rest lengths, element
-    matrices for the deformation gradient."""
+    """Per-mesh geometry cache: pair and unique-edge index arrays, the
+    pair->edge map, edge rest lengths, element matrices for the deformation
+    gradient."""
     cache = mesh._cache
     if "pairs" in cache:
         return cache["pairs"]
     dim = mesh.dim
     combos = list(itertools.combinations(range(dim + 1), 2))
     elements = mesh.elements
-    i_idx = np.concatenate([elements[:, a] for a, _ in combos])
-    j_idx = np.concatenate([elements[:, b] for _, b in combos])
-    rest = np.linalg.norm(mesh.vertices[i_idx] - mesh.vertices[j_idx], axis=1)
+    ij = np.concatenate(
+        [elements[:, a] for a, _ in combos] + [elements[:, b] for _, b in combos]
+    )
+    i_idx, j_idx = np.split(ij, 2)
+    # a pair and its reversed copy have bitwise equal lengths, so every
+    # per-pair quantity of the stretch is evaluated once per unique edge
+    n = mesh.num_vertices
+    edge_keys, pair_edge = np.unique(
+        np.minimum(i_idx, j_idx) * n + np.maximum(i_idx, j_idx), return_inverse=True
+    )
+    edge_i, edge_j = edge_keys // n, edge_keys % n
+    rest = np.linalg.norm(mesh.vertices[edge_i] - mesh.vertices[edge_j], axis=1)
     if np.any(rest == 0.0):
         raise ValueError("mesh contains zero-length reference edges")
     p = mesh.vertices[elements]
@@ -100,6 +110,10 @@ def _pair_data(mesh: Mesh):
         "n_pairs": len(combos),
         "i": i_idx,
         "j": j_idx,
+        "ij": ij,
+        "edge_i": edge_i,
+        "edge_j": edge_j,
+        "pair_edge": pair_edge,
         "rest": rest,
         "xinv": np.linalg.inv(xmat),
         "det_x": det_x,
@@ -116,80 +130,123 @@ def _element_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
     return _pair_data(mesh)["volumes"]
 
 
-def _deformed_jacobians(mesh: Mesh, positions: np.ndarray):
-    data = _pair_data(mesh)
+def _edge_matrices(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
+    """Deformed element matrices, columns q_k - q_0."""
     q = positions[mesh.elements]
-    vmat = np.swapaxes(q[:, 1:, :] - q[:, :1, :], 1, 2)
-    return np.linalg.det(vmat) / data["det_x"], vmat
+    return np.swapaxes(q[:, 1:, :] - q[:, :1, :], 1, 2)
 
 
-def _volumetric_jacobians_checked(mesh: Mesh, positions: np.ndarray, vol: VolumetricParams):
-    jac, vmat = _deformed_jacobians(mesh, positions)
+def _point_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
+    """Per-edge lengths and stretches and per-element Jacobians at one point.
+
+    The line search evaluates energy and gradient at the same positions, so
+    the last state is kept on the mesh and reused while positions (compared
+    bit for bit) and model are unchanged; the energies and the gradient are
+    added to it on first use.
+    """
+    key = (positions.shape, positions.tobytes(), model)
+    state = mesh._cache.get("state")
+    if state is not None and state["key"] == key:
+        return state
+    data = _pair_data(mesh)
+    dist = np.linalg.norm(positions[data["edge_i"]] - positions[data["edge_j"]], axis=1)
+    state = {"key": key, "dist": dist, "stretch": dist / data["rest"]}
+    if model.vol is not None:
+        state["jac"] = np.linalg.det(_edge_matrices(mesh, positions)) / data["det_x"]
+    mesh._cache["state"] = state
+    return state
+
+
+def _check_not_inverted(state: dict, vol: VolumetricParams) -> None:
+    jac = state["jac"]
     if vol.eta == 0.0 and np.any(jac <= 0.0):
         bad = int(np.flatnonzero(jac <= 0.0)[0])
         raise InvertedElementError(
             f"element {bad} is inverted (det = {jac[bad]:g}) and no cut-off is active"
         )
-    return jac, vmat
+
+
+def _element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
+    positions = np.asarray(positions, dtype=float)
+    state = _point_state(mesh, positions, model)
+    if model.vol is not None:
+        _check_not_inverted(state, model.vol)
+    if "energies" not in state:
+        data = _pair_data(mesh)
+        edge_w = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
+        pair_w = edge_w[data["pair_edge"]]
+        per_elem = model.f * pair_w.reshape(data["n_pairs"], mesh.num_elements).sum(axis=0)
+        energies = _element_weights(mesh, model) * per_elem
+        if model.vol is not None:
+            energies = energies + data["volumes"] * w_vol_eta_j(state["jac"], model.vol)
+        state["energies"] = energies
+    return state["energies"]
 
 
 def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Per-element energies; their sum is the total energy."""
-    positions = np.asarray(positions, dtype=float)
-    data = _pair_data(mesh)
-    delta = positions[data["i"]] - positions[data["j"]]
-    stretch = np.linalg.norm(delta, axis=1) / data["rest"]
-    pair_w = np.asarray(model.pair.energy(stretch), dtype=float)
-    per_elem = model.f * pair_w.reshape(data["n_pairs"], mesh.num_elements).sum(axis=0)
-    energies = _element_weights(mesh, model) * per_elem
-    if model.vol is not None:
-        jac, _ = _volumetric_jacobians_checked(mesh, positions, model.vol)
-        energies = energies + data["volumes"] * w_vol_eta_j(jac, model.vol)
-    return energies
+    return _element_energies(mesh, positions, model).copy()
 
 
 def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
     """Total network energy of the deformed positions."""
-    return float(element_energies(mesh, positions, model).sum())
+    return float(_element_energies(mesh, positions, model).sum())
 
 
 def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Exact analytic gradient of total_energy, one d-vector per vertex."""
     positions = np.asarray(positions, dtype=float)
-    data = _pair_data(mesh)
-    grad = np.zeros_like(positions)
-
-    delta = positions[data["i"]] - positions[data["j"]]
-    dist = np.linalg.norm(delta, axis=1)
-    if np.any(dist == 0.0):
+    state = _point_state(mesh, positions, model)
+    if np.any(state["dist"] == 0.0):
         raise CoincidentVerticesError(
             "coincident deformed vertices: stretch-ratio derivative undefined"
         )
-    stretch = dist / data["rest"]
-    dW = np.asarray(model.pair.derivative(stretch), dtype=float)
-    weights = np.tile(_element_weights(mesh, model), data["n_pairs"])
-    coef = weights * model.f * dW / (data["rest"] * dist)
-    contrib = coef[:, None] * delta
-    np.add.at(grad, data["i"], contrib)
-    np.add.at(grad, data["j"], -contrib)
+    if model.vol is not None:
+        _check_not_inverted(state, model.vol)
+    if "grad" not in state:
+        state["grad"] = _gradient(mesh, positions, model, state)
+    return state["grad"].copy()
 
+
+def _gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel, state: dict):
+    """Scatter every pair and volumetric term into the vertices with one
+    bincount per component.  bincount adds its weights one at a time in
+    index order, so the terms keep the order of sequential np.add.at calls:
+    pairs at i, pairs at j, then the volumetric moments at vertices 1..d and
+    at vertex 0 of each active element."""
+    data = _pair_data(mesh)
+    pair_edge = data["pair_edge"]
+    dW = np.asarray(model.pair.derivative(state["stretch"]), dtype=float)[pair_edge]
+    weights = np.tile(_element_weights(mesh, model), data["n_pairs"])
+    coef = weights * model.f * dW / (data["rest"] * state["dist"])[pair_edge]
+
+    index = data["ij"]
+    moment = None
     if model.vol is not None:
         vol = model.vol
-        jac, vmat = _volumetric_jacobians_checked(mesh, positions, vol)
+        jac = state["jac"]
         active = jac > vol.eta if vol.eta > 0.0 else np.ones_like(jac, dtype=bool)
         if np.any(active):
             xinv = data["xinv"][active]
-            f_def = vmat[active] @ xinv
+            f_def = _edge_matrices(mesh, positions)[active] @ xinv
             cof = _cofactor_batch(f_def)
             scale = 0.25 * vol.K * (2.0 * jac[active] - 1.0 / jac[active])
             g_vol = scale[:, None, None] * cof
             moment = (
                 data["volumes"][active, None, None] * g_vol @ np.swapaxes(xinv, 1, 2)
             )
+            moment_sum = moment.sum(axis=2)
             els = mesh.elements[active]
-            for k in range(mesh.dim):
-                np.add.at(grad, els[:, k + 1], moment[:, :, k])
-            np.add.at(grad, els[:, 0], -moment.sum(axis=2))
+            index = np.concatenate([index, *els[:, 1:].T, els[:, 0]])
+
+    grad = np.empty_like(positions)
+    for c in range(mesh.dim):
+        col = positions[:, c]
+        contrib = coef * (col[data["i"]] - col[data["j"]])
+        values = [contrib, -contrib]
+        if moment is not None:
+            values += [*moment[:, c, :].T, -moment_sum[:, c]]
+        grad[:, c] = np.bincount(index, np.concatenate(values), minlength=mesh.num_vertices)
     return grad
 
 
@@ -243,10 +300,3 @@ def affine_positions(mesh: Mesh, xi: np.ndarray) -> np.ndarray:
     """Positions of the homogeneous deformation x -> xi @ x."""
     xi = np.asarray(xi, dtype=float)
     return mesh.vertices @ xi.T
-
-
-def pinned_layer_state(mesh: Mesh, xi: np.ndarray, depth: float):
-    """Affine state together with the layer mask used by cell problems."""
-    mask = np.zeros(mesh.num_vertices, dtype=bool)
-    mask[boundary_layer(mesh, depth)] = True
-    return mask, affine_positions(mesh, xi)

@@ -116,19 +116,16 @@ def periodic_mesh_3d(m: int) -> Mesh:
     xx, yy, zz = np.meshgrid(grid, grid, grid, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
 
-    def vid(i, j, k):
-        return (i * n + j) * n + k
-
-    basis = np.eye(3, dtype=np.int64)
-    elements = []
-    for ci, cj, ck in itertools.product(range(m), repeat=3):
-        c0 = np.array([ci, cj, ck], dtype=np.int64)
-        for perm in itertools.permutations(range(3)):
-            w = [c0]
-            for axis in perm:
-                w.append(w[-1] + basis[axis])
-            elements.append([vid(*p) for p in w])
-    elements = _orient_positively(vertices, np.asarray(elements, dtype=np.int64))
+    # vertex-id offsets of the Kuhn walks 0, e_p0, e_p0 + e_p1, (1, 1, 1)
+    # from a subcube's origin, one per permutation p in itertools order
+    steps = np.array([n * n, n, 1], dtype=np.int64)
+    walks = np.array(
+        [np.cumsum([0, *steps[list(perm)]]) for perm in itertools.permutations(range(3))]
+    )
+    cells = np.arange(m, dtype=np.int64)
+    origins = (cells[:, None, None] * n + cells[None, :, None]) * n + cells[None, None, :]
+    elements = (origins.reshape(-1, 1, 1) + walks).reshape(-1, 4)
+    elements = _orient_positively(vertices, elements)
     return _make_mesh(3, vertices, elements)
 
 
@@ -148,20 +145,15 @@ def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
     xx, yy = np.meshgrid(grid, grid, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    def vid(i, j):
-        return i * n + j
-
-    elements = []
-    for ci, cj in itertools.product(range(m), repeat=2):
-        bl, br = vid(ci, cj), vid(ci + 1, cj)
-        tl, tr = vid(ci, cj + 1), vid(ci + 1, cj + 1)
-        if diagonal == "nw":
-            elements.append([bl, br, tl])
-            elements.append([br, tr, tl])
-        else:
-            elements.append([bl, br, tr])
-            elements.append([bl, tr, tl])
-    elements = _orient_positively(vertices, np.asarray(elements, dtype=np.int64))
+    # corner offsets of a cell: bl = 0, br = n, tl = 1, tr = n + 1
+    if diagonal == "nw":
+        triangles = np.array([[0, n, 1], [n, n + 1, 1]], dtype=np.int64)
+    else:
+        triangles = np.array([[0, n, n + 1], [0, n + 1, 1]], dtype=np.int64)
+    cells = np.arange(m, dtype=np.int64)
+    origins = cells[:, None] * n + cells[None, :]
+    elements = (origins.reshape(-1, 1, 1) + triangles).reshape(-1, 3)
+    elements = _orient_positively(vertices, elements)
     return _make_mesh(2, vertices, elements)
 
 

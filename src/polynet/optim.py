@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import line_search
-from scipy.optimize._linesearch import LineSearchWarning
 
 from .assembly import BoundaryCondition, EnergyModel, apply_bc, total_energy, energy_gradient
 from .meshing import Mesh
@@ -134,7 +133,9 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS):
             direction = -g
         noise = 1e-12 * (1.0 + abs(f))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LineSearchWarning)
+            warnings.filterwarnings(
+                "ignore", message="The line search algorithm", category=RuntimeWarning
+            )
             alpha, _, _, f_new, _, _ = line_search(
                 fun, grad, x, direction, gfk=g, old_fval=f,
                 c1=settings.armijo_c1, c2=settings.wolfe_c2,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,15 @@ from polynet.assembly import (
     total_energy,
 )
 from polynet.chains import ChainParams, PairPotential, chain_energy
-from polynet.meshing import Mesh, boundary_layer, periodic_mesh_2d, periodic_mesh_3d
-from polynet.volumetric import VolumetricParams
+from polynet.meshing import (
+    Mesh,
+    StochasticLatticeSpec,
+    boundary_layer,
+    build_stochastic_mesh,
+    periodic_mesh_2d,
+    periodic_mesh_3d,
+)
+from polynet.volumetric import VolumetricParams, w_vol_eta_j
 
 SPRING = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
 CHAIN = EnergyModel(pair=PairPotential.langevin_chain())
@@ -207,3 +216,170 @@ def test_model_validation():
         EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=0.0)
     with pytest.raises(ValueError):
         EnergyModel(pair=PairPotential.quadratic_spring(1.0), weight_mode="odd")
+
+
+# --- exact equality with the per-pair np.add.at kernel -------------------
+
+def _pairs(mesh):
+    combos = list(itertools.combinations(range(mesh.dim + 1), 2))
+    i = np.concatenate([mesh.elements[:, a] for a, _ in combos])
+    j = np.concatenate([mesh.elements[:, b] for _, b in combos])
+    return len(combos), i, j
+
+
+def _weights(mesh, model):
+    if model.weight_mode == "uniform-h":
+        return np.full(mesh.num_elements, 1.0 / mesh.num_elements)
+    return mesh.element_volumes()
+
+
+def _jacobians(mesh, positions):
+    def edge_matrices(points):
+        p = points[mesh.elements]
+        return np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
+
+    xmat, vmat = edge_matrices(mesh.vertices), edge_matrices(positions)
+    return np.linalg.det(vmat) / np.linalg.det(xmat), vmat, np.linalg.inv(xmat)
+
+
+def oracle_element_energies(mesh, positions, model):
+    """Every pair evaluated on its own, no caching."""
+    n_pairs, i, j = _pairs(mesh)
+    rest = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
+    stretch = np.linalg.norm(positions[i] - positions[j], axis=1) / rest
+    pair_w = np.asarray(model.pair.energy(stretch), dtype=float)
+    per_elem = model.f * pair_w.reshape(n_pairs, mesh.num_elements).sum(axis=0)
+    energies = _weights(mesh, model) * per_elem
+    if model.vol is not None:
+        jac, _, _ = _jacobians(mesh, positions)
+        energies = energies + mesh.element_volumes() * w_vol_eta_j(jac, model.vol)
+    return energies
+
+
+def oracle_gradient(mesh, positions, model):
+    """Per-pair terms scattered with sequential np.add.at calls."""
+    n_pairs, i, j = _pairs(mesh)
+    grad = np.zeros_like(positions)
+    rest = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
+    delta = positions[i] - positions[j]
+    dist = np.linalg.norm(delta, axis=1)
+    dW = np.asarray(model.pair.derivative(dist / rest), dtype=float)
+    weights = np.tile(_weights(mesh, model), n_pairs)
+    contrib = (weights * model.f * dW / (rest * dist))[:, None] * delta
+    np.add.at(grad, i, contrib)
+    np.add.at(grad, j, -contrib)
+    if model.vol is not None:
+        vol = model.vol
+        jac, vmat, xinv = _jacobians(mesh, positions)
+        active = jac > vol.eta
+        xinv = xinv[active]
+        f_def = vmat[active] @ xinv
+        cof = np.empty_like(f_def)
+        if mesh.dim == 2:
+            cof[:, 0, 0], cof[:, 0, 1] = f_def[:, 1, 1], -f_def[:, 1, 0]
+            cof[:, 1, 0], cof[:, 1, 1] = -f_def[:, 0, 1], f_def[:, 0, 0]
+        else:
+            for k in range(3):
+                cof[:, :, k] = np.cross(f_def[:, :, (k + 1) % 3], f_def[:, :, (k + 2) % 3])
+        scale = 0.25 * vol.K * (2.0 * jac[active] - 1.0 / jac[active])
+        g_vol = scale[:, None, None] * cof
+        moment = mesh.element_volumes()[active, None, None] * g_vol @ np.swapaxes(xinv, 1, 2)
+        els = mesh.elements[active]
+        for k in range(mesh.dim):
+            np.add.at(grad, els[:, k + 1], moment[:, :, k])
+        np.add.at(grad, els[:, 0], -moment.sum(axis=2))
+    return grad
+
+
+LANGEVIN_VOL = EnergyModel(
+    pair=PairPotential.langevin_chain(), vol=VolumetricParams(K=1.0, eta=0.1)
+)
+
+
+def _stochastic_mesh(kind, dim, h):
+    spec = StochasticLatticeSpec(kind=kind, intensity=1.0, r_min=0.3, R_cov=1.0, seed=3)
+    return build_stochastic_mesh(spec, h, dim)
+
+
+@pytest.mark.parametrize(
+    "kind, dim, h, model",
+    [
+        ("jittered-grid", 3, 0.25, LANGEVIN_VOL),
+        ("matern-hardcore", 2, 0.1, SPRING),
+        ("matern-hardcore", 2, 0.1, LANGEVIN_VOL),
+    ],
+)
+def test_kernel_bitwise_equals_per_pair_oracle(kind, dim, h, model):
+    mesh = _stochastic_mesh(kind, dim, h)
+    rng = np.random.default_rng(11)
+    plateau_seen = False
+    for amplitude in (0.0, 0.05, 0.2, 0.4):
+        state = mesh.vertices + amplitude * mesh.h * rng.standard_normal(mesh.vertices.shape)
+        if model.vol is not None:
+            jac, _, _ = _jacobians(mesh, state)
+            plateau_seen |= bool(np.any(jac <= model.vol.eta))
+        expected = oracle_element_energies(mesh, state, model)
+        np.testing.assert_array_equal(element_energies(mesh, state, model), expected)
+        assert total_energy(mesh, state, model) == float(expected.sum())
+        np.testing.assert_array_equal(
+            energy_gradient(mesh, state, model), oracle_gradient(mesh, state, model)
+        )
+    assert plateau_seen or model.vol is None
+
+
+def test_state_cache_follows_in_place_mutation():
+    mesh = _stochastic_mesh("matern-hardcore", 2, 0.1)
+    rng = np.random.default_rng(12)
+    state = mesh.vertices + 0.05 * mesh.h * rng.standard_normal(mesh.vertices.shape)
+    total_energy(mesh, state, LANGEVIN_VOL)
+    energy_gradient(mesh, state, LANGEVIN_VOL)
+    state[3] += 0.01 * mesh.h
+    assert total_energy(mesh, state, LANGEVIN_VOL) == float(
+        oracle_element_energies(mesh, state, LANGEVIN_VOL).sum()
+    )
+    np.testing.assert_array_equal(
+        energy_gradient(mesh, state, LANGEVIN_VOL),
+        oracle_gradient(mesh, state, LANGEVIN_VOL),
+    )
+
+
+def test_state_cache_alternating_models():
+    mesh = _stochastic_mesh("jittered-grid", 3, 0.25)
+    rng = np.random.default_rng(13)
+    state = mesh.vertices + 0.1 * mesh.h * rng.standard_normal(mesh.vertices.shape)
+    for _ in range(2):
+        for model in (SPRING, LANGEVIN_VOL, CHAIN):
+            assert total_energy(mesh, state, model) == float(
+                oracle_element_energies(mesh, state, model).sum()
+            )
+            np.testing.assert_array_equal(
+                energy_gradient(mesh, state, model), oracle_gradient(mesh, state, model)
+            )
+
+
+def test_returned_arrays_are_copies():
+    mesh = periodic_mesh_2d(3)
+    rng = np.random.default_rng(14)
+    state = mesh.vertices + 0.05 * rng.standard_normal(mesh.vertices.shape)
+    grad = energy_gradient(mesh, state, CHAIN)
+    energies = element_energies(mesh, state, CHAIN)
+    expected_grad, expected_energies = grad.copy(), energies.copy()
+    grad[:] = 7.0
+    energies[:] = 7.0
+    np.testing.assert_array_equal(energy_gradient(mesh, state, CHAIN), expected_grad)
+    np.testing.assert_array_equal(element_energies(mesh, state, CHAIN), expected_energies)
+
+
+def test_coincident_checked_before_inverted():
+    mesh = periodic_mesh_2d(2)
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                        vol=VolumetricParams(K=1.0, eta=0.0))
+    state = mesh.vertices.copy()
+    state[1] = state[0]  # collapses every element that holds the edge 0-1
+    with pytest.raises(InvertedElementError):
+        total_energy(mesh, state, model)
+    with pytest.raises(CoincidentVerticesError):
+        energy_gradient(mesh, state, model)
+    # a cached state does not skip the checks on the next call
+    with pytest.raises(InvertedElementError):
+        total_energy(mesh, state, model)

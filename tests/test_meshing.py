@@ -66,6 +66,44 @@ def test_periodic_3d_partition_and_orientation(m):
     assert abs(mesh.h - (1.0 / mesh.num_elements) ** (1.0 / 3.0)) <= 1e-12
 
 
+def _loop_periodic_elements(m, dim, diagonal="nw"):
+    """Element list of the periodic meshes built cell by cell, oriented
+    by swapping the last two vertices of negatively oriented elements."""
+    n = m + 1
+    elements = []
+    for cell in itertools.product(range(m), repeat=dim):
+        if dim == 3:
+            for perm in itertools.permutations(range(3)):
+                walk = [np.array(cell)]
+                for axis in perm:
+                    walk.append(walk[-1] + np.eye(3, dtype=int)[axis])
+                elements.append([(p[0] * n + p[1]) * n + p[2] for p in walk])
+        else:
+            ci, cj = cell
+            bl, br = ci * n + cj, (ci + 1) * n + cj
+            tl, tr = ci * n + cj + 1, (ci + 1) * n + cj + 1
+            if diagonal == "nw":
+                elements += [[bl, br, tl], [br, tr, tl]]
+            else:
+                elements += [[bl, br, tr], [bl, tr, tl]]
+    elements = np.array(elements, dtype=np.int64)
+    grid = np.arange(n) / m
+    vertices = np.stack([g.ravel() for g in np.meshgrid(*[grid] * dim, indexing="ij")], axis=1)
+    neg = signed_volumes(vertices, elements) < 0.0
+    elements[neg, -2:] = elements[neg, -2:][:, ::-1]
+    return vertices, elements
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim, diagonal", [(3, None), (2, "nw"), (2, "ne")])
+def test_periodic_meshes_match_loop_construction(m, dim, diagonal):
+    mesh = periodic_mesh_3d(m) if dim == 3 else periodic_mesh_2d(m, diagonal)
+    vertices, elements = _loop_periodic_elements(m, dim, diagonal)
+    np.testing.assert_array_equal(mesh.vertices, vertices)
+    np.testing.assert_array_equal(mesh.elements, elements)
+    assert mesh.elements.dtype == np.int64
+
+
 def test_periodic_2d_m1():
     mesh = periodic_mesh_2d(1, "nw")
     assert mesh.num_elements == 2

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import line_search
 
 from polynet.assembly import (
     BoundaryCondition,
@@ -195,3 +198,21 @@ def test_line_search_failure_raises():
 
     with pytest.raises(OptimizationError):
         lbfgs(fun, grad, np.zeros(2), MinimizeSettings(grad_tol=1e-12, max_iters=10))
+
+
+def test_line_search_failure_lets_no_warning_escape():
+    # the inconsistent gradient of test_line_search_failure_raises: scipy's
+    # Wolfe search warns about it, and lbfgs silences exactly that warning
+    def fun(x):
+        return float(x[0])
+
+    def grad(x):
+        return np.array([-1.0, 0.0])
+
+    x0 = np.zeros(2)
+    with pytest.warns(RuntimeWarning, match="^The line search algorithm"):
+        line_search(fun, grad, x0, -grad(x0), gfk=grad(x0), old_fval=fun(x0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OptimizationError):
+            lbfgs(fun, grad, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
