@@ -12,7 +12,7 @@ from polynet import (
     StochasticCell,
     StochasticLatticeSpec,
     VolumetricParams,
-    affine_init,
+    affine_positions,
     minimize,
     periodic_mesh_3d,
     solve_cell_problem,
@@ -30,7 +30,7 @@ mesh = periodic_mesh_3d(2)
 xi = np.diag([1.3, 1.0, 1.0])
 bc = BoundaryCondition(kind="dirichlet-face-free-traction", xi=xi,
                        faces=("x-", "x+"))
-affine_energy = total_energy(mesh, affine_init(mesh, xi), model)
+affine_energy = total_energy(mesh, affine_positions(mesh, xi), model)
 result = minimize(mesh, model, bc)
 print(f"  affine energy   {affine_energy:.8f}")
 print(f"  relaxed energy  {result.energy:.8f}")

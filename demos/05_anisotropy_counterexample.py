@@ -12,12 +12,13 @@ import numpy as np
 from polynet import (
     EnergyModel,
     PairPotential,
+    PeriodicCell,
+    StochasticCell,
     StochasticLatticeSpec,
     anisotropy_counterexample,
+    cell_estimator,
     frame_invariance_probe,
     isotropy_probe,
-    periodic_cell_estimator,
-    stochastic_cell_estimator,
 )
 
 print("Directional stiffness of the 2D periodic lattice (quadratic springs)")
@@ -30,7 +31,7 @@ spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
 xi = np.array([[1.2, 0.0], [0.0, 1.0]])
 
 print("\nProbes on the periodic estimator (m = 10, about 200 elements)")
-periodic = periodic_cell_estimator(m=10, model=spring, dim=2)
+periodic = cell_estimator(PeriodicCell(m=10, dim=2), spring)
 frame_dev = frame_invariance_probe(periodic, xi, rotation_count=4, seed=5)
 iso_dev = isotropy_probe(periodic, xi, rotation_count=4, seed=5)
 print(f"  frame invariance deviation W(R xi): {frame_dev:.2e}  (exact symmetry)")
@@ -39,8 +40,8 @@ print(f"  isotropy deviation W(xi R):         {iso_dev:.4f}  (lattice anisotropy
 print("\nSame probes on a Matern lattice at matched element count, 8 realizations")
 lattice = StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0,
                                 r_min=0.3, R_cov=1.0, seed=0)
-stochastic = stochastic_cell_estimator(lattice, h=0.1, model=spring, dim=2,
-                                       n_realizations=8, seed=123)
+stochastic = cell_estimator(StochasticCell(lattice, h=0.1, dim=2), spring,
+                            n_realizations=8, seed=123)
 iso_dev_s = isotropy_probe(stochastic, xi, rotation_count=4, seed=5)
 print(f"  isotropy deviation:                 {iso_dev_s:.4f}")
 print(f"  periodic / stochastic deviation:    {iso_dev / iso_dev_s:.1f}x")

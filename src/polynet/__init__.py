@@ -43,6 +43,7 @@ from .assembly import (
     EnergyModel,
     FullyConstrainedError,
     InvertedElementError,
+    affine_positions,
     apply_bc,
     energy_gradient,
     total_energy,
@@ -51,7 +52,6 @@ from .optim import (
     MinimizeResult,
     MinimizeSettings,
     OptimizationError,
-    affine_init,
     lbfgs,
     minimize,
 )
@@ -62,15 +62,15 @@ from .homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
+    at_scale,
     cell_energy_density,
+    cell_estimator,
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
-    periodic_cell_estimator,
     rank_one_convexity_sample,
     single_cell_oracle_2d,
     solve_cell_problem,
-    stochastic_cell_estimator,
 )
 
 __version__ = "0.1.0"

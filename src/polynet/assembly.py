@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import PairPotential
 from .meshing import Mesh
-from .volumetric import NonPositiveJacobianError, VolumetricParams, w_vol_eta_j
+from .volumetric import VolumetricParams, w_vol_eta_j
 
 UNIFORM_WEIGHTS = "uniform-h"
 VOLUME_WEIGHTS = "element-volume"
@@ -267,9 +267,10 @@ def _cofactor_batch(f: np.ndarray) -> np.ndarray:
 
 
 _FACE_AXES = {"x": 0, "y": 1, "z": 2}
+FACE_TOL = 1e-12  # distance within which a vertex lies on a named box face
 
 
-def apply_bc(mesh: Mesh, bc: BoundaryCondition, face_tol: float = 1e-12):
+def apply_bc(mesh: Mesh, bc: BoundaryCondition):
     """Resolve a boundary condition into (fixed mask, fixed target positions).
 
     Raises FullyConstrainedError when nothing is left to minimize.
@@ -289,7 +290,7 @@ def apply_bc(mesh: Mesh, bc: BoundaryCondition, face_tol: float = 1e-12):
             if axis >= mesh.dim:
                 raise ValueError(f"face {face!r} out of range for dim {mesh.dim}")
             value = 0.0 if side == "-" else 1.0
-            mask |= np.abs(mesh.vertices[:, axis] - value) <= face_tol
+            mask |= np.abs(mesh.vertices[:, axis] - value) <= FACE_TOL
     if mask.all():
         raise FullyConstrainedError("boundary condition pins every vertex")
     values = np.where(mask[:, None], targets, 0.0)

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,25 +20,24 @@ import numpy as np
 from .assembly import BoundaryCondition, EnergyModel, FullyConstrainedError
 from .chains import ChainParams, PairPotential
 from .homogenize import (
-    CellProblem,
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
+    at_scale,
+    build_cell_mesh,
+    cell_estimator,
+    default_layer_depth,
     estimate_whom,
+    failure_reason,
     frame_invariance_probe,
     isotropy_probe,
-    periodic_cell_estimator,
-    stochastic_cell_estimator,
     summary_dict,
     write_estimates_csv,
 )
 from .meshing import (
     InfeasibleLatticeError,
     StochasticLatticeSpec,
-    build_stochastic_mesh,
     check_admissibility,
-    periodic_mesh_2d,
-    periodic_mesh_3d,
     stochastic_lattice,
     write_mesh,
 )
@@ -183,47 +181,31 @@ def build_lattice(cfg: dict, seed_override: int | None) -> StochasticLatticeSpec
         raise ConfigError(f"mesh.lattice: {exc}") from exc
 
 
-def parse_mesh_section(cfg: dict, seed_override: int | None):
+def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | StochasticCell:
     section = _need(cfg, "mesh")
     kind = _need(section, "kind", "mesh")
     if kind == "periodic":
         _check_keys(section, {"kind", "dim", "m", "diagonal"}, "mesh")
-        dim = int(section.get("dim", 3))
-        if dim not in (2, 3):
-            raise ConfigError("mesh: dim must be 2 or 3")
-        return {
-            "kind": "periodic",
-            "dim": dim,
-            "m": int(_need(section, "m", "mesh")),
-            "diagonal": section.get("diagonal", "nw"),
-        }
-    if kind == "stochastic":
+    elif kind == "stochastic":
         _check_keys(section, {"kind", "dim", "h", "lattice"}, "mesh")
-        dim = int(section.get("dim", 3))
-        if dim not in (2, 3):
-            raise ConfigError("mesh: dim must be 2 or 3")
-        return {
-            "kind": "stochastic",
-            "dim": dim,
-            "h": float(_need(section, "h", "mesh")),
-            "lattice": build_lattice(_need(section, "lattice", "mesh"), seed_override),
-        }
-    raise ConfigError(f"mesh: unknown kind {kind!r}")
+    else:
+        raise ConfigError(f"mesh: unknown kind {kind!r}")
+    dim = int(section.get("dim", 3))
+    if dim not in (2, 3):
+        raise ConfigError("mesh: dim must be 2 or 3")
+    if kind == "periodic":
+        return PeriodicCell(m=int(_need(section, "m", "mesh")), dim=dim,
+                            diagonal=section.get("diagonal", "nw"))
+    h = float(_need(section, "h", "mesh"))
+    lattice = build_lattice(_need(section, "lattice", "mesh"), seed_override)
+    return StochasticCell(lattice=lattice, h=h, dim=dim)
 
 
-def build_mesh(mesh_cfg: dict):
-    if mesh_cfg["kind"] == "periodic":
-        if mesh_cfg["dim"] == 2:
-            return periodic_mesh_2d(mesh_cfg["m"], mesh_cfg["diagonal"])
-        return periodic_mesh_3d(mesh_cfg["m"])
-    return build_stochastic_mesh(mesh_cfg["lattice"], mesh_cfg["h"], mesh_cfg["dim"])
-
-
-def build_bc(cfg: dict, mesh_cfg: dict, mesh) -> BoundaryCondition:
+def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> BoundaryCondition:
     section = _need(cfg, "bc")
     kind = _need(section, "kind", "bc")
     xi = np.asarray(_need(section, "xi", "bc"), dtype=float)
-    if xi.shape != (mesh_cfg["dim"],) * 2:
+    if xi.shape != (source.dim,) * 2:
         raise ConfigError("bc: xi must be a dim x dim matrix")
     if kind == "affine-layer":
         _check_keys(section, {"kind", "xi", "depth"}, "bc")
@@ -231,9 +213,9 @@ def build_bc(cfg: dict, mesh_cfg: dict, mesh) -> BoundaryCondition:
         if depth == "2h":
             depth = 2.0 * mesh.h
         elif depth == "2hR":
-            if mesh_cfg["kind"] != "stochastic":
+            if not isinstance(source, StochasticCell):
                 raise ConfigError("bc: depth rule '2hR' needs a stochastic mesh")
-            depth = 2.0 * mesh_cfg["h"] * mesh_cfg["lattice"].R_cov
+            depth = default_layer_depth(source, mesh)
         else:
             depth = float(depth)
         return BoundaryCondition(kind="affine-layer", xi=xi, depth=depth)
@@ -280,22 +262,21 @@ def _out_dir(cfg: dict, args) -> Path:
 
 
 def cmd_mesh(cfg: dict, args) -> int:
-    mesh_cfg = parse_mesh_section(cfg, args.seed)
+    source = parse_mesh_section(cfg, args.seed)
     out = _out_dir(cfg, args)
-    mesh = build_mesh(mesh_cfg)
+    mesh = build_cell_mesh(source)
     write_mesh(mesh, out / "mesh.txt")
     print(f"h = {mesh.h:.17g}")
     print(f"N_el = {mesh.num_elements}")
-    if mesh_cfg["kind"] == "stochastic":
-        report = _lattice_report(mesh_cfg)
+    if isinstance(source, StochasticCell):
+        report = _lattice_report(source)
         write_json(out / "admissibility.json", report)
     return 0
 
 
-def _lattice_report(mesh_cfg: dict) -> dict:
-    lattice = mesh_cfg["lattice"]
-    dim, h = mesh_cfg["dim"], mesh_cfg["h"]
-    box = (np.zeros(dim), np.ones(dim) / h)
+def _lattice_report(source: StochasticCell) -> dict:
+    lattice = source.lattice
+    box = (np.zeros(source.dim), np.ones(source.dim) / source.h)
     points = stochastic_lattice(lattice, box)
     rep = check_admissibility(points, box, lattice.r_min, lattice.R_cov)
     return {
@@ -310,11 +291,11 @@ def _lattice_report(mesh_cfg: dict) -> dict:
 
 
 def cmd_lattice_check(cfg: dict, args) -> int:
-    mesh_cfg = parse_mesh_section(cfg, args.seed)
-    if mesh_cfg["kind"] != "stochastic":
+    source = parse_mesh_section(cfg, args.seed)
+    if not isinstance(source, StochasticCell):
         raise ConfigError("lattice-check needs a stochastic mesh section")
     out = _out_dir(cfg, args)
-    report = _lattice_report(mesh_cfg)
+    report = _lattice_report(source)
     write_json(out / "admissibility.json", report)
     print(_to_json(report))
     return 0
@@ -322,9 +303,9 @@ def cmd_lattice_check(cfg: dict, args) -> int:
 
 def cmd_minimize(cfg: dict, args) -> int:
     model = build_model(cfg)
-    mesh_cfg = parse_mesh_section(cfg, args.seed)
-    mesh = build_mesh(mesh_cfg)
-    bc = build_bc(cfg, mesh_cfg, mesh)
+    source = parse_mesh_section(cfg, args.seed)
+    mesh = build_cell_mesh(source)
+    bc = build_bc(cfg, source, mesh)
     settings, _ = build_settings(cfg)
     min_cfg = cfg.get("minimize", {})
     _check_keys(min_cfg, {"write_positions"}, "minimize")
@@ -346,19 +327,23 @@ def cmd_minimize(cfg: dict, args) -> int:
     return 0
 
 
-def _sweep_one(payload) -> tuple[int, object]:
-    (xi_id, xi, scales, model, source, n_real, seed, restarts, settings) = payload
-    est = estimate_whom(
-        xi, scales, model, source,
-        n_realizations=n_real, seed=seed, restarts=restarts,
-        settings=settings, on_error="record",
-    )
-    return xi_id, est
+def _sweep_one(job) -> tuple[object, str | None]:
+    """One xi's sweep as (estimate, None), or (None, reason) when it fails."""
+    xi, scales, model, source, n_real, seed, restarts, settings = job
+    try:
+        est = estimate_whom(
+            xi, scales, model, source,
+            n_realizations=n_real, seed=seed, restarts=restarts,
+            settings=settings, on_error="record",
+        )
+    except Exception as exc:  # noqa: BLE001 - recorded per sweep policy
+        return None, failure_reason(exc)
+    return est, None
 
 
 def cmd_homogenize(cfg: dict, args) -> int:
     model = build_model(cfg)
-    mesh_cfg = parse_mesh_section(cfg, args.seed)
+    source = parse_mesh_section(cfg, args.seed)
     section = _need(cfg, "homogenize")
     _check_keys(
         section,
@@ -367,54 +352,43 @@ def cmd_homogenize(cfg: dict, args) -> int:
     )
     xi_list = [np.asarray(x, dtype=float) for x in _need(section, "xi_list", "homogenize")]
     for xi in xi_list:
-        if xi.shape != (mesh_cfg["dim"],) * 2:
+        if xi.shape != (source.dim,) * 2:
             raise ConfigError("homogenize: every xi must be dim x dim")
     settings, restarts = build_settings(cfg)
     seed = int(cfg.get("seed", 0) if args.seed is None else args.seed)
 
-    if mesh_cfg["kind"] == "periodic":
+    if isinstance(source, PeriodicCell):
         scales = [int(m) for m in _need(section, "m_list", "homogenize")]
-        source = PeriodicCell(m=scales[0], dim=mesh_cfg["dim"],
-                              diagonal=mesh_cfg["diagonal"])
         n_real = 1
     else:
         scales = [float(h) for h in _need(section, "h_list", "homogenize")]
-        source = StochasticCell(
-            lattice=mesh_cfg["lattice"], h=scales[0], dim=mesh_cfg["dim"]
-        )
         n_real = int(section.get("n_realizations", 1))
+    if len(scales) < 2:
+        raise ConfigError("homogenize: a sweep needs at least 2 scales")
+    if n_real < 1:
+        raise ConfigError("homogenize: n_realizations must be at least 1")
 
     jobs = [
-        (i, xi, scales, model, source, n_real, seed, restarts, settings)
-        for i, xi in enumerate(xi_list)
+        (xi, scales, model, source, n_real, seed, restarts, settings)
+        for xi in xi_list
     ]
-    results: dict[int, object] = {}
-    failures: list[dict] = []
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_one, jobs))
     else:
-        outcomes = []
-        for job in jobs:
-            try:
-                outcomes.append(_sweep_one(job))
-            except Exception as exc:  # noqa: BLE001 - recorded per sweep policy
-                failures.append({"xi_id": job[0], "error": str(exc)})
-    for xi_id, est in outcomes:
-        results[xi_id] = est
-
-    estimates = [results[i] for i in sorted(results)]
-    ok_cells = sum(
-        1
-        for est in estimates
-        for scale in est.per_h
-        for rec in scale.records
-        if rec.status == "ok"
-    )
+        outcomes = [_sweep_one(job) for job in jobs]
+    # indexed like xi_list; a failed xi keeps its slot as None
+    estimates = [est for est, _ in outcomes]
+    failures = [
+        {"xi_id": xi_id, "error": error}
+        for xi_id, (_, error) in enumerate(outcomes)
+        if error is not None
+    ]
+    ok_cells = sum(s.stats.n for est in estimates if est is not None for s in est.per_h)
     out = _out_dir(cfg, args)
-    if estimates:
+    if ok_cells:
         write_estimates_csv(out / "homogenize.csv", estimates)
-    probes = _run_probes(section.get("probes"), mesh_cfg, model, scales,
+    probes = _run_probes(section.get("probes"), at_scale(source, scales[-1]), model,
                          xi_list, n_real, seed, restarts, settings)
     summary = summary_dict(estimates, probes)
     if failures:
@@ -424,39 +398,32 @@ def cmd_homogenize(cfg: dict, args) -> int:
     return 0 if ok_cells >= 1 else 4
 
 
-def _run_probes(probe_cfg, mesh_cfg, model, scales, xi_list, n_real, seed,
-                restarts, settings):
+def _run_probes(probe_cfg, source, model, xi_list, n_real, seed, restarts, settings):
+    """Probe entries by xi index at the finest scale `source`; an xi whose
+    estimator fails gets {"error": reason} instead."""
     if not probe_cfg:
         return {}
     _check_keys(probe_cfg, {"frame_rotations", "isotropy_rotations", "seed"},
                 "homogenize.probes")
     probe_seed = int(probe_cfg.get("seed", 0))
-    finest = scales[-1]
-    if mesh_cfg["kind"] == "periodic":
-        estimator = periodic_cell_estimator(
-            int(finest), model, dim=mesh_cfg["dim"],
-            diagonal=mesh_cfg["diagonal"], restarts=restarts,
-            seed=seed, settings=settings,
-        )
-    else:
-        estimator = stochastic_cell_estimator(
-            mesh_cfg["lattice"], float(finest), model, dim=mesh_cfg["dim"],
-            n_realizations=n_real, seed=seed, restarts=restarts,
-            settings=settings,
-        )
+    estimator = cell_estimator(source, model, n_realizations=n_real, seed=seed,
+                               restarts=restarts, settings=settings)
     out = {}
     n_frame = int(probe_cfg.get("frame_rotations", 0))
     n_iso = int(probe_cfg.get("isotropy_rotations", 0))
     for xi_id, xi in enumerate(xi_list):
         entry = {}
-        if n_frame > 0:
-            entry["frame_invariance_deviation"] = frame_invariance_probe(
-                estimator, xi, rotation_count=n_frame, seed=probe_seed
-            )
-        if n_iso > 0:
-            entry["isotropy_deviation"] = isotropy_probe(
-                estimator, xi, rotation_count=n_iso, seed=probe_seed
-            )
+        try:
+            if n_frame > 0:
+                entry["frame_invariance_deviation"] = frame_invariance_probe(
+                    estimator, xi, rotation_count=n_frame, seed=probe_seed
+                )
+            if n_iso > 0:
+                entry["isotropy_deviation"] = isotropy_probe(
+                    estimator, xi, rotation_count=n_iso, seed=probe_seed
+                )
+        except Exception as exc:  # noqa: BLE001 - recorded per sweep policy
+            entry = {"error": failure_reason(exc)}
         if entry:
             out[str(xi_id)] = entry
     return out

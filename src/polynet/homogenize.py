@@ -24,7 +24,6 @@ from .assembly import (
     affine_positions,
     total_energy,
 )
-from .chains import PairPotential
 from .meshing import (
     Mesh,
     StochasticLatticeSpec,
@@ -58,17 +57,16 @@ class StochasticCell:
 class CellProblem:
     """One cell problem: macroscopic gradient, mesh source, model, protocol.
 
-    layer_depth None selects the default rule (2h periodic, 2hR stochastic).
+    The pinned layer has the default depth (2h periodic, 2hR stochastic).
     restarts is the total number of minimization runs; the first starts from
-    the exact affine state, later ones from small seeded perturbations of it.
+    the exact affine state, later ones from seeded perturbations of it with
+    standard deviation 0.01 h.
     """
 
     xi: np.ndarray
     source: PeriodicCell | StochasticCell
     model: EnergyModel
-    layer_depth: float | None = None
     restarts: int = 1
-    perturb_scale: float | None = None
     seed: int = 0
     settings: MinimizeSettings = DEFAULT_SETTINGS
 
@@ -110,6 +108,17 @@ def default_layer_depth(source: PeriodicCell | StochasticCell, mesh: Mesh) -> fl
     return 2.0 * source.h * source.lattice.R_cov
 
 
+def at_scale(source: PeriodicCell | StochasticCell, scale, lattice_seed: int | None = None):
+    """source with m (periodic) or h (stochastic) set to scale; a stochastic
+    lattice is reseeded when lattice_seed is given."""
+    if isinstance(source, PeriodicCell):
+        return replace(source, m=int(scale))
+    lattice = source.lattice
+    if lattice_seed is not None:
+        lattice = replace(lattice, seed=lattice_seed)
+    return replace(source, h=float(scale), lattice=lattice)
+
+
 def solve_cell_problem(problem: CellProblem) -> CellSolution:
     """Minimize over the interior with the affine layer pinned.
 
@@ -118,9 +127,7 @@ def solve_cell_problem(problem: CellProblem) -> CellSolution:
     coarsest meshes, where 2h exceeds the inradius).
     """
     mesh = build_cell_mesh(problem.source)
-    depth = problem.layer_depth
-    if depth is None:
-        depth = default_layer_depth(problem.source, mesh)
+    depth = default_layer_depth(problem.source, mesh)
     layer = boundary_layer(mesh, depth)
     affine = affine_positions(mesh, problem.xi)
     if layer.size == mesh.num_vertices:
@@ -129,9 +136,7 @@ def solve_cell_problem(problem: CellProblem) -> CellSolution:
 
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
     rng = np.random.default_rng(problem.seed)
-    scale = problem.perturb_scale
-    if scale is None:
-        scale = 0.01 * mesh.h
+    scale = 0.01 * mesh.h
     best = None
     for attempt in range(problem.restarts):
         init = affine.copy()
@@ -236,6 +241,7 @@ class CellRecord:
     grad_norm: float
     iterations: int
     status: str = "ok"
+    error: str = ""  # "Type: message" of a failed cell, empty when ok
 
 
 @dataclass
@@ -274,6 +280,11 @@ class HomogEstimate:
     richardson: float | None = None
 
 
+def failure_reason(exc: BaseException) -> str:
+    """How a failure is reported in records and outputs: "Type: message"."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _realization_seed(base_seed: int, scale_index: int, realization: int) -> int:
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(scale_index, realization))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -296,8 +307,9 @@ def estimate_whom(
     m (periodic) or h (stochastic) entry.  Periodic runs force one
     realization.  The expectation over lattice realizations is taken as a
     sample mean with its standard error.  on_error "record" marks failed
-    cells in the records instead of raising; a scale with no successful cell
-    raises regardless.
+    cells, with their failure_reason, in the records instead of raising; a
+    scale with no successful cell raises a RuntimeError naming the first
+    cell's reason regardless.
 
     The Cauchy diagnostic cauchy_gaps holds |v_{k+1} - v_k| over successive
     scales.  It should tend to zero as h shrinks, but need not decrease
@@ -321,29 +333,22 @@ def estimate_whom(
         records = []
         for real in range(n_realizations):
             run_seed = _realization_seed(seed, s_idx, real)
-            if periodic:
-                cell_source = replace(source, m=int(scale))
-            else:
-                cell_source = replace(
-                    source,
-                    h=float(scale),
-                    lattice=replace(source.lattice, seed=run_seed),
-                )
             try:
                 problem = CellProblem(
                     xi=xi,
-                    source=cell_source,
+                    source=at_scale(source, scale, run_seed),
                     model=model,
                     restarts=restarts,
                     seed=run_seed,
                     settings=settings,
                 )
                 sol = solve_cell_problem(problem)
-            except Exception:
+            except Exception as exc:
                 if on_error == "raise":
                     raise
                 records.append(
-                    CellRecord(scale, real, run_seed, math.nan, math.nan, 0, "failed")
+                    CellRecord(scale, real, run_seed, math.nan, math.nan, 0, "failed",
+                               failure_reason(exc))
                 )
                 continue
             records.append(
@@ -358,7 +363,9 @@ def estimate_whom(
             )
         values = np.array([r.value for r in records if r.status == "ok"])
         if values.size == 0:
-            raise RuntimeError(f"every cell problem failed at scale {scale}")
+            raise RuntimeError(
+                f"every cell problem failed at scale {scale}: {records[0].error}"
+            )
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         grad_norm = float(
@@ -525,74 +532,56 @@ def anisotropy_counterexample(
 
 
 # ---------------------------------------------------------------------------
-# Estimator factories and result serialization
+# Estimator factory and result serialization
 
 
-def periodic_cell_estimator(
-    m: int,
+def cell_estimator(
+    source: PeriodicCell | StochasticCell,
     model: EnergyModel,
-    dim: int = 2,
-    diagonal: str = "nw",
-    restarts: int = 1,
-    seed: int = 0,
-    settings: MinimizeSettings = DEFAULT_SETTINGS,
-):
-    """Estimator xi -> density from one periodic cell problem at fixed m."""
-
-    source = PeriodicCell(m=m, dim=dim, diagonal=diagonal)
-
-    def estimator(xi):
-        return cell_energy_density(
-            CellProblem(xi=xi, source=source, model=model,
-                        restarts=restarts, seed=seed, settings=settings)
-        )
-
-    return estimator
-
-
-def stochastic_cell_estimator(
-    lattice: StochasticLatticeSpec,
-    h: float,
-    model: EnergyModel,
-    dim: int = 2,
     n_realizations: int = 1,
     seed: int = 0,
     restarts: int = 1,
     settings: MinimizeSettings = DEFAULT_SETTINGS,
 ):
-    """Estimator xi -> mean density over a fixed batch of lattice realizations.
+    """Estimator xi -> mean density of cell problems on fixed meshes of source.
 
-    The realization seeds are fixed by the factory, so different xi are
-    evaluated on the same meshes (common random numbers); deviations between
-    xi then reflect anisotropy rather than sampling noise.
+    A periodic source gives one cell problem with problem seed `seed`.  A
+    stochastic source gives n_realizations lattices, seeded as the first
+    scale of estimate_whom; the seeds are fixed by the factory, so different
+    xi are evaluated on the same meshes (common random numbers) and
+    deviations between xi reflect anisotropy rather than sampling noise.
     """
-    seeds = [_realization_seed(seed, 0, r) for r in range(n_realizations)]
+    if isinstance(source, PeriodicCell):
+        runs = [(source, seed)]
+    else:
+        seeds = [_realization_seed(seed, 0, r) for r in range(n_realizations)]
+        runs = [(at_scale(source, source.h, s), s) for s in seeds]
 
     def estimator(xi):
-        values = []
-        for run_seed in seeds:
-            source = StochasticCell(
-                lattice=replace(lattice, seed=run_seed), h=h, dim=dim
+        return float(np.mean([
+            cell_energy_density(
+                CellProblem(xi=xi, source=cell_source, model=model,
+                            restarts=restarts, seed=run_seed, settings=settings)
             )
-            values.append(
-                cell_energy_density(
-                    CellProblem(xi=xi, source=source, model=model,
-                                restarts=restarts, seed=run_seed, settings=settings)
-                )
-            )
-        return float(np.mean(values))
+            for cell_source, run_seed in runs
+        ]))
 
     return estimator
 
 
-def write_estimates_csv(path, estimates: list[HomogEstimate]) -> None:
-    """One row per (xi index, scale, realization); floats with 17 digits."""
-    if not estimates:
+def write_estimates_csv(path, estimates: list[HomogEstimate | None]) -> None:
+    """One row per (xi index, scale, realization); floats with 17 digits.
+
+    xi_id is the index in `estimates`; None entries (failed sweeps) write no
+    rows but keep their index.
+    """
+    present = [(xi_id, est) for xi_id, est in enumerate(estimates) if est is not None]
+    if not present:
         raise ValueError("nothing to write")
-    dim = estimates[0].xi.shape[0]
+    dim = present[0][1].xi.shape[0]
     xi_cols = [f"xi{i}{j}" for i in range(dim) for j in range(dim)]
     header = ["xi_id", *xi_cols, "h", "realization", "value", "grad_norm",
-              "iterations", "seed", "status"]
+              "iterations", "seed", "status", "error"]
 
     def fmt(x):
         return f"{x:.17g}"
@@ -600,21 +589,26 @@ def write_estimates_csv(path, estimates: list[HomogEstimate]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for xi_id, est in enumerate(estimates):
+        for xi_id, est in present:
             flat = [fmt(v) for v in est.xi.ravel()]
             for scale in est.per_h:
                 for rec in scale.records:
                     writer.writerow(
                         [xi_id, *flat, fmt(rec.scale), rec.realization,
                          fmt(rec.value), fmt(rec.grad_norm), rec.iterations,
-                         rec.seed, rec.status]
+                         rec.seed, rec.status, rec.error]
                     )
 
 
-def summary_dict(estimates: list[HomogEstimate], probes: dict | None = None) -> dict:
-    """JSON-ready summary: per-xi extrapolated values, gaps, realization stats."""
+def summary_dict(estimates: list[HomogEstimate | None], probes: dict | None = None) -> dict:
+    """JSON-ready summary: per-xi extrapolated values, gaps, realization stats.
+
+    None entries (failed sweeps) are skipped; xi_id keeps the list index.
+    """
     out = {"estimates": [], "probes": probes or {}}
     for xi_id, est in enumerate(estimates):
+        if est is None:
+            continue
         out["estimates"].append(
             {
                 "xi_id": xi_id,

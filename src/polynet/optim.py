@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import line_search
 
-from .assembly import BoundaryCondition, EnergyModel, apply_bc, total_energy, energy_gradient
+from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
+                       energy_gradient, total_energy)
 from .meshing import Mesh
 
 
@@ -171,11 +172,6 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS):
     return x, f, float(np.linalg.norm(g)), iterations, False
 
 
-def affine_init(mesh: Mesh, xi) -> np.ndarray:
-    """Initial state with every vertex placed at xi @ x."""
-    return mesh.vertices @ np.asarray(xi, dtype=float).T
-
-
 def minimize(
     mesh: Mesh,
     model: EnergyModel,
@@ -189,7 +185,7 @@ def minimize(
     their boundary targets in any case.
     """
     mask, targets = apply_bc(mesh, bc)
-    state = affine_init(mesh, bc.xi) if init is None else np.array(init, dtype=float)
+    state = affine_positions(mesh, bc.xi) if init is None else np.array(init, dtype=float)
     if state.shape != mesh.vertices.shape:
         raise ValueError("initial state does not match the mesh")
     state[mask] = targets[mask]

@@ -26,11 +26,10 @@ from polynet.homogenize import (
     StochasticCell,
     anisotropy_counterexample,
     cell_energy_density,
+    cell_estimator,
     estimate_whom,
     isotropy_probe,
-    periodic_cell_estimator,
     single_cell_oracle_2d,
-    stochastic_cell_estimator,
 )
 from polynet.meshing import (
     StochasticLatticeSpec,
@@ -286,13 +285,13 @@ def test_criterion_09_stochastic_statistics():
 def test_criterion_10_isotropy_contrast():
     spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
     xi = np.array([[1.2, 0.0], [0.0, 1.0]])
-    periodic = periodic_cell_estimator(m=10, model=spring, dim=2)
+    periodic = cell_estimator(PeriodicCell(m=10, dim=2), spring)
     dev_periodic = isotropy_probe(periodic, xi, rotation_count=4, seed=5)
     lattice = StochasticLatticeSpec(
         kind="matern-hardcore", intensity=1.0, r_min=0.3, R_cov=1.0, seed=0
     )
-    stochastic = stochastic_cell_estimator(
-        lattice, h=0.1, model=spring, dim=2, n_realizations=8, seed=123
+    stochastic = cell_estimator(
+        StochasticCell(lattice, h=0.1, dim=2), spring, n_realizations=8, seed=123
     )
     dev_stochastic = isotropy_probe(stochastic, xi, rotation_count=4, seed=5)
     # matched element counts: 2 m^2 = 200 vs ~2 x (intensity / h^2) in 2D

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -285,3 +286,122 @@ def test_counterexample_repeat_identical(tmp_path):
 def test_missing_config_file_exit_2(tmp_path):
     assert main(["mesh", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+FAILING_FIRST = {
+    "seed": 0,
+    "model": {
+        "pair": {"kind": "quadratic-spring", "stiffness": 1.0},
+        "volumetric": {"K": 1.0, "eta": 0.1},
+    },
+    "mesh": {"kind": "periodic", "dim": 2, "m": 4, "diagonal": "nw"},
+    "homogenize": {
+        # det 0.05 <= eta: every cell problem of the first xi is rejected
+        "xi_list": [[[0.05, 0.0], [0.0, 1.0]], [[1.1, 0.0], [0.0, 0.9]]],
+        "m_list": [2, 4],
+        "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 1},
+    },
+}
+DET_REASON = "det(xi) must exceed the volumetric cut-off"
+
+
+def run_both_jobs(tmp_path, payload, capsys):
+    """Run homogenize at --jobs 1 and 2: (exit codes, stdouts, output dirs)."""
+    cfg = write_config(tmp_path, payload)
+    codes, stdouts, outs = [], [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        codes.append(main(["homogenize", "--config", cfg, "--out", str(out),
+                           "--jobs", jobs]))
+        stdouts.append(capsys.readouterr().out)
+        outs.append(out)
+    return codes, stdouts, outs
+
+
+def test_homogenize_failing_xi_same_outputs_for_every_jobs(tmp_path, capsys):
+    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, FAILING_FIRST, capsys)
+    assert codes == [0, 0]
+    assert stdouts[0] == stdouts[1]
+    for name in ("homogenize.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_homogenize_failing_xi_keeps_indices(tmp_path, capsys):
+    _, _, (out, _) = run_both_jobs(tmp_path, FAILING_FIRST, capsys)
+    summary = json.loads((out / "summary.json").read_text())
+    assert [est["xi_id"] for est in summary["estimates"]] == [1]
+    assert [entry["xi_id"] for entry in summary["failed"]] == [0]
+    assert DET_REASON in summary["failed"][0]["error"]
+    assert DET_REASON in summary["probes"]["0"]["error"]
+    assert "isotropy_deviation" in summary["probes"]["1"]
+    rows = (out / "homogenize.csv").read_text().strip().split("\n")
+    assert {row.split(",")[0] for row in rows[1:]} == {"1"}
+
+
+def test_homogenize_failed_cell_reason_in_csv(tmp_path, monkeypatch):
+    from polynet import homogenize
+    from polynet.optim import OptimizationError
+
+    solve = homogenize.solve_cell_problem
+
+    def fail_first_realization(problem):
+        if problem.seed == homogenize._realization_seed(11, 0, 0):
+            raise OptimizationError("line search failed")
+        return solve(problem)
+
+    monkeypatch.setattr(homogenize, "solve_cell_problem", fail_first_realization)
+    payload = {
+        "seed": 11,
+        "model": {"pair": {"kind": "quadratic-spring", "stiffness": 1.0}},
+        "mesh": {
+            "kind": "stochastic",
+            "dim": 2,
+            "h": 0.3,
+            "lattice": {"kind": "matern-hardcore", "intensity": 1.0,
+                        "r_min": 0.3, "R_cov": 1.0, "seed": 0},
+        },
+        "homogenize": {
+            "xi_list": [[[1.2, 0.0], [0.0, 1.0]]],
+            "h_list": [0.3, 0.25],
+            "n_realizations": 2,
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["homogenize", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "homogenize.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [row for row in rows if row["status"] == "failed"]
+    assert len(rows) == 4 and len(failed) == 1
+    assert failed[0]["error"] == "OptimizationError: line search failed"
+    assert all(row["error"] == "" for row in rows if row["status"] == "ok")
+
+
+BAD_SWEEPS = {
+    "empty scale list": {"m_list": []},
+    "single scale": {"m_list": [4]},
+    "no realizations": {"h_list": [0.3, 0.25], "n_realizations": 0},
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_homogenize_bad_sweep_is_config_error(tmp_path, capsys, case, jobs):
+    payload = dict(HOMOGENIZE_PERIODIC)
+    if "h_list" in BAD_SWEEPS[case]:
+        payload["mesh"] = {
+            "kind": "stochastic",
+            "dim": 2,
+            "h": 0.3,
+            "lattice": {"kind": "matern-hardcore", "intensity": 1.0,
+                        "r_min": 0.3, "R_cov": 1.0, "seed": 0},
+        }
+    payload["homogenize"] = {
+        "xi_list": [[[1.0, 0.0], [0.0, 1.0]], [[1.1, 0.0], [0.0, 0.9]]],
+        **BAD_SWEEPS[case],
+    }
+    cfg = write_config(tmp_path, payload)
+    code = main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", jobs])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: homogenize:")

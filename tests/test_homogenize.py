@@ -9,16 +9,16 @@ from polynet.homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
+    at_scale,
     cell_energy_density,
+    cell_estimator,
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
-    periodic_cell_estimator,
     rank_one_convexity_sample,
     random_rotation,
     single_cell_oracle_2d,
     solve_cell_problem,
-    stochastic_cell_estimator,
     summary_dict,
     write_estimates_csv,
 )
@@ -200,25 +200,25 @@ def test_estimate_whom_records_failures():
 
 
 def test_frame_invariance_identity_rotation_exact_zero():
-    est = periodic_cell_estimator(m=4, model=SPRING)
+    est = cell_estimator(PeriodicCell(m=4), SPRING)
     dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), rotations=[np.eye(2)])
     assert dev == 0.0
 
 
 def test_frame_invariance_periodic_quadratic():
-    est = periodic_cell_estimator(m=4, model=SPRING)
+    est = cell_estimator(PeriodicCell(m=4), SPRING)
     dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), rotation_count=8, seed=0)
     assert dev <= 1e-6
 
 
 def test_isotropy_probe_detects_lattice_anisotropy():
-    est = periodic_cell_estimator(m=4, model=SPRING)
+    est = cell_estimator(PeriodicCell(m=4), SPRING)
     dev = isotropy_probe(est, np.diag([1.2, 1.0]), rotation_count=8, seed=0)
     assert dev > 1e-2
 
 
 def test_isotropy_probe_identity_rotation_zero():
-    est = periodic_cell_estimator(m=4, model=SPRING)
+    est = cell_estimator(PeriodicCell(m=4), SPRING)
     assert isotropy_probe(est, np.diag([1.2, 1.0]), rotations=[np.eye(2)]) == 0.0
 
 
@@ -347,8 +347,8 @@ def test_csv_and_summary_outputs(tmp_path):
 
 
 def test_stochastic_estimator_common_random_numbers():
-    est = stochastic_cell_estimator(
-        LATTICE_2D, h=0.25, model=SPRING, dim=2, n_realizations=2, seed=5
+    est = cell_estimator(
+        StochasticCell(LATTICE_2D, h=0.25, dim=2), SPRING, n_realizations=2, seed=5
     )
     xi = np.array([[1.2, 0.0], [0.0, 1.0]])
     rot = rotation_2d(0.3)
@@ -357,3 +357,47 @@ def test_stochastic_estimator_common_random_numbers():
     assert v1 == v2  # frozen realization batch
     dev = abs(est(xi @ rot) - v1) / abs(v1)
     assert dev < 0.2
+
+
+def test_cell_estimator_equals_cell_energy_density():
+    from dataclasses import replace
+
+    from polynet.homogenize import _realization_seed
+
+    # a compressed Langevin+vol cell whose restarts end in seed-dependent
+    # last bits, so the problem seed of the periodic estimator is pinned too
+    chain_vol = EnergyModel(pair=PairPotential.langevin_chain(),
+                            vol=VolumetricParams(K=1.0, eta=0.1))
+    squeeze = np.diag([0.4, 0.5])
+    periodic = PeriodicCell(m=4)
+    expected = cell_energy_density(
+        CellProblem(xi=squeeze, source=periodic, model=chain_vol, restarts=3, seed=3)
+    )
+    assert cell_estimator(periodic, chain_vol, seed=3, restarts=3)(squeeze) == expected
+
+    xi = np.array([[1.1, 0.05], [0.0, 0.95]])
+
+    stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    seeds = [_realization_seed(5, 0, r) for r in range(3)]
+    values = [
+        cell_energy_density(
+            CellProblem(
+                xi=xi,
+                source=replace(stochastic, lattice=replace(LATTICE_2D, seed=s)),
+                model=SPRING,
+                seed=s,
+            )
+        )
+        for s in seeds
+    ]
+    estimator = cell_estimator(stochastic, SPRING, n_realizations=3, seed=5)
+    assert estimator(xi) == float(np.mean(values))
+
+
+def test_at_scale_sets_scale_and_reseeds():
+    assert at_scale(PeriodicCell(m=2, dim=3), 8) == PeriodicCell(m=8, dim=3)
+    stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    assert at_scale(stochastic, 0.1) == StochasticCell(LATTICE_2D, h=0.1, dim=2)
+    reseeded = at_scale(stochastic, 0.1, lattice_seed=9)
+    assert reseeded.lattice.seed == 9 and reseeded.h == 0.1
+    assert at_scale(PeriodicCell(m=2), 4, lattice_seed=9) == PeriodicCell(m=4)

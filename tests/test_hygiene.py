@@ -1,0 +1,57 @@
+"""Source hygiene of the package modules, checked on their syntax trees.
+
+Every name a module imports must be used in that module, and no import may
+reach into a private scipy module or name (one whose path has a component
+starting with an underscore).  The package __init__ is skipped: it imports
+only to re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "polynet"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree):
+    """(bound name, full import path) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield alias.asname or alias.name, f"{base}.{alias.name}"
+
+
+def _used_names(tree):
+    # the root of an attribute chain a.b.c is itself a Name node
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"assembly.py", "cli.py", "homogenize.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = sorted(full for bound, full in _imports(tree) if bound not in used)
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = sorted(
+        full
+        for _, full in _imports(tree)
+        if full.split(".")[0] == "scipy"
+        and any(part.startswith("_") for part in full.split("."))
+    )
+    assert private == []

@@ -8,6 +8,7 @@ from polynet.assembly import (
     BoundaryCondition,
     EnergyModel,
     FullyConstrainedError,
+    affine_positions,
     apply_bc,
     energy_gradient,
 )
@@ -16,7 +17,6 @@ from polynet.meshing import element_gradient, periodic_mesh_2d, periodic_mesh_3d
 from polynet.optim import (
     MinimizeSettings,
     OptimizationError,
-    affine_init,
     lbfgs,
     minimize,
 )
@@ -27,12 +27,12 @@ CHAIN = EnergyModel(pair=PairPotential.langevin_chain())
 
 def test_affine_init_basics():
     mesh = periodic_mesh_3d(2)
-    np.testing.assert_array_equal(affine_init(mesh, np.eye(3)), mesh.vertices)
+    np.testing.assert_array_equal(affine_positions(mesh, np.eye(3)), mesh.vertices)
     np.testing.assert_allclose(
-        affine_init(mesh, 2.0 * np.eye(3)), 2.0 * mesh.vertices
+        affine_positions(mesh, 2.0 * np.eye(3)), 2.0 * mesh.vertices
     )
     xi = np.array([[1.1, 0.2, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]])
-    state = affine_init(mesh, xi)
+    state = affine_positions(mesh, xi)
     for e in (0, 11, 40):
         np.testing.assert_allclose(element_gradient(mesh, e, state), xi, atol=1e-12)
 
@@ -95,7 +95,7 @@ def test_minimize_matches_direct_linear_solve():
         kind="dirichlet-face-free-traction", xi=xi, faces=("x-", "x+")
     )
     mask, targets = apply_bc(mesh, bc)
-    state0 = affine_init(mesh, xi)
+    state0 = affine_positions(mesh, xi)
     state0[mask] = targets[mask]
     free = ~mask
 
@@ -154,7 +154,7 @@ def test_minimize_decreases_energy_from_init():
     )
     from polynet.assembly import total_energy
 
-    init = affine_init(mesh, xi)
+    init = affine_positions(mesh, xi)
     result = minimize(mesh, SPRING, bc)
     assert result.converged
     assert result.energy < total_energy(mesh, init, SPRING)
