@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .chains import PairPotential
 from .meshing import Mesh
@@ -248,6 +249,35 @@ def _gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel, state: dict
             values += [*moment[:, c, :].T, -moment_sum[:, c]]
         grad[:, c] = np.bincount(index, np.concatenate(values), minlength=mesh.num_vertices)
     return grad
+
+
+def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
+    """Scalar graph Laplacian of the unique edges, n x n sparse CSC.
+
+    Edge weight (summed element weight) * f * W''(r_e) / rest_e^2, with W''
+    a central difference of the pair derivative at the given positions,
+    clipped below at 1e-8 of its maximum.  The volumetric term is left out.
+    Applied to each component, it is the exact Hessian for quadratic springs.
+    """
+    data = _pair_data(mesh)
+    edge_i, edge_j, rest = data["edge_i"], data["edge_j"], data["rest"]
+    positions = np.asarray(positions, dtype=float)
+    stretch = np.linalg.norm(positions[edge_i] - positions[edge_j], axis=1) / rest
+    step = 1e-6
+    d2w = (
+        np.asarray(model.pair.derivative(stretch + step), dtype=float)
+        - np.asarray(model.pair.derivative(stretch - step), dtype=float)
+    ) / (2.0 * step)
+    d2w = np.maximum(d2w, 1e-8 * d2w.max())
+    summed = np.bincount(
+        data["pair_edge"], np.tile(_element_weights(mesh, model), data["n_pairs"]),
+        minlength=rest.size,
+    )
+    w = summed * model.f * d2w / rest**2
+    rows = np.concatenate([edge_i, edge_j, edge_i, edge_j])
+    cols = np.concatenate([edge_j, edge_i, edge_i, edge_j])
+    n = mesh.num_vertices
+    return coo_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(n, n)).tocsc()
 
 
 def _cofactor_batch(f: np.ndarray) -> np.ndarray:

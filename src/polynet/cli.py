@@ -181,6 +181,25 @@ def build_lattice(cfg: dict, seed_override: int | None) -> StochasticLatticeSpec
         raise ConfigError(f"mesh.lattice: {exc}") from exc
 
 
+def _diagonal(value, ctx: str) -> str:
+    if value not in ("nw", "ne"):
+        raise ConfigError(f"{ctx}: diagonal must be 'nw' or 'ne'")
+    return value
+
+
+def _scale(value, periodic: bool, ctx: str) -> int | float:
+    """A mesh scale: m >= 1 cells per side (periodic) or h > 0 (stochastic)."""
+    if periodic:
+        m = int(value)
+        if m < 1:
+            raise ConfigError(f"{ctx}: m must be at least 1")
+        return m
+    h = float(value)
+    if not h > 0.0:
+        raise ConfigError(f"{ctx}: h must be positive")
+    return h
+
+
 def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | StochasticCell:
     section = _need(cfg, "mesh")
     kind = _need(section, "kind", "mesh")
@@ -194,9 +213,9 @@ def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | S
     if dim not in (2, 3):
         raise ConfigError("mesh: dim must be 2 or 3")
     if kind == "periodic":
-        return PeriodicCell(m=int(_need(section, "m", "mesh")), dim=dim,
-                            diagonal=section.get("diagonal", "nw"))
-    h = float(_need(section, "h", "mesh"))
+        return PeriodicCell(m=_scale(_need(section, "m", "mesh"), True, "mesh"), dim=dim,
+                            diagonal=_diagonal(section.get("diagonal", "nw"), "mesh"))
+    h = _scale(_need(section, "h", "mesh"), False, "mesh")
     lattice = build_lattice(_need(section, "lattice", "mesh"), seed_override)
     return StochasticCell(lattice=lattice, h=h, dim=dim)
 
@@ -357,12 +376,11 @@ def cmd_homogenize(cfg: dict, args) -> int:
     settings, restarts = build_settings(cfg)
     seed = int(cfg.get("seed", 0) if args.seed is None else args.seed)
 
-    if isinstance(source, PeriodicCell):
-        scales = [int(m) for m in _need(section, "m_list", "homogenize")]
-        n_real = 1
-    else:
-        scales = [float(h) for h in _need(section, "h_list", "homogenize")]
-        n_real = int(section.get("n_realizations", 1))
+    periodic = isinstance(source, PeriodicCell)
+    scale_key = "m_list" if periodic else "h_list"
+    scales = [_scale(value, periodic, "homogenize")
+              for value in _need(section, scale_key, "homogenize")]
+    n_real = 1 if periodic else int(section.get("n_realizations", 1))
     if len(scales) < 2:
         raise ConfigError("homogenize: a sweep needs at least 2 scales")
     if n_real < 1:
@@ -435,8 +453,8 @@ def cmd_counterexample(cfg: dict, args) -> int:
     result = anisotropy_counterexample(
         stiffness=float(section.get("stiffness", 1.0)),
         f=float(section.get("f", 1.0)),
-        m=int(section.get("m", 1)),
-        diagonal=section.get("diagonal", "nw"),
+        m=_scale(section.get("m", 1), True, "counterexample"),
+        diagonal=_diagonal(section.get("diagonal", "nw"), "counterexample"),
         step=float(section.get("step", 1e-3)),
     )
     payload = {

@@ -1,7 +1,9 @@
 """Smooth unconstrained minimization of the network energy over free dofs.
 
 A limited-memory quasi-Newton loop with a strong Wolfe line search drives
-every cell problem and boundary-value problem.  Energy is monotone
+every cell problem and boundary-value problem.  Its initial inverse Hessian
+is the inverse of the edge-stiffness Laplacian at the starting state,
+factorized once per minimize call on first use.  Energy is monotone
 nonincreasing across accepted iterations; the run is deterministic for
 fixed inputs.
 """
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import line_search
+from scipy.sparse.linalg import splu
 
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
-                       energy_gradient, total_energy)
+                       edge_stiffness_laplacian, energy_gradient, total_energy)
 from .meshing import Mesh
 
 
@@ -60,32 +63,24 @@ class MinimizeResult:
     converged: bool
 
 
-def _two_loop(grad, history):
+def _two_loop(grad, history, precondition):
+    """-H grad, H the L-BFGS inverse Hessian built on the initial matrix
+    `precondition`, or on the scalar (s.y)/(y.y) when there is none."""
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(history):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
-    if history:
+    if precondition is not None:
+        q = precondition(q)
+    elif history:
         s, y, _ = history[-1]
         q *= (s @ y) / (y @ y)
     for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return -q
-
-
-def _backtrack(fun, x, f0, grad, direction, c1):
-    """Armijo backtracking requiring a strict decrease (stalls return None)."""
-    slope = grad @ direction
-    alpha = 1.0
-    while alpha > 1e-20:
-        f_new = fun(x + alpha * direction)
-        if f_new < f0 and f_new <= f0 + c1 * alpha * slope:
-            return alpha, f_new
-        alpha *= 0.5
-    return None, None
 
 
 def _gradient_contraction_step(fun, grad, x, f, g, direction, noise):
@@ -104,12 +99,15 @@ def _gradient_contraction_step(fun, grad, x, f, g, direction, noise):
     return None
 
 
-def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS):
+def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
+          precondition=None):
     """Generic L-BFGS on a flat vector; returns (x, f, grad_norm, iters, converged).
 
-    The Wolfe line search is tried first along the quasi-Newton direction;
-    on failure a backtracking steepest-descent step is attempted, and if the
-    energy still cannot decrease an OptimizationError is raised.
+    precondition, when given, maps a flat vector v to H0 v, H0 the initial
+    inverse Hessian; it is called once per iteration, never at a start that
+    meets the tolerance.  When the Wolfe line search along the quasi-Newton
+    direction fails, a step that contracts the gradient without raising the
+    energy beyond noise is tried; failing that, it raises OptimizationError.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = float(fun(x))
@@ -129,7 +127,7 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS):
         if iterations == settings.max_iters:
             break
 
-        direction = _two_loop(g, history)
+        direction = _two_loop(g, history, precondition)
         if direction @ g >= 0.0:
             direction = -g
         noise = 1e-12 * (1.0 + abs(f))
@@ -141,26 +139,16 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS):
                 fun, grad, x, direction, gfk=g, old_fval=f,
                 c1=settings.armijo_c1, c2=settings.wolfe_c2,
             )
-        g_new = None
-        if alpha is not None:
+        if alpha is not None:  # scipy then also returns the energy at the step
             x_new = x + alpha * direction
-        else:
-            alpha, f_new = _backtrack(fun, x, f, g, -g, settings.armijo_c1)
-            if alpha is not None:
-                x_new = x + alpha * (-g)
-            else:
-                step = _gradient_contraction_step(fun, grad, x, f, g, direction, noise)
-                if step is None:
-                    raise OptimizationError(
-                        "line search failed: energy cannot decrease by a "
-                        "machine-precision margin and the gradient does not "
-                        "contract"
-                    )
-                x_new, f_new, g_new = step
-        if g_new is None:
             g_new = np.asarray(grad(x_new), dtype=float)
-        if f_new is None:
-            f_new = float(fun(x_new))
+        else:
+            step = _gradient_contraction_step(fun, grad, x, f, g, direction, noise)
+            if step is None:
+                raise OptimizationError(
+                    "line search failed: energy cannot decrease by a machine-"
+                    "precision margin and the gradient does not contract")
+            x_new, f_new, g_new = step
         if f_new > f + noise:
             raise OptimizationError("line search produced an energy increase")
         s, y = x_new - x, g_new - g
@@ -205,7 +193,19 @@ def minimize(
     def grad(x):
         return energy_gradient(mesh, unpack(x), model)[free].ravel()
 
-    x, f, gnorm, iters, converged = lbfgs(fun, grad, pack(state), settings)
+    lu = None
+
+    def precondition(x):
+        # factorized on first use: a start that is already critical never pays
+        nonlocal lu
+        if lu is None:
+            stiffness = edge_stiffness_laplacian(mesh, state, model)
+            # K_ff is symmetric positive definite: symmetric ordering, no pivoting
+            lu = splu(stiffness[free][:, free], permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return lu.solve(x.reshape(-1, mesh.dim)).ravel()
+
+    x, f, gnorm, iters, converged = lbfgs(fun, grad, pack(state), settings, precondition)
     return MinimizeResult(
         state=unpack(x), energy=f, grad_norm=gnorm, iterations=iters, converged=converged
     )

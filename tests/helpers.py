@@ -1,8 +1,13 @@
-"""Shared oracles for the test suite: finite differences and rotations."""
+"""Shared oracles for the test suite: finite differences, rotations and an
+exact spring-network solve."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 
 def fd_gradient(fun, x, eps=1e-6):
@@ -39,3 +44,35 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=float)
     denom = max(np.linalg.norm(b), np.finfo(float).tiny)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def spring_oracle(mesh, xi, depth, stiffness=1.0, f=1.0):
+    """Exact minimal energy of a uniform-h quadratic-spring network with the
+    vertices within `depth` of the unit-box boundary pinned to xi @ x.
+
+    The energy sum_e c_e |q_i - q_j|^2 is quadratic, so each component solves
+    L_ff x_f = -L_fp x_p with the weighted graph Laplacian L, built here from
+    mesh.elements alone: every element adds f * stiffness / (N_el rest^2)
+    to each of its vertex pairs.
+    """
+    n, n_el = mesh.num_vertices, mesh.num_elements
+    pairs = np.concatenate([
+        mesh.elements[:, [a, b]]
+        for a, b in itertools.combinations(range(mesh.dim + 1), 2)
+    ])
+    i, j = pairs[:, 0], pairs[:, 1]
+    rest2 = ((mesh.vertices[i] - mesh.vertices[j]) ** 2).sum(axis=1)
+    c = f * stiffness / (n_el * rest2)
+    lap = coo_matrix(
+        (np.concatenate([c, c, -c, -c]),
+         (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
+        shape=(n, n),
+    ).tocsr()
+    pinned = mesh.boundary_flags <= depth
+    free = ~pinned
+    q = mesh.vertices @ np.asarray(xi, dtype=float).T
+    l_ff = lap[free][:, free].tocsc()
+    l_fp = lap[free][:, pinned]
+    for comp in range(mesh.dim):
+        q[free, comp] = spsolve(l_ff, -(l_fp @ q[pinned, comp]))
+    return float(sum(q[:, comp] @ (lap @ q[:, comp]) for comp in range(mesh.dim)))

@@ -405,3 +405,48 @@ def test_homogenize_bad_sweep_is_config_error(tmp_path, capsys, case, jobs):
                  "--jobs", jobs])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: homogenize:")
+
+
+STOCHASTIC_2D = {
+    "kind": "stochastic",
+    "dim": 2,
+    "h": 0.3,
+    "lattice": {"kind": "matern-hardcore", "intensity": 1.0,
+                "r_min": 0.3, "R_cov": 1.0, "seed": 0},
+}
+# (config edit, context of the message): each was a traceback (exit 1) or a
+# sweep failure (exit 4) before it became a config error
+BAD_VALUES = {
+    "mesh diagonal": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "diagonal": "sw"}},
+                      "mesh: diagonal"),
+    "mesh m": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 0}}, "mesh: m"),
+    "m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                     "m_list": [2, 0]}}, "homogenize: m"),
+    "h_list entry": ({"mesh": STOCHASTIC_2D,
+                      "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                     "h_list": [0.2, -0.1]}}, "homogenize: h"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_homogenize_bad_value_is_config_error(tmp_path, capsys, case, jobs):
+    edit, ctx = BAD_VALUES[case]
+    cfg = write_config(tmp_path, {**HOMOGENIZE_PERIODIC, **edit})
+    code = main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", jobs])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {ctx}")
+
+
+@pytest.mark.parametrize("command, payload, ctx", [
+    ("mesh", {"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "diagonal": "sw"}},
+     "mesh: diagonal"),
+    ("mesh", {"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 0}}, "mesh: m"),
+    ("counterexample", {"counterexample": {"diagonal": "sw"}},
+     "counterexample: diagonal"),
+], ids=["mesh diagonal", "mesh m", "counterexample diagonal"])
+def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {ctx}")

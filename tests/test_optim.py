@@ -4,22 +4,40 @@ import numpy as np
 import pytest
 from scipy.optimize import line_search
 
+from helpers import spring_oracle
+from polynet import optim
 from polynet.assembly import (
+    VOLUME_WEIGHTS,
     BoundaryCondition,
     EnergyModel,
     FullyConstrainedError,
     affine_positions,
     apply_bc,
+    edge_stiffness_laplacian,
     energy_gradient,
 )
 from polynet.chains import PairPotential
-from polynet.meshing import element_gradient, periodic_mesh_2d, periodic_mesh_3d
+from polynet.homogenize import (
+    CellProblem,
+    StochasticCell,
+    build_cell_mesh,
+    default_layer_depth,
+    solve_cell_problem,
+)
+from polynet.meshing import (
+    StochasticLatticeSpec,
+    build_stochastic_mesh,
+    element_gradient,
+    periodic_mesh_2d,
+    periodic_mesh_3d,
+)
 from polynet.optim import (
     MinimizeSettings,
     OptimizationError,
     lbfgs,
     minimize,
 )
+from polynet.volumetric import VolumetricParams
 
 SPRING = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
 CHAIN = EnergyModel(pair=PairPotential.langevin_chain())
@@ -216,3 +234,120 @@ def test_line_search_failure_lets_no_warning_escape():
         warnings.simplefilter("error")
         with pytest.raises(OptimizationError):
             lbfgs(fun, grad, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
+
+
+def test_lbfgs_exact_inverse_hessian_converges_in_one_iteration():
+    rng = np.random.default_rng(2)
+    n = 24
+    a = rng.standard_normal((n, n))
+    q = a @ a.T + n * np.eye(n)
+    c = rng.standard_normal(n)
+    x, f, gnorm, iters, converged = lbfgs(
+        lambda x: 0.5 * x @ q @ x + c @ x,
+        lambda x: q @ x + c,
+        rng.standard_normal(n),
+        MinimizeSettings(grad_tol=1e-9),
+        precondition=lambda v: np.linalg.solve(q, v),
+    )
+    assert converged
+    assert iters == 1
+    np.testing.assert_allclose(x, np.linalg.solve(q, -c), rtol=1e-10, atol=1e-12)
+
+
+def _refuse_factorization(*args, **kwargs):
+    raise AssertionError("splu called")
+
+
+def test_critical_start_never_factorizes(monkeypatch):
+    # the periodic affine state is already critical: no iteration, so the
+    # preconditioner is never applied and K is never factorized
+    monkeypatch.setattr(optim, "splu", _refuse_factorization)
+    mesh = periodic_mesh_2d(4)
+    bc = BoundaryCondition(kind="affine-layer", xi=np.diag([1.2, 0.9]),
+                           depth=2.0 * mesh.h)
+    result = minimize(mesh, SPRING, bc)
+    assert result.converged
+    assert result.iterations == 0
+    # the patched name is the one minimize factorizes with
+    stretch = BoundaryCondition(kind="dirichlet-face-free-traction",
+                                xi=np.diag([1.2, 1.0]), faces=("x-", "x+"))
+    with pytest.raises(AssertionError, match="splu called"):
+        minimize(mesh, SPRING, stretch)
+
+
+def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
+    # springs make K the exact Hessian; on a stochastic mesh the element
+    # volumes differ, so the volume-weighted K differs from the uniform one
+    mesh = build_stochastic_mesh(
+        StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0, r_min=0.3,
+                              R_cov=1.0, seed=3), 0.2, 2)
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.5), f=0.7,
+                        weight_mode=VOLUME_WEIGHTS)
+    xi = np.array([[1.2, 0.05], [0.0, 1.0]])
+    built = []
+
+    def spy(mesh_, positions, model_):
+        built.append(edge_stiffness_laplacian(mesh_, positions, model_))
+        return built[-1]
+
+    monkeypatch.setattr(optim, "edge_stiffness_laplacian", spy)
+    bc = BoundaryCondition(kind="affine-layer", xi=xi, depth=0.4)
+    result = minimize(mesh, model, bc)
+    assert result.converged
+    assert result.iterations <= 2
+    assert len(built) == 1
+
+    base = affine_positions(mesh, xi)
+    g0 = energy_gradient(mesh, base, model).ravel()
+    hessian = np.empty((g0.size, g0.size))
+    for k in range(g0.size):
+        moved = base.ravel().copy()
+        moved[k] += 1.0
+        hessian[:, k] = energy_gradient(mesh, moved.reshape(base.shape), model).ravel() - g0
+    stiffness = np.kron(built[0].toarray(), np.eye(2))
+    scale = np.abs(hessian).max()
+    assert np.abs(stiffness - hessian).max() <= 1e-8 * scale
+    uniform = EnergyModel(pair=model.pair, f=model.f)
+    other = np.kron(edge_stiffness_laplacian(mesh, base, uniform).toarray(), np.eye(2))
+    assert np.abs(other - hessian).max() > 1e-2 * scale
+
+
+# The standard case of the solver's h -> 0 study: Matern hard-core (2D) or
+# jittered grid (3D) at intensity 1, r_min 0.3, R_cov 1, lattice seed 3,
+# the 2hR layer pinned.
+XI_2D = np.array([[1.2, 0.05], [0.0, 1.0]])
+XI_3D = np.array([[1.2, 0.05, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.9]])
+LANGEVIN_VOL = EnergyModel(pair=PairPotential.langevin_chain(),
+                           vol=VolumetricParams(K=1.0, eta=0.1))
+
+
+def standard_problem(dim, h, model):
+    kind = "matern-hardcore" if dim == 2 else "jittered-grid"
+    lattice = StochasticLatticeSpec(kind=kind, intensity=1.0, r_min=0.3,
+                                    R_cov=1.0, seed=3)
+    return CellProblem(xi=XI_2D if dim == 2 else XI_3D,
+                       source=StochasticCell(lattice=lattice, h=h, dim=dim),
+                       model=model)
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.0125), (3, 0.0833)])
+def test_spring_cell_matches_exact_oracle(dim, h):
+    problem = standard_problem(dim, h, SPRING)
+    solution = solve_cell_problem(problem)
+    assert solution.converged
+    mesh = build_cell_mesh(problem.source)
+    exact = spring_oracle(mesh, problem.xi, default_layer_depth(problem.source, mesh))
+    assert abs(solution.value - exact) <= 1e-12 * exact
+    if dim == 2:
+        assert abs(exact - 3.2534707) <= 1e-7
+
+
+@pytest.mark.parametrize("h, model", [
+    (0.0125, LANGEVIN_VOL),
+    (0.0125, CHAIN),
+    (0.025, CHAIN),
+], ids=["h0.0125-langevin+vol", "h0.0125-langevin", "h0.025-langevin"])
+def test_fine_matern_cells_converge(h, model):
+    solution = solve_cell_problem(standard_problem(2, h, model))
+    assert solution.converged
+    assert solution.iterations < 100
