@@ -4,19 +4,22 @@ The total energy sums, per element, the pair potential over every distinct
 vertex pair of the element (an edge shared by k elements is counted k
 times, as the model prescribes), weighted either by h^dim or by the element
 volume, plus the exact per-element volumetric contribution of the
-piecewise-affine deformation.
+piecewise-affine deformation.  It is evaluated in one pass over the unique
+edges, each with the summed weight of its elements, and one over the
+elements, with closed-form determinants and cofactors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 
 from .chains import PairPotential
-from .meshing import Mesh
+from .meshing import Mesh, cofactors, edge_columns
 from .volumetric import VolumetricParams, w_vol_eta_j
 
 UNIFORM_WEIGHTS = "uniform-h"
@@ -80,65 +83,60 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary condition kind {self.kind!r}")
 
 
-def _pair_data(mesh: Mesh):
-    """Per-mesh geometry cache: pair and unique-edge index arrays, the
-    pair->edge map, edge rest lengths, element matrices for the deformation
-    gradient."""
+def _geometry(mesh: Mesh) -> dict:
+    """Per-mesh cache: unique edges with their rest lengths, the element ->
+    edge map, the bincount index of every gradient term, the reference
+    determinants, and the edge weights summed per weight mode."""
     cache = mesh._cache
-    if "pairs" in cache:
-        return cache["pairs"]
-    dim = mesh.dim
-    combos = list(itertools.combinations(range(dim + 1), 2))
-    elements = mesh.elements
-    ij = np.concatenate(
-        [elements[:, a] for a, _ in combos] + [elements[:, b] for _, b in combos]
-    )
-    i_idx, j_idx = np.split(ij, 2)
-    # a pair and its reversed copy have bitwise equal lengths, so every
-    # per-pair quantity of the stretch is evaluated once per unique edge
+    if "geometry" in cache:
+        return cache["geometry"]
+    corners = mesh.elements.T
+    combos = list(itertools.combinations(range(mesh.dim + 1), 2))
+    a = np.concatenate([corners[p] for p, _ in combos])
+    b = np.concatenate([corners[q] for _, q in combos])
     n = mesh.num_vertices
-    edge_keys, pair_edge = np.unique(
-        np.minimum(i_idx, j_idx) * n + np.maximum(i_idx, j_idx), return_inverse=True
-    )
+    edge_keys, elem_edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                     return_inverse=True)
     edge_i, edge_j = edge_keys // n, edge_keys % n
     rest = np.linalg.norm(mesh.vertices[edge_i] - mesh.vertices[edge_j], axis=1)
     if np.any(rest == 0.0):
         raise ValueError("mesh contains zero-length reference edges")
-    p = mesh.vertices[elements]
-    xmat = np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)  # columns x_k - x_0
-    det_x = np.linalg.det(xmat)
-    data = {
-        "n_pairs": len(combos),
-        "i": i_idx,
-        "j": j_idx,
-        "ij": ij,
-        "edge_i": edge_i,
-        "edge_j": edge_j,
-        "pair_edge": pair_edge,
-        "rest": rest,
-        "xinv": np.linalg.inv(xmat),
-        "det_x": det_x,
-        "volumes": mesh.element_volumes(),
+    geometry = {
+        "edge_i": edge_i, "edge_j": edge_j, "rest": rest,
+        "elem_edge": elem_edge.reshape(len(combos), mesh.num_elements),
+        # pair terms at i and at j, then volumetric moments at corners 1..d and 0
+        "index": np.concatenate([edge_i, edge_j, *corners[1:], corners[0]]),
+        "det_x": math.factorial(mesh.dim) * mesh.element_volumes(),
+        "edge_weights": {},
     }
-    cache["pairs"] = data
-    return data
+    cache["geometry"] = geometry
+    return geometry
 
 
 def _element_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
     if model.weight_mode == UNIFORM_WEIGHTS:
-        # h^dim = 1/N_el exactly, by the definition of the mesh scale
-        return np.full(mesh.num_elements, 1.0 / mesh.num_elements)
-    return _pair_data(mesh)["volumes"]
+        # h^dim = 1/N_el of the mesh h was defined on; rounding recovers that
+        # count exactly, so a sub-mesh keeps its parent's weight
+        return np.full(mesh.num_elements, 1.0 / round(mesh.h ** -mesh.dim))
+    return mesh.element_volumes()
 
 
-def _edge_matrices(mesh: Mesh, positions: np.ndarray) -> np.ndarray:
-    """Deformed element matrices, columns q_k - q_0."""
-    q = positions[mesh.elements]
-    return np.swapaxes(q[:, 1:, :] - q[:, :1, :], 1, 2)
+def _edge_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
+    """Weights of the elements that share each unique edge, summed."""
+    geometry = _geometry(mesh)
+    summed = geometry["edge_weights"]
+    if model.weight_mode not in summed:
+        elem_edge = geometry["elem_edge"]
+        summed[model.weight_mode] = np.bincount(
+            elem_edge.ravel(), np.tile(_element_weights(mesh, model), elem_edge.shape[0]),
+            minlength=geometry["rest"].size,
+        )
+    return summed[model.weight_mode]
 
 
 def _point_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
-    """Per-edge lengths and stretches and per-element Jacobians at one point.
+    """Per-edge differences, lengths and stretches and, with a volumetric
+    term, per-element Jacobians and cofactors of the deformed edge matrix.
 
     The line search evaluates energy and gradient at the same positions, so
     the last state is kept on the mesh and reused while positions (compared
@@ -149,104 +147,94 @@ def _point_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
     state = mesh._cache.get("state")
     if state is not None and state["key"] == key:
         return state
-    data = _pair_data(mesh)
-    dist = np.linalg.norm(positions[data["edge_i"]] - positions[data["edge_j"]], axis=1)
-    state = {"key": key, "dist": dist, "stretch": dist / data["rest"]}
+    geometry = _geometry(mesh)
+    delta = [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T]
+    dist = np.sqrt(sum(d * d for d in delta))
+    state = {"key": key, "delta": delta, "dist": dist, "stretch": dist / geometry["rest"]}
     if model.vol is not None:
-        state["jac"] = np.linalg.det(_edge_matrices(mesh, positions)) / data["det_x"]
+        state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
+        state["jac"] = det / geometry["det_x"]
     mesh._cache["state"] = state
     return state
 
 
-def _check_not_inverted(state: dict, vol: VolumetricParams) -> None:
+def _check_not_inverted(mesh: Mesh, state: dict, vol: VolumetricParams) -> None:
     jac = state["jac"]
     if vol.eta == 0.0 and np.any(jac <= 0.0):
         bad = int(np.flatnonzero(jac <= 0.0)[0])
         raise InvertedElementError(
-            f"element {bad} is inverted (det = {jac[bad]:g}) and no cut-off is active"
+            f"element with vertices {mesh.elements[bad].tolist()} is inverted "
+            f"(det = {jac[bad]:g}) and no cut-off is active"
         )
 
 
-def _element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
-    positions = np.asarray(positions, dtype=float)
-    state = _point_state(mesh, positions, model)
-    if model.vol is not None:
-        _check_not_inverted(state, model.vol)
-    if "energies" not in state:
-        data = _pair_data(mesh)
-        edge_w = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
-        pair_w = edge_w[data["pair_edge"]]
-        per_elem = model.f * pair_w.reshape(data["n_pairs"], mesh.num_elements).sum(axis=0)
-        energies = _element_weights(mesh, model) * per_elem
-        if model.vol is not None:
-            energies = energies + data["volumes"] * w_vol_eta_j(state["jac"], model.vol)
-        state["energies"] = energies
-    return state["energies"]
-
-
-def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
-    """Per-element energies; their sum is the total energy."""
-    return _element_energies(mesh, positions, model).copy()
-
-
-def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
-    """Total network energy of the deformed positions."""
-    return float(_element_energies(mesh, positions, model).sum())
-
-
-def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
-    """Exact analytic gradient of total_energy, one d-vector per vertex."""
-    positions = np.asarray(positions, dtype=float)
-    state = _point_state(mesh, positions, model)
+def _check_not_coincident(state: dict) -> None:
     if np.any(state["dist"] == 0.0):
         raise CoincidentVerticesError(
             "coincident deformed vertices: stretch-ratio derivative undefined"
         )
+
+
+def _energy_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
+    """The point state with per-edge pair energies and per-element
+    volumetric energies added."""
+    state = _point_state(mesh, np.asarray(positions, dtype=float), model)
     if model.vol is not None:
-        _check_not_inverted(state, model.vol)
+        _check_not_inverted(mesh, state, model.vol)
+    if "pair" not in state:
+        state["pair"] = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
+        state["vol"] = (0.0 if model.vol is None else
+                        mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol))
+    return state
+
+
+def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
+    """Per-element energies; their sum is the total energy."""
+    state = _energy_state(mesh, positions, model)
+    per_elem = state["pair"][_geometry(mesh)["elem_edge"]].sum(axis=0)
+    return _element_weights(mesh, model) * model.f * per_elem + state["vol"]
+
+
+def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
+    """Total network energy of the deformed positions."""
+    state = _energy_state(mesh, positions, model)
+    pair = model.f * float(_edge_weights(mesh, model) @ state["pair"])
+    return pair + float(np.sum(state["vol"]))
+
+
+def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
+    """Exact analytic gradient of total_energy, one d-vector per vertex."""
+    state = _point_state(mesh, np.asarray(positions, dtype=float), model)
+    _check_not_coincident(state)
+    if model.vol is not None:
+        _check_not_inverted(mesh, state, model.vol)
     if "grad" not in state:
-        state["grad"] = _gradient(mesh, positions, model, state)
+        state["grad"] = _gradient(mesh, model, state)
     return state["grad"].copy()
 
 
-def _gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel, state: dict):
-    """Scatter every pair and volumetric term into the vertices with one
-    bincount per component.  bincount adds its weights one at a time in
-    index order, so the terms keep the order of sequential np.add.at calls:
-    pairs at i, pairs at j, then the volumetric moments at vertices 1..d and
-    at vertex 0 of each active element."""
-    data = _pair_data(mesh)
-    pair_edge = data["pair_edge"]
-    dW = np.asarray(model.pair.derivative(state["stretch"]), dtype=float)[pair_edge]
-    weights = np.tile(_element_weights(mesh, model), data["n_pairs"])
-    coef = weights * model.f * dW / (data["rest"] * state["dist"])[pair_edge]
-
-    index = data["ij"]
-    moment = None
+def _gradient(mesh: Mesh, model: EnergyModel, state: dict) -> np.ndarray:
+    """One term per unique edge at each endpoint and, with a volumetric term,
+    the moment w'(J) cof(Q) / d! of every element at its corners, Q the
+    deformed edge matrix; one bincount per component."""
+    geometry = _geometry(mesh)
+    dW = np.asarray(model.pair.derivative(state["stretch"]), dtype=float)
+    coef = model.f * _edge_weights(mesh, model) * dW / (geometry["rest"] * state["dist"])
+    moments = []
     if model.vol is not None:
-        vol = model.vol
-        jac = state["jac"]
-        active = jac > vol.eta if vol.eta > 0.0 else np.ones_like(jac, dtype=bool)
-        if np.any(active):
-            xinv = data["xinv"][active]
-            f_def = _edge_matrices(mesh, positions)[active] @ xinv
-            cof = _cofactor_batch(f_def)
-            scale = 0.25 * vol.K * (2.0 * jac[active] - 1.0 / jac[active])
-            g_vol = scale[:, None, None] * cof
-            moment = (
-                data["volumes"][active, None, None] * g_vol @ np.swapaxes(xinv, 1, 2)
-            )
-            moment_sum = moment.sum(axis=2)
-            els = mesh.elements[active]
-            index = np.concatenate([index, *els[:, 1:].T, els[:, 0]])
-
-    grad = np.empty_like(positions)
+        vol, jac = model.vol, state["jac"]
+        active = jac > vol.eta  # all elements at eta = 0, inverted ones raised
+        safe = np.where(active, jac, 1.0)
+        scale = np.where(active, 0.25 * vol.K * (2.0 * safe - 1.0 / safe), 0.0)
+        scale /= math.factorial(mesh.dim)
+        moments = [[scale * c for c in column] for column in state["cof"]]
+    index = geometry["index"] if moments else geometry["index"][: 2 * coef.size]
+    grad = np.empty((mesh.num_vertices, mesh.dim))
     for c in range(mesh.dim):
-        col = positions[:, c]
-        contrib = coef * (col[data["i"]] - col[data["j"]])
-        values = [contrib, -contrib]
-        if moment is not None:
-            values += [*moment[:, c, :].T, -moment_sum[:, c]]
+        term = coef * state["delta"][c]
+        values = [term, -term]
+        if moments:
+            values += [m[c] for m in moments] + [-sum(m[c] for m in moments)]
         grad[:, c] = np.bincount(index, np.concatenate(values), minlength=mesh.num_vertices)
     return grad
 
@@ -259,41 +247,43 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
     clipped below at 1e-8 of its maximum.  The volumetric term is left out.
     Applied to each component, it is the exact Hessian for quadratic springs.
     """
-    data = _pair_data(mesh)
-    edge_i, edge_j, rest = data["edge_i"], data["edge_j"], data["rest"]
-    positions = np.asarray(positions, dtype=float)
-    stretch = np.linalg.norm(positions[edge_i] - positions[edge_j], axis=1) / rest
+    geometry = _geometry(mesh)
+    edge_i, edge_j, rest = geometry["edge_i"], geometry["edge_j"], geometry["rest"]
+    # the state minimize has just evaluated, so it is usually cached
+    stretch = _point_state(mesh, np.asarray(positions, dtype=float), model)["stretch"]
     step = 1e-6
     d2w = (
         np.asarray(model.pair.derivative(stretch + step), dtype=float)
         - np.asarray(model.pair.derivative(stretch - step), dtype=float)
     ) / (2.0 * step)
     d2w = np.maximum(d2w, 1e-8 * d2w.max())
-    summed = np.bincount(
-        data["pair_edge"], np.tile(_element_weights(mesh, model), data["n_pairs"]),
-        minlength=rest.size,
-    )
-    w = summed * model.f * d2w / rest**2
+    w = _edge_weights(mesh, model) * model.f * d2w / rest**2
     rows = np.concatenate([edge_i, edge_j, edge_i, edge_j])
     cols = np.concatenate([edge_j, edge_i, edge_i, edge_j])
     n = mesh.num_vertices
     return coo_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(n, n)).tocsc()
 
 
-def _cofactor_batch(f: np.ndarray) -> np.ndarray:
-    d = f.shape[-1]
-    if d == 2:
-        cof = np.empty_like(f)
-        cof[:, 0, 0] = f[:, 1, 1]
-        cof[:, 0, 1] = -f[:, 1, 0]
-        cof[:, 1, 0] = -f[:, 0, 1]
-        cof[:, 1, 1] = f[:, 0, 0]
-        return cof
-    cof = np.empty_like(f)
-    cof[:, :, 0] = np.cross(f[:, :, 1], f[:, :, 2])
-    cof[:, :, 1] = np.cross(f[:, :, 2], f[:, :, 0])
-    cof[:, :, 2] = np.cross(f[:, :, 0], f[:, :, 1])
-    return cof
+def _submesh(mesh: Mesh, keep: np.ndarray) -> Mesh:
+    """The elements `keep` of mesh, with its vertices, scale and volumes."""
+    return Mesh(mesh.dim, mesh.vertices, mesh.elements[keep], mesh.h, mesh.boundary_flags,
+                {"volumes": mesh.element_volumes()[keep]})
+
+
+def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: EnergyModel):
+    """(active sub-mesh, pinned energy) for moving only the `free` vertices.
+
+    The active sub-mesh holds the elements that touch a free vertex and keeps
+    the vertex numbering; the other elements' energy stays constant.  They
+    are checked once for what total_energy and energy_gradient of the whole
+    mesh raise on them.
+    """
+    positions = np.asarray(positions, dtype=float)
+    touches = free[mesh.elements].any(axis=1)
+    pinned = _submesh(mesh, ~touches)
+    energy = total_energy(pinned, positions, model)
+    _check_not_coincident(_point_state(pinned, positions, model))
+    return _submesh(mesh, touches), energy
 
 
 _FACE_AXES = {"x": 0, "y": 1, "z": 2}

@@ -355,7 +355,7 @@ def _sweep_one(job) -> tuple[object, str | None]:
             n_realizations=n_real, seed=seed, restarts=restarts,
             settings=settings, on_error="record",
         )
-    except Exception as exc:  # noqa: BLE001 - recorded per sweep policy
+    except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
         return None, failure_reason(exc)
     return est, None
 
@@ -440,7 +440,7 @@ def _run_probes(probe_cfg, source, model, xi_list, n_real, seed, restarts, setti
                 entry["isotropy_deviation"] = isotropy_probe(
                     estimator, xi, rotation_count=n_iso, seed=probe_seed
                 )
-        except Exception as exc:  # noqa: BLE001 - recorded per sweep policy
+        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
             entry = {"error": failure_reason(exc)}
         if entry:
             out[str(xi_id)] = entry

@@ -267,8 +267,8 @@ class HomogEstimate:
     cauchy_gaps[k] is |v_{k+1} - v_k| for the successive per-scale values
     v_k = per_h[k].value.  The gaps should tend to zero under refinement;
     no monotone decrease is promised (stochastic gaps carry realization
-    noise).  On periodic cells every gap is exactly zero, because the affine
-    state is critical at every m and the density does not depend on h.
+    noise).  On periodic cells every gap is zero up to roundoff, because the
+    affine state is critical at every m and the density does not depend on h.
     extrapolated is the finest-scale value; richardson is a first-order
     Richardson step on the two finest scales (None with fewer than three).
     """
@@ -306,15 +306,15 @@ def estimate_whom(
     source is a PeriodicCell or StochasticCell template; scales replaces its
     m (periodic) or h (stochastic) entry.  Periodic runs force one
     realization.  The expectation over lattice realizations is taken as a
-    sample mean with its standard error.  on_error "record" marks failed
-    cells, with their failure_reason, in the records instead of raising; a
-    scale with no successful cell raises a RuntimeError naming the first
-    cell's reason regardless.
+    sample mean with its standard error.  on_error "record" records a cell's
+    ValueError or RuntimeError (every polynet error is one) as its
+    failure_reason instead of raising; a scale with no successful cell
+    raises a RuntimeError naming the first cell's reason regardless.
 
     The Cauchy diagnostic cauchy_gaps holds |v_{k+1} - v_k| over successive
     scales.  It should tend to zero as h shrinks, but need not decrease
-    monotonically.  For periodic sources it is exactly zero: the affine
-    state is critical at every m, so every scale gives the same density.
+    monotonically.  For periodic sources it is zero up to roundoff: the
+    affine state is critical at every m, so every scale gives the same density.
     """
     xi = np.asarray(xi, dtype=float)
     scales = list(scales)
@@ -343,7 +343,7 @@ def estimate_whom(
                     settings=settings,
                 )
                 sol = solve_cell_problem(problem)
-            except Exception as exc:
+            except (ValueError, RuntimeError) as exc:
                 if on_error == "raise":
                     raise
                 records.append(

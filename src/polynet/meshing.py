@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-_FACTORIAL = {2: 2.0, 3: 6.0}
-
 
 class DegenerateGeometryError(ValueError):
     """Raised for collapsed elements or point sets with no full-dimensional hull."""
@@ -53,17 +51,13 @@ class Mesh:
     def num_elements(self) -> int:
         return self.elements.shape[0]
 
-    def signed_volumes(self) -> np.ndarray:
-        return signed_volumes(self.vertices, self.elements)
-
     def element_volumes(self) -> np.ndarray:
         if "volumes" not in self._cache:
-            self._cache["volumes"] = self.signed_volumes()
+            self._cache["volumes"] = signed_volumes(self.vertices, self.elements)
         return self._cache["volumes"]
 
     def validate(self, box_tol: float = 1e-9) -> None:
-        vols = self.signed_volumes()
-        if not np.all(vols > 0.0):
+        if not np.all(self.element_volumes() > 0.0):
             raise DegenerateGeometryError("mesh has non-positively oriented elements")
         h_ref = (1.0 / self.num_elements) ** (1.0 / self.dim)
         if abs(self.h - h_ref) > 1e-12:
@@ -72,32 +66,55 @@ class Mesh:
             raise ValueError("mesh vertices leave the closed unit box")
 
 
+def edge_columns(points: np.ndarray, elements: np.ndarray) -> list:
+    """Edge matrices of a batch of simplices, component-major: entry [k][c]
+    is component c of x_{k+1} - x_0 over the batch."""
+    comps, corners = points.T, elements.T
+    base = [x[corners[0]] for x in comps]
+    return [[x[corner] - b for x, b in zip(comps, base)] for corner in corners[1:]]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def cofactors(cols: list):
+    """(cof(A), det(A)) of a batch of 2x2 or 3x3 matrices A in the layout of
+    edge_columns, as explicit products; cof(A) = det(A) A^-T has the same
+    layout.  det(A) is column 0 of A dotted with column 0 of cof(A), so a
+    swap of the last two columns negates it exactly."""
+    if len(cols) == 2:
+        (a0, a1), (b0, b1) = cols
+        cof = [(b1, -b0), (-a1, a0)]
+    else:
+        a, b, c = cols
+        cof = [_cross(b, c), _cross(c, a), _cross(a, b)]
+    return cof, sum(x * y for x, y in zip(cols[0], cof[0]))
+
+
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed simplex volumes det(edge matrix) / dim! for a batch of elements."""
-    dim = vertices.shape[1]
-    p = vertices[elements]
-    edges = p[:, 1:, :] - p[:, :1, :]
-    return np.linalg.det(np.swapaxes(edges, 1, 2)) / _FACTORIAL[dim]
+    return cofactors(edge_columns(vertices, elements))[1] / math.factorial(vertices.shape[1])
 
 
-def _orient_positively(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    vols = signed_volumes(vertices, elements)
-    flipped = elements.copy()
-    neg = vols < 0.0
-    flipped[neg, -2], flipped[neg, -1] = elements[neg, -1], elements[neg, -2]
-    return flipped
-
-
-def _make_mesh(dim: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh:
+def _make_mesh(dim: int, vertices: np.ndarray, elements: np.ndarray,
+               vols: np.ndarray | None = None) -> Mesh:
+    """Mesh of the elements.  Given their signed volumes vols, an element of
+    negative volume gets its last two vertices swapped and |vols| are kept."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
-    elements = np.ascontiguousarray(elements, dtype=np.int64)
-    h = (1.0 / elements.shape[0]) ** (1.0 / dim)
+    elements = np.array(elements, dtype=np.int64)
+    cache = {}
+    if vols is not None:
+        neg = vols < 0.0
+        elements[neg, -2:] = elements[neg][:, [-1, -2]]
+        cache["volumes"] = np.abs(vols)
     mesh = Mesh(
         dim=dim,
         vertices=vertices,
         elements=elements,
-        h=h,
+        h=(1.0 / elements.shape[0]) ** (1.0 / dim),
         boundary_flags=_unit_boundary_distance(vertices),
+        _cache=cache,
     )
     mesh.validate()
     return mesh
@@ -125,8 +142,7 @@ def periodic_mesh_3d(m: int) -> Mesh:
     cells = np.arange(m, dtype=np.int64)
     origins = (cells[:, None, None] * n + cells[None, :, None]) * n + cells[None, None, :]
     elements = (origins.reshape(-1, 1, 1) + walks).reshape(-1, 4)
-    elements = _orient_positively(vertices, elements)
-    return _make_mesh(3, vertices, elements)
+    return _make_mesh(3, vertices, elements, signed_volumes(vertices, elements))
 
 
 def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
@@ -153,8 +169,7 @@ def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
     cells = np.arange(m, dtype=np.int64)
     origins = cells[:, None] * n + cells[None, :]
     elements = (origins.reshape(-1, 1, 1) + triangles).reshape(-1, 3)
-    elements = _orient_positively(vertices, elements)
-    return _make_mesh(2, vertices, elements)
+    return _make_mesh(2, vertices, elements, signed_volumes(vertices, elements))
 
 
 @dataclass(frozen=True)
@@ -283,8 +298,9 @@ def rescale_and_clip(points: np.ndarray, h: float, box) -> np.ndarray:
     return scaled[inside]
 
 
-def _delaunay_simplices(points: np.ndarray) -> np.ndarray:
-    """Qhull Delaunay simplices with degenerate slivers dropped."""
+def _delaunay_simplices(points: np.ndarray):
+    """Qhull Delaunay simplices with degenerate slivers dropped, and their
+    signed volumes."""
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
     if n < dim + 1:
@@ -299,10 +315,9 @@ def _delaunay_simplices(points: np.ndarray) -> np.ndarray:
     vols = signed_volumes(points, simplices)
     scale = float(np.ptp(points, axis=0).max())
     keep = np.abs(vols) > 1e-12 * scale**dim
-    simplices = simplices[keep]
-    if simplices.shape[0] == 0:
+    if not keep.any():
         raise DegenerateGeometryError("all candidate elements are degenerate")
-    return _orient_positively(points, simplices)
+    return simplices[keep], vols[keep]
 
 
 def delaunay_triangulate(points: np.ndarray, dim: int | None = None) -> Mesh:
@@ -315,7 +330,7 @@ def delaunay_triangulate(points: np.ndarray, dim: int | None = None) -> Mesh:
     points = np.asarray(points, dtype=float)
     if dim is not None and points.shape[1] != dim:
         raise ValueError("points do not match the requested dimension")
-    return _make_mesh(points.shape[1], points, _delaunay_simplices(points))
+    return _make_mesh(points.shape[1], points, *_delaunay_simplices(points))
 
 
 def circumradii(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -366,7 +381,7 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     measured_R = float(probe_dists.max())
 
     try:
-        quality = _min_quality(points, _delaunay_simplices(points))
+        quality = _min_quality(points, _delaunay_simplices(points)[0])
     except DegenerateGeometryError:
         quality = float("nan")
 

@@ -19,7 +19,8 @@ from scipy.optimize import line_search
 from scipy.sparse.linalg import splu
 
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
-                       edge_stiffness_laplacian, energy_gradient, total_energy)
+                       edge_stiffness_laplacian, energy_gradient, split_pinned,
+                       total_energy)
 from .meshing import Mesh
 
 
@@ -178,9 +179,8 @@ def minimize(
         raise ValueError("initial state does not match the mesh")
     state[mask] = targets[mask]
     free = ~mask
-
-    def pack(positions):
-        return positions[free].ravel()
+    # f keeps the pinned elements' constant energy, so tolerance and result do too
+    active, pinned_energy = split_pinned(mesh, free, state, model)
 
     def unpack(x):
         positions = state.copy()
@@ -188,10 +188,10 @@ def minimize(
         return positions
 
     def fun(x):
-        return total_energy(mesh, unpack(x), model)
+        return total_energy(active, unpack(x), model) + pinned_energy
 
     def grad(x):
-        return energy_gradient(mesh, unpack(x), model)[free].ravel()
+        return energy_gradient(active, unpack(x), model)[free].ravel()
 
     lu = None
 
@@ -199,13 +199,13 @@ def minimize(
         # factorized on first use: a start that is already critical never pays
         nonlocal lu
         if lu is None:
-            stiffness = edge_stiffness_laplacian(mesh, state, model)
+            stiffness = edge_stiffness_laplacian(active, state, model)
             # K_ff is symmetric positive definite: symmetric ordering, no pivoting
             lu = splu(stiffness[free][:, free], permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return lu.solve(x.reshape(-1, mesh.dim)).ravel()
 
-    x, f, gnorm, iters, converged = lbfgs(fun, grad, pack(state), settings, precondition)
+    x, f, gnorm, iters, converged = lbfgs(fun, grad, state[free].ravel(), settings, precondition)
     return MinimizeResult(
         state=unpack(x), energy=f, grad_norm=gnorm, iterations=iters, converged=converged
     )

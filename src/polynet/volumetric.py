@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .meshing import cofactors
+
 
 class NonPositiveJacobianError(ValueError):
     """Raised when the raw volumetric energy is evaluated at det(F) <= 0."""
@@ -90,14 +92,7 @@ def cofactor_matrix(F):
     d = F.shape[0]
     if F.shape != (d, d) or d not in (2, 3):
         raise ValueError("cofactor_matrix expects a 2x2 or 3x3 matrix")
-    if d == 2:
-        return np.array([[F[1, 1], -F[1, 0]], [-F[0, 1], F[0, 0]]])
-    c = np.empty((3, 3))
-    # column i of the cofactor is the cross product of the other two columns
-    c[:, 0] = np.cross(F[:, 1], F[:, 2])
-    c[:, 1] = np.cross(F[:, 2], F[:, 0])
-    c[:, 2] = np.cross(F[:, 0], F[:, 1])
-    return c
+    return np.array(cofactors(list(F.T))[0]).T
 
 
 def w_vol_gradient(F, params: VolumetricParams):

@@ -218,7 +218,18 @@ def test_model_validation():
         EnergyModel(pair=PairPotential.quadratic_spring(1.0), weight_mode="odd")
 
 
-# --- exact equality with the per-pair np.add.at kernel -------------------
+# --- agreement with the per-pair np.add.at kernel ----------------------
+# The kernel sums edge weights, evaluates each unique edge once and forms
+# determinants and cofactors in closed form, so it reorders the roundoff of
+# this oracle; it must agree within 1e-13 of the largest value.
+
+ORACLE_BOUND = 1e-13
+
+
+def assert_matches_oracle(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert np.abs(got - expected).max() <= ORACLE_BOUND * np.abs(expected).max()
+
 
 def _pairs(mesh):
     combos = list(itertools.combinations(range(mesh.dim + 1), 2))
@@ -309,7 +320,7 @@ def _stochastic_mesh(kind, dim, h):
         ("matern-hardcore", 2, 0.1, LANGEVIN_VOL),
     ],
 )
-def test_kernel_bitwise_equals_per_pair_oracle(kind, dim, h, model):
+def test_kernel_matches_per_pair_oracle(kind, dim, h, model):
     mesh = _stochastic_mesh(kind, dim, h)
     rng = np.random.default_rng(11)
     plateau_seen = False
@@ -319,9 +330,9 @@ def test_kernel_bitwise_equals_per_pair_oracle(kind, dim, h, model):
             jac, _, _ = _jacobians(mesh, state)
             plateau_seen |= bool(np.any(jac <= model.vol.eta))
         expected = oracle_element_energies(mesh, state, model)
-        np.testing.assert_array_equal(element_energies(mesh, state, model), expected)
-        assert total_energy(mesh, state, model) == float(expected.sum())
-        np.testing.assert_array_equal(
+        assert_matches_oracle(element_energies(mesh, state, model), expected)
+        assert_matches_oracle(total_energy(mesh, state, model), expected.sum())
+        assert_matches_oracle(
             energy_gradient(mesh, state, model), oracle_gradient(mesh, state, model)
         )
     assert plateau_seen or model.vol is None
@@ -334,10 +345,11 @@ def test_state_cache_follows_in_place_mutation():
     total_energy(mesh, state, LANGEVIN_VOL)
     energy_gradient(mesh, state, LANGEVIN_VOL)
     state[3] += 0.01 * mesh.h
-    assert total_energy(mesh, state, LANGEVIN_VOL) == float(
-        oracle_element_energies(mesh, state, LANGEVIN_VOL).sum()
+    assert_matches_oracle(
+        total_energy(mesh, state, LANGEVIN_VOL),
+        oracle_element_energies(mesh, state, LANGEVIN_VOL).sum(),
     )
-    np.testing.assert_array_equal(
+    assert_matches_oracle(
         energy_gradient(mesh, state, LANGEVIN_VOL),
         oracle_gradient(mesh, state, LANGEVIN_VOL),
     )
@@ -349,10 +361,11 @@ def test_state_cache_alternating_models():
     state = mesh.vertices + 0.1 * mesh.h * rng.standard_normal(mesh.vertices.shape)
     for _ in range(2):
         for model in (SPRING, LANGEVIN_VOL, CHAIN):
-            assert total_energy(mesh, state, model) == float(
-                oracle_element_energies(mesh, state, model).sum()
+            assert_matches_oracle(
+                total_energy(mesh, state, model),
+                oracle_element_energies(mesh, state, model).sum(),
             )
-            np.testing.assert_array_equal(
+            assert_matches_oracle(
                 energy_gradient(mesh, state, model), oracle_gradient(mesh, state, model)
             )
 

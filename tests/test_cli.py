@@ -377,6 +377,44 @@ def test_homogenize_failed_cell_reason_in_csv(tmp_path, monkeypatch):
     assert all(row["error"] == "" for row in rows if row["status"] == "ok")
 
 
+def _raise_index_error(*args, **kwargs):
+    raise IndexError("index 7 is out of bounds for axis 0 with size 7")
+
+
+TWO_XI_PERIODIC = {
+    **HOMOGENIZE_PERIODIC,
+    "homogenize": {
+        **HOMOGENIZE_PERIODIC["homogenize"],
+        "xi_list": [[[1.0, 0.0], [0.0, 1.0]], [[1.1, 0.0], [0.0, 0.9]]],
+    },
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
+    # only polynet's own errors (ValueError, RuntimeError) become failed
+    # cells; a bug in a cell solve ends the command with its traceback.  The
+    # pool's workers are forked after the patch, so they raise it too.
+    from polynet import homogenize
+
+    monkeypatch.setattr(homogenize, "solve_cell_problem", _raise_index_error)
+    cfg = write_config(tmp_path, TWO_XI_PERIODIC)
+    with pytest.raises(IndexError):
+        main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--jobs", jobs])
+
+
+def test_homogenize_probe_bug_propagates(tmp_path, monkeypatch):
+    from polynet import cli
+
+    monkeypatch.setattr(cli, "isotropy_probe", _raise_index_error)
+    payload = {**TWO_XI_PERIODIC, "homogenize": {
+        **TWO_XI_PERIODIC["homogenize"], "probes": {"isotropy_rotations": 2}}}
+    cfg = write_config(tmp_path, payload)
+    with pytest.raises(IndexError):
+        main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 BAD_SWEEPS = {
     "empty scale list": {"m_list": []},
     "single scale": {"m_list": [4]},

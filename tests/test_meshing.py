@@ -60,7 +60,7 @@ def test_periodic_3d_m2_counts_and_structure():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_periodic_3d_partition_and_orientation(m):
     mesh = periodic_mesh_3d(m)
-    vols = mesh.signed_volumes()
+    vols = signed_volumes(mesh.vertices, mesh.elements)
     assert np.all(vols > 0.0)
     assert abs(vols.sum() - 1.0) <= 1e-12
     assert abs(mesh.h - (1.0 / mesh.num_elements) ** (1.0 / 3.0)) <= 1e-12
@@ -108,7 +108,7 @@ def test_periodic_2d_m1():
     mesh = periodic_mesh_2d(1, "nw")
     assert mesh.num_elements == 2
     assert mesh.num_vertices == 4
-    assert np.all(mesh.signed_volumes() > 0.0)
+    assert np.all(signed_volumes(mesh.vertices, mesh.elements) > 0.0)
 
 
 def test_periodic_2d_partition():
@@ -293,7 +293,7 @@ def test_delaunay_single_tet():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     mesh = delaunay_triangulate(pts)
     assert mesh.num_elements == 1
-    assert mesh.signed_volumes()[0] > 0.0
+    assert signed_volumes(mesh.vertices, mesh.elements)[0] > 0.0
 
 
 def test_delaunay_square_plus_center():
@@ -362,7 +362,7 @@ def test_build_stochastic_mesh_pipeline():
     )
     mesh = build_stochastic_mesh(spec, h=0.5, dim=3)
     assert mesh.dim == 3
-    assert np.all(mesh.signed_volumes() > 0.0)
+    assert np.all(signed_volumes(mesh.vertices, mesh.elements) > 0.0)
     hull = ConvexHull(mesh.vertices).volume
     assert abs(mesh.element_volumes().sum() - hull) <= 1e-8
     assert mesh.vertices.min() >= 0.0 and mesh.vertices.max() <= 1.0
@@ -470,6 +470,21 @@ def test_signed_volume_helper():
     els = np.array([[0, 1, 2], [0, 2, 1]])
     vols = signed_volumes(verts, els)
     np.testing.assert_allclose(vols, [0.5, -0.5])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_signed_volumes_closed_form(dim):
+    # explicit products agree with LAPACK's determinant, and swapping the
+    # last two vertices negates them exactly, as mesh orientation relies on
+    rng = np.random.default_rng(dim)
+    verts = rng.random((50, dim))
+    els = np.array([rng.choice(50, dim + 1, replace=False) for _ in range(200)])
+    vols = signed_volumes(verts, els)
+    p = verts[els]
+    ref = np.linalg.det(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2)) / math.factorial(dim)
+    assert np.abs(vols - ref).max() <= 1e-14 * np.abs(ref).max()
+    swapped = els[:, [*range(dim - 1), dim, dim - 1]]
+    np.testing.assert_array_equal(signed_volumes(verts, swapped), -vols)
 
 
 def test_circumradii_known_triangle():

@@ -9,12 +9,15 @@ from polynet import optim
 from polynet.assembly import (
     VOLUME_WEIGHTS,
     BoundaryCondition,
+    CoincidentVerticesError,
     EnergyModel,
     FullyConstrainedError,
+    InvertedElementError,
     affine_positions,
     apply_bc,
     edge_stiffness_laplacian,
     energy_gradient,
+    total_energy,
 )
 from polynet.chains import PairPotential
 from polynet.homogenize import (
@@ -25,6 +28,7 @@ from polynet.homogenize import (
     solve_cell_problem,
 )
 from polynet.meshing import (
+    Mesh,
     StochasticLatticeSpec,
     build_stochastic_mesh,
     element_gradient,
@@ -297,6 +301,9 @@ def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
     assert result.iterations <= 2
     assert len(built) == 1
 
+    # K is built on the elements that touch a free vertex, so only its free
+    # block K_ff, the block minimize factorizes, is the Hessian's
+    free = np.repeat(~apply_bc(mesh, bc)[0], 2)
     base = affine_positions(mesh, xi)
     g0 = energy_gradient(mesh, base, model).ravel()
     hessian = np.empty((g0.size, g0.size))
@@ -304,12 +311,59 @@ def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
         moved = base.ravel().copy()
         moved[k] += 1.0
         hessian[:, k] = energy_gradient(mesh, moved.reshape(base.shape), model).ravel() - g0
-    stiffness = np.kron(built[0].toarray(), np.eye(2))
+    hessian = hessian[free][:, free]
+    stiffness = np.kron(built[0].toarray(), np.eye(2))[free][:, free]
     scale = np.abs(hessian).max()
     assert np.abs(stiffness - hessian).max() <= 1e-8 * scale
     uniform = EnergyModel(pair=model.pair, f=model.f)
     other = np.kron(edge_stiffness_laplacian(mesh, base, uniform).toarray(), np.eye(2))
-    assert np.abs(other - hessian).max() > 1e-2 * scale
+    assert np.abs(other[free][:, free] - hessian).max() > 1e-2 * scale
+
+
+def two_triangles():
+    """[0, 1, 2] has every vertex on the faces x- and x+, so the face BC pins
+    it; [1, 3, 4] has the free vertices 3 and 4."""
+    return Mesh(
+        dim=2,
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.2]]),
+        elements=np.array([[0, 1, 2], [1, 3, 4]]),
+        h=0.5**0.5,
+        boundary_flags=np.zeros(5),
+    )
+
+
+def _face_bc(xi):
+    return BoundaryCondition(kind="dirichlet-face-free-traction", xi=xi,
+                             faces=("x-", "x+"))
+
+
+def test_pinned_inverted_element_still_raises():
+    # the reflection inverts the pinned triangle; the free vertices follow
+    # a translation, so the active triangle keeps J = 1
+    mesh = two_triangles()
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                        vol=VolumetricParams(K=1.0, eta=0.0))
+    init = mesh.vertices - np.array([2.0, 0.0])
+    bc = _face_bc(np.diag([-1.0, 1.0]))
+    mask, targets = apply_bc(mesh, bc)
+    init[mask] = targets[mask]
+    with pytest.raises(InvertedElementError):
+        total_energy(mesh, init, model)
+    with pytest.raises(InvertedElementError):
+        minimize(mesh, model, bc, init=init)
+
+
+def test_pinned_coincident_vertices_still_raise():
+    # xi collapses y, so the pinned vertices 0 and 2 land on one point
+    mesh = two_triangles()
+    bc = _face_bc(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    mask, targets = apply_bc(mesh, bc)
+    init = mesh.vertices.copy()
+    init[mask] = targets[mask]
+    with pytest.raises(CoincidentVerticesError):
+        energy_gradient(mesh, init, SPRING)
+    with pytest.raises(CoincidentVerticesError):
+        minimize(mesh, SPRING, bc, init=init)
 
 
 # The standard case of the solver's h -> 0 study: Matern hard-core (2D) or
@@ -351,3 +405,15 @@ def test_fine_matern_cells_converge(h, model):
     solution = solve_cell_problem(standard_problem(2, h, model))
     assert solution.converged
     assert solution.iterations < 100
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.05), (3, 0.125)])
+def test_minimize_energy_includes_pinned_elements(dim, h):
+    problem = standard_problem(dim, h, LANGEVIN_VOL)
+    mesh = build_cell_mesh(problem.source)
+    bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
+                           depth=default_layer_depth(problem.source, mesh))
+    result = minimize(mesh, LANGEVIN_VOL, bc)
+    assert result.converged
+    full = total_energy(mesh, result.state, LANGEVIN_VOL)
+    assert abs(result.energy - full) <= 1e-13 * abs(full)
