@@ -275,15 +275,22 @@ def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: Ene
 
     The active sub-mesh holds the elements that touch a free vertex and keeps
     the vertex numbering; the other elements' energy stays constant.  They
-    are checked once for what total_energy and energy_gradient of the whole
-    mesh raise on them.
+    are checked once per call for what total_energy and energy_gradient of
+    the whole mesh raise on them.  Both sub-meshes, and with them their
+    geometry, stay on mesh for the last free mask, so restarts and further
+    xi on the same mesh split it once.
     """
     positions = np.asarray(positions, dtype=float)
-    touches = free[mesh.elements].any(axis=1)
-    pinned = _submesh(mesh, ~touches)
+    key = free.tobytes()
+    split = mesh._cache.get("split")
+    if split is None or split[0] != key:
+        touches = free[mesh.elements].any(axis=1)
+        split = (key, _submesh(mesh, touches), _submesh(mesh, ~touches))
+        mesh._cache["split"] = split
+    _, active, pinned = split
     energy = total_energy(pinned, positions, model)
     _check_not_coincident(_point_state(pinned, positions, model))
-    return _submesh(mesh, touches), energy
+    return active, energy
 
 
 _FACE_AXES = {"x": 0, "y": 1, "z": 2}

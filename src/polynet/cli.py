@@ -10,6 +10,7 @@ floating-point output carries 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,18 +21,22 @@ import numpy as np
 from .assembly import BoundaryCondition, EnergyModel, FullyConstrainedError
 from .chains import ChainParams, PairPotential
 from .homogenize import (
+    CellProblem,
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
     at_scale,
     build_cell_mesh,
-    cell_estimator,
     default_layer_depth,
-    estimate_whom,
+    estimator_runs,
     failure_reason,
     frame_invariance_probe,
     isotropy_probe,
+    random_rotations,
+    solve_cell_problems,
     summary_dict,
+    sweep_estimate,
+    sweep_runs,
     write_estimates_csv,
 )
 from .meshing import (
@@ -106,6 +111,35 @@ def _check_keys(section: dict, allowed: set[str], ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
 
 
+def _integer(value, ctx: str, minimum: int | None = None) -> int:
+    """A JSON integer (4.0 counts, 2.7 and "4" do not), at least `minimum`."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{ctx} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{ctx} must be at least {minimum}")
+    return int(value)
+
+
+def _number(value, ctx: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx} must be a number, not {value!r}") from exc
+
+
+def _xi(value, dim: int, ctx: str) -> np.ndarray:
+    message = f"{ctx} must be a dim x dim matrix of numbers"
+    try:
+        xi = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(message) from exc
+    if xi.shape != (dim, dim):
+        raise ConfigError(message)
+    return xi
+
+
 def _need(cfg: dict, key: str, ctx: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{ctx}: missing required section {key!r}")
@@ -136,17 +170,16 @@ def build_model(cfg: dict) -> EnergyModel:
     kind = _need(pair_cfg, "kind", "model.pair")
     if kind == "langevin-chain":
         _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n", "l"}, "model.pair")
-        params = ChainParams(
-            k=float(pair_cfg.get("k", 1.0)),
-            beta=float(pair_cfg.get("beta", 1.0)),
-            c=float(pair_cfg.get("c", 0.0)),
-            n=float(pair_cfg.get("n", 8.0)),
-            l=float(pair_cfg.get("l", 1.0)),
-        )
+        defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0, "l": 1.0}
+        params = ChainParams(**{
+            key: _number(pair_cfg.get(key, default), f"model.pair: {key}")
+            for key, default in defaults.items()
+        })
         pair = PairPotential.langevin_chain(params)
     elif kind == "quadratic-spring":
         _check_keys(pair_cfg, {"kind", "stiffness"}, "model.pair")
-        pair = PairPotential.quadratic_spring(float(pair_cfg.get("stiffness", 1.0)))
+        pair = PairPotential.quadratic_spring(
+            _number(pair_cfg.get("stiffness", 1.0), "model.pair: stiffness"))
     else:
         raise ConfigError(f"model.pair: unknown kind {kind!r}")
     vol_cfg = section.get("volumetric")
@@ -154,12 +187,14 @@ def build_model(cfg: dict) -> EnergyModel:
     if vol_cfg is not None:
         _check_keys(vol_cfg, {"K", "eta"}, "model.volumetric")
         vol = VolumetricParams(
-            K=float(vol_cfg.get("K", 1.0)), eta=float(vol_cfg.get("eta", 0.0))
+            K=_number(vol_cfg.get("K", 1.0), "model.volumetric: K"),
+            eta=_number(vol_cfg.get("eta", 0.0), "model.volumetric: eta"),
         )
+    f = _number(section.get("f", 1.0), "model: f")
     try:
         return EnergyModel(
             pair=pair,
-            f=float(section.get("f", 1.0)),
+            f=f,
             vol=vol,
             weight_mode=section.get("weight_mode", "uniform-h"),
         )
@@ -169,16 +204,16 @@ def build_model(cfg: dict) -> EnergyModel:
 
 def build_lattice(cfg: dict, seed_override: int | None) -> StochasticLatticeSpec:
     _check_keys(cfg, {"kind", "intensity", "r_min", "R_cov", "seed"}, "mesh.lattice")
+    ctx = "mesh.lattice"
+    kind = _need(cfg, "kind", ctx)
+    fields = {key: _number(_need(cfg, key, ctx), f"{ctx}: {key}")
+              for key in ("intensity", "r_min", "R_cov")}
+    seed = _integer(cfg.get("seed", 0) if seed_override is None else seed_override,
+                    f"{ctx}: seed", 0)
     try:
-        return StochasticLatticeSpec(
-            kind=_need(cfg, "kind", "mesh.lattice"),
-            intensity=float(_need(cfg, "intensity", "mesh.lattice")),
-            r_min=float(_need(cfg, "r_min", "mesh.lattice")),
-            R_cov=float(_need(cfg, "R_cov", "mesh.lattice")),
-            seed=int(cfg.get("seed", 0) if seed_override is None else seed_override),
-        )
+        return StochasticLatticeSpec(kind=kind, seed=seed, **fields)
     except ValueError as exc:
-        raise ConfigError(f"mesh.lattice: {exc}") from exc
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _diagonal(value, ctx: str) -> str:
@@ -190,11 +225,8 @@ def _diagonal(value, ctx: str) -> str:
 def _scale(value, periodic: bool, ctx: str) -> int | float:
     """A mesh scale: m >= 1 cells per side (periodic) or h > 0 (stochastic)."""
     if periodic:
-        m = int(value)
-        if m < 1:
-            raise ConfigError(f"{ctx}: m must be at least 1")
-        return m
-    h = float(value)
+        return _integer(value, f"{ctx}: m", 1)
+    h = _number(value, f"{ctx}: h")
     if not h > 0.0:
         raise ConfigError(f"{ctx}: h must be positive")
     return h
@@ -209,7 +241,7 @@ def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | S
         _check_keys(section, {"kind", "dim", "h", "lattice"}, "mesh")
     else:
         raise ConfigError(f"mesh: unknown kind {kind!r}")
-    dim = int(section.get("dim", 3))
+    dim = _integer(section.get("dim", 3), "mesh: dim")
     if dim not in (2, 3):
         raise ConfigError("mesh: dim must be 2 or 3")
     if kind == "periodic":
@@ -223,9 +255,7 @@ def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | S
 def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> BoundaryCondition:
     section = _need(cfg, "bc")
     kind = _need(section, "kind", "bc")
-    xi = np.asarray(_need(section, "xi", "bc"), dtype=float)
-    if xi.shape != (source.dim,) * 2:
-        raise ConfigError("bc: xi must be a dim x dim matrix")
+    xi = _xi(_need(section, "xi", "bc"), source.dim, "bc: xi")
     if kind == "affine-layer":
         _check_keys(section, {"kind", "xi", "depth"}, "bc")
         depth = section.get("depth", "2h")
@@ -236,7 +266,7 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
                 raise ConfigError("bc: depth rule '2hR' needs a stochastic mesh")
             depth = default_layer_depth(source, mesh)
         else:
-            depth = float(depth)
+            depth = _number(depth, "bc: depth")
         return BoundaryCondition(kind="affine-layer", xi=xi, depth=depth)
     if kind == "dirichlet-face-free-traction":
         _check_keys(section, {"kind", "xi", "faces"}, "bc")
@@ -252,21 +282,19 @@ def build_settings(cfg: dict) -> tuple[MinimizeSettings, int]:
         {"grad_tol", "max_iters", "memory", "c1", "c2", "restarts"},
         "solver",
     )
+    grad_tol = section.get("grad_tol")
+    fields = {
+        "grad_tol": None if grad_tol is None else _number(grad_tol, "solver: grad_tol"),
+        "max_iters": _integer(section.get("max_iters", 2000), "solver: max_iters"),
+        "memory": _integer(section.get("memory", 10), "solver: memory"),
+        "armijo_c1": _number(section.get("c1", 1e-4), "solver: c1"),
+        "wolfe_c2": _number(section.get("c2", 0.9), "solver: c2"),
+    }
     try:
-        settings = MinimizeSettings(
-            grad_tol=(None if section.get("grad_tol") is None
-                      else float(section["grad_tol"])),
-            max_iters=int(section.get("max_iters", 2000)),
-            memory=int(section.get("memory", 10)),
-            armijo_c1=float(section.get("c1", 1e-4)),
-            wolfe_c2=float(section.get("c2", 0.9)),
-        )
+        settings = MinimizeSettings(**fields)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    restarts = int(section.get("restarts", 1))
-    if restarts < 1:
-        raise ConfigError("solver: restarts must be at least 1")
-    return settings, restarts
+    return settings, _integer(section.get("restarts", 1), "solver: restarts", 1)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -346,18 +374,82 @@ def cmd_minimize(cfg: dict, args) -> int:
     return 0
 
 
-def _sweep_one(job) -> tuple[object, str | None]:
-    """One xi's sweep as (estimate, None), or (None, reason) when it fails."""
-    xi, scales, model, source, n_real, seed, restarts, settings = job
-    try:
-        est = estimate_whom(
-            xi, scales, model, source,
-            n_realizations=n_real, seed=seed, restarts=restarts,
-            settings=settings, on_error="record",
-        )
-    except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
-        return None, failure_reason(exc)
-    return est, None
+def _probe_settings(section) -> tuple[int, int, int]:
+    """(frame rotations, isotropy rotations, seed) of homogenize.probes."""
+    if not section:
+        return 0, 0, 0
+    ctx = "homogenize.probes"
+    _check_keys(section, {"frame_rotations", "isotropy_rotations", "seed"}, ctx)
+    return tuple(_integer(section.get(key, 0), f"{ctx}: {key}", 0)
+                 for key in ("frame_rotations", "isotropy_rotations", "seed"))
+
+
+def _split(items: list, parts: int) -> list[list]:
+    """items in at most `parts` contiguous chunks of near-equal size."""
+    n = min(parts, len(items))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _solve_cells(cells, model, restarts, settings, jobs: int):
+    """Solve every distinct cell (xi, source, run seed) once; returns
+    outcome(xi, source, run seed), its CellSolution or the exception it
+    failed with.
+
+    Cells are grouped by source and each group is split into at most `jobs`
+    contiguous chunks, so a chunk builds its source's mesh once; chunks run
+    in a pool of `jobs` workers, or here when there is one worker or chunk.
+    """
+    outcomes, groups = {}, {}
+    for xi, source, seed in cells:
+        key = (xi.tobytes(), source, seed)
+        if key in outcomes:
+            continue
+        try:
+            outcomes[key] = CellProblem(xi=xi, source=source, model=model,
+                                        restarts=restarts, seed=seed, settings=settings)
+        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
+            outcomes[key] = exc
+            continue
+        groups.setdefault(source, []).append(key)
+    chunks = [chunk for keys in groups.values() for chunk in _split(keys, jobs)]
+    batches = [[outcomes[key] for key in chunk] for chunk in chunks]
+    if jobs > 1 and len(batches) > 1:
+        # Frozen while the workers fork, this process's objects stay out of
+        # their collections (no copy-on-write of their headers).  Freezing
+        # also restarts the collector's generation counts, so every run hands
+        # an in-process caller the same collector state: its next full
+        # collection does not fall wherever this run's allocations left it.
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+                solved = list(pool.map(solve_cell_problems, batches))
+        finally:
+            gc.unfreeze()
+    else:
+        solved = [solve_cell_problems(batch) for batch in batches]
+    for chunk, results in zip(chunks, solved):
+        outcomes.update(zip(chunk, results))
+    return lambda xi, source, seed: outcomes[(xi.tobytes(), source, seed)]
+
+
+def _probe_entries(xi_list, estimator, frame, iso) -> dict:
+    """Probe entries by xi index for the given frame and isotropy rotations;
+    an xi whose estimator fails gets {"error": reason} instead."""
+    probes = {}
+    for xi_id, xi in enumerate(xi_list):
+        entry = {}
+        try:
+            if frame:
+                entry["frame_invariance_deviation"] = frame_invariance_probe(
+                    estimator, xi, rotations=frame)
+            if iso:
+                entry["isotropy_deviation"] = isotropy_probe(estimator, xi, rotations=iso)
+        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
+            entry = {"error": failure_reason(exc)}
+        if entry:
+            probes[str(xi_id)] = entry
+    return probes
 
 
 def cmd_homogenize(cfg: dict, args) -> int:
@@ -369,45 +461,61 @@ def cmd_homogenize(cfg: dict, args) -> int:
         {"xi_list", "m_list", "h_list", "n_realizations", "probes"},
         "homogenize",
     )
-    xi_list = [np.asarray(x, dtype=float) for x in _need(section, "xi_list", "homogenize")]
-    for xi in xi_list:
-        if xi.shape != (source.dim,) * 2:
-            raise ConfigError("homogenize: every xi must be dim x dim")
+    xi_list = [_xi(x, source.dim, "homogenize: every xi")
+               for x in _need(section, "xi_list", "homogenize")]
     settings, restarts = build_settings(cfg)
-    seed = int(cfg.get("seed", 0) if args.seed is None else args.seed)
+    seed = _integer(cfg.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
 
     periodic = isinstance(source, PeriodicCell)
     scale_key = "m_list" if periodic else "h_list"
     scales = [_scale(value, periodic, "homogenize")
               for value in _need(section, scale_key, "homogenize")]
-    n_real = 1 if periodic else int(section.get("n_realizations", 1))
+    n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
+                                         "homogenize: n_realizations", 1)
     if len(scales) < 2:
         raise ConfigError("homogenize: a sweep needs at least 2 scales")
-    if n_real < 1:
-        raise ConfigError("homogenize: n_realizations must be at least 1")
+    n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
 
-    jobs = [
-        (xi, scales, model, source, n_real, seed, restarts, settings)
-        for xi in xi_list
-    ]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_sweep_one, jobs))
-    else:
-        outcomes = [_sweep_one(job) for job in jobs]
+    # one job list: every sweep cell, then every probe cell at the finest scale
+    sweep = sweep_runs(source, scales, n_real, seed)
+    cells = [(xi, cell_source, run_seed) for xi in xi_list
+             for scale_runs in sweep for cell_source, run_seed in scale_runs]
+    probe_runs = estimator_runs(at_scale(source, scales[-1]), n_real, seed)
+    frame = random_rotations(source.dim, n_frame, probe_seed)
+    iso = random_rotations(source.dim, n_iso, probe_seed)
+    if frame or iso:
+        for xi in xi_list:
+            probe_xis = [xi, *(rot @ xi for rot in frame), *(xi @ rot for rot in iso)]
+            cells += [(probe_xi, cell_source, run_seed) for probe_xi in probe_xis
+                      for cell_source, run_seed in probe_runs]
+    outcome = _solve_cells(cells, model, restarts, settings, args.jobs)
+
     # indexed like xi_list; a failed xi keeps its slot as None
-    estimates = [est for est, _ in outcomes]
-    failures = [
-        {"xi_id": xi_id, "error": error}
-        for xi_id, (_, error) in enumerate(outcomes)
-        if error is not None
-    ]
+    estimates, failures = [], []
+    for xi_id, xi in enumerate(xi_list):
+        cell_outcomes = [[outcome(xi, cell_source, run_seed)
+                          for cell_source, run_seed in scale_runs] for scale_runs in sweep]
+        try:
+            estimates.append(sweep_estimate(xi, scales, sweep, cell_outcomes))
+        except RuntimeError as exc:  # a scale without a successful cell
+            estimates.append(None)
+            failures.append({"xi_id": xi_id, "error": failure_reason(exc)})
+
+    def estimator(xi):
+        """Mean density over the probe cells, as cell_estimator computes it."""
+        values = []
+        for cell_source, run_seed in probe_runs:
+            solution = outcome(xi, cell_source, run_seed)
+            if isinstance(solution, Exception):
+                raise solution
+            values.append(solution.value)
+        return float(np.mean(values))
+
+    probes = _probe_entries(xi_list, estimator, frame, iso)
     ok_cells = sum(s.stats.n for est in estimates if est is not None for s in est.per_h)
     out = _out_dir(cfg, args)
     if ok_cells:
         write_estimates_csv(out / "homogenize.csv", estimates)
-    probes = _run_probes(section.get("probes"), at_scale(source, scales[-1]), model,
-                         xi_list, n_real, seed, restarts, settings)
     summary = summary_dict(estimates, probes)
     if failures:
         summary["failed"] = failures
@@ -416,46 +524,15 @@ def cmd_homogenize(cfg: dict, args) -> int:
     return 0 if ok_cells >= 1 else 4
 
 
-def _run_probes(probe_cfg, source, model, xi_list, n_real, seed, restarts, settings):
-    """Probe entries by xi index at the finest scale `source`; an xi whose
-    estimator fails gets {"error": reason} instead."""
-    if not probe_cfg:
-        return {}
-    _check_keys(probe_cfg, {"frame_rotations", "isotropy_rotations", "seed"},
-                "homogenize.probes")
-    probe_seed = int(probe_cfg.get("seed", 0))
-    estimator = cell_estimator(source, model, n_realizations=n_real, seed=seed,
-                               restarts=restarts, settings=settings)
-    out = {}
-    n_frame = int(probe_cfg.get("frame_rotations", 0))
-    n_iso = int(probe_cfg.get("isotropy_rotations", 0))
-    for xi_id, xi in enumerate(xi_list):
-        entry = {}
-        try:
-            if n_frame > 0:
-                entry["frame_invariance_deviation"] = frame_invariance_probe(
-                    estimator, xi, rotation_count=n_frame, seed=probe_seed
-                )
-            if n_iso > 0:
-                entry["isotropy_deviation"] = isotropy_probe(
-                    estimator, xi, rotation_count=n_iso, seed=probe_seed
-                )
-        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
-            entry = {"error": failure_reason(exc)}
-        if entry:
-            out[str(xi_id)] = entry
-    return out
-
-
 def cmd_counterexample(cfg: dict, args) -> int:
     section = cfg.get("counterexample", {})
     _check_keys(section, {"stiffness", "f", "m", "diagonal", "step"}, "counterexample")
     result = anisotropy_counterexample(
-        stiffness=float(section.get("stiffness", 1.0)),
-        f=float(section.get("f", 1.0)),
+        stiffness=_number(section.get("stiffness", 1.0), "counterexample: stiffness"),
+        f=_number(section.get("f", 1.0), "counterexample: f"),
         m=_scale(section.get("m", 1), True, "counterexample"),
         diagonal=_diagonal(section.get("diagonal", "nw"), "counterexample"),
-        step=float(section.get("step", 1e-3)),
+        step=_number(section.get("step", 1e-3), "counterexample: step"),
     )
     payload = {
         "stiffness_diag": result.stiffness_diag,
@@ -485,11 +562,14 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for sweeps")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker cap for homogenize cells (probes included)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be at least 1")
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, FullyConstrainedError) as exc:

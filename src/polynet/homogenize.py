@@ -119,14 +119,17 @@ def at_scale(source: PeriodicCell | StochasticCell, scale, lattice_seed: int | N
     return replace(source, h=float(scale), lattice=lattice)
 
 
-def solve_cell_problem(problem: CellProblem) -> CellSolution:
+def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSolution:
     """Minimize over the interior with the affine layer pinned.
 
-    When the layer swallows every vertex the admissible set is the single
-    affine state and its energy is returned directly (this happens for the
-    coarsest meshes, where 2h exceeds the inradius).
+    mesh is the source's mesh when the caller has built it already (see
+    solve_cell_problems); by default it is built here.  When the layer
+    swallows every vertex the admissible set is the single affine state and
+    its energy is returned directly (this happens for the coarsest meshes,
+    where 2h exceeds the inradius).
     """
-    mesh = build_cell_mesh(problem.source)
+    if mesh is None:
+        mesh = build_cell_mesh(problem.source)
     depth = default_layer_depth(problem.source, mesh)
     layer = boundary_layer(mesh, depth)
     affine = affine_positions(mesh, problem.xi)
@@ -149,6 +152,33 @@ def solve_cell_problem(problem: CellProblem) -> CellSolution:
     return CellSolution(
         best.energy, best.grad_norm, best.iterations, best.converged, n_free, mesh.h
     )
+
+
+def solve_cell_problems(problems: list[CellProblem]) -> list:
+    """Each problem's CellSolution, or the ValueError or RuntimeError (every
+    polynet error is one) it raised, in order.
+
+    Consecutive problems with the same source share one mesh, built once and
+    dropped when the source changes; a source whose build raises gives that
+    error to each of its problems.
+    """
+    outcomes = []
+    source = mesh = None
+    for problem in problems:
+        if problem.source != source:
+            source = problem.source
+            try:
+                mesh = build_cell_mesh(source)
+            except (ValueError, RuntimeError) as exc:
+                mesh = exc
+        if isinstance(mesh, Exception):
+            outcomes.append(mesh)
+            continue
+        try:
+            outcomes.append(solve_cell_problem(problem, mesh))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def cell_energy_density(problem: CellProblem) -> float:
@@ -290,6 +320,31 @@ def _realization_seed(base_seed: int, scale_index: int, realization: int) -> int
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[list]:
+    """The cells of a sweep as (cell source, run seed), one list per scale
+    with one entry per realization (a single one for periodic sources).
+
+    The seeds depend on (seed, scale index, realization) only, never on xi,
+    so every xi of a sweep solves on the same meshes.
+    """
+    if isinstance(source, PeriodicCell):
+        n_realizations = 1
+    runs = []
+    for s_idx, scale in enumerate(scales):
+        seeds = [_realization_seed(seed, s_idx, r) for r in range(n_realizations)]
+        runs.append([(at_scale(source, scale, s), s) for s in seeds])
+    return runs
+
+
+def estimator_runs(source, n_realizations: int = 1, seed: int = 0) -> list[tuple]:
+    """The cells of cell_estimator as (cell source, run seed): the source
+    itself with problem seed `seed` (periodic), or n_realizations lattices
+    seeded as the first scale of a sweep (stochastic)."""
+    if isinstance(source, PeriodicCell):
+        return [(source, seed)]
+    return sweep_runs(source, [source.h], n_realizations, seed)[0]
+
+
 def estimate_whom(
     xi,
     scales,
@@ -322,33 +377,41 @@ def estimate_whom(
         raise ValueError("need at least 2 scales for a convergence sweep")
     if on_error not in ("raise", "record"):
         raise ValueError("on_error must be 'raise' or 'record'")
-    periodic = isinstance(source, PeriodicCell)
-    if periodic:
-        n_realizations = 1
-    if n_realizations < 1:
+    if n_realizations < 1 and not isinstance(source, PeriodicCell):
         raise ValueError("n_realizations must be at least 1")
 
-    per_h: list[ScaleEstimate] = []
-    for s_idx, scale in enumerate(scales):
-        records = []
-        for real in range(n_realizations):
-            run_seed = _realization_seed(seed, s_idx, real)
+    runs = sweep_runs(source, scales, n_realizations, seed)
+    outcomes = []
+    for scale_runs in runs:
+        outcomes.append([])
+        for cell_source, run_seed in scale_runs:
             try:
-                problem = CellProblem(
-                    xi=xi,
-                    source=at_scale(source, scale, run_seed),
-                    model=model,
-                    restarts=restarts,
-                    seed=run_seed,
-                    settings=settings,
-                )
-                sol = solve_cell_problem(problem)
+                problem = CellProblem(xi=xi, source=cell_source, model=model,
+                                      restarts=restarts, seed=run_seed, settings=settings)
+                outcomes[-1].append(solve_cell_problem(problem))
             except (ValueError, RuntimeError) as exc:
                 if on_error == "raise":
                     raise
+                outcomes[-1].append(exc)
+    return sweep_estimate(xi, scales, runs, outcomes)
+
+
+def sweep_estimate(xi, scales, runs, outcomes) -> HomogEstimate:
+    """The HomogEstimate of one xi from its cells' outcomes.
+
+    runs is sweep_runs' list; outcomes holds, in the same layout, each
+    cell's CellSolution or the exception it failed with.  A scale with no
+    successful cell raises a RuntimeError naming the first cell's reason.
+    """
+    periodic = isinstance(runs[0][0][0], PeriodicCell)
+    per_h: list[ScaleEstimate] = []
+    for scale, scale_runs, scale_outcomes in zip(scales, runs, outcomes):
+        records = []
+        for real, ((_, run_seed), sol) in enumerate(zip(scale_runs, scale_outcomes)):
+            if isinstance(sol, Exception):
                 records.append(
                     CellRecord(scale, real, run_seed, math.nan, math.nan, 0, "failed",
-                               failure_reason(exc))
+                               failure_reason(sol))
                 )
                 continue
             records.append(
@@ -425,12 +488,17 @@ def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError("rotations supported in dimension 2 and 3 only")
 
 
+def random_rotations(dim: int, count: int, seed: int) -> list[np.ndarray]:
+    """The rotations a probe draws when none are given: `count` of
+    random_rotation from a generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    return [random_rotation(dim, rng) for _ in range(count)]
+
+
 def _probe(estimator, xi, rotation_count, seed, rotations, side: str) -> float:
     xi = np.asarray(xi, dtype=float)
-    dim = xi.shape[0]
     if rotations is None:
-        rng = np.random.default_rng(seed)
-        rotations = [random_rotation(dim, rng) for _ in range(rotation_count)]
+        rotations = random_rotations(xi.shape[0], rotation_count, seed)
     base = float(estimator(xi))
     denom = max(abs(base), np.finfo(float).tiny)
     worst = 0.0
@@ -550,21 +618,20 @@ def cell_estimator(
     scale of estimate_whom; the seeds are fixed by the factory, so different
     xi are evaluated on the same meshes (common random numbers) and
     deviations between xi reflect anisotropy rather than sampling noise.
+    Each mesh is built once, on first use, and kept by the estimator.
     """
-    if isinstance(source, PeriodicCell):
-        runs = [(source, seed)]
-    else:
-        seeds = [_realization_seed(seed, 0, r) for r in range(n_realizations)]
-        runs = [(at_scale(source, source.h, s), s) for s in seeds]
+    runs = estimator_runs(source, n_realizations, seed)
+    meshes = {}
 
     def estimator(xi):
-        return float(np.mean([
-            cell_energy_density(
-                CellProblem(xi=xi, source=cell_source, model=model,
-                            restarts=restarts, seed=run_seed, settings=settings)
-            )
-            for cell_source, run_seed in runs
-        ]))
+        values = []
+        for cell_source, run_seed in runs:
+            problem = CellProblem(xi=xi, source=cell_source, model=model,
+                                  restarts=restarts, seed=run_seed, settings=settings)
+            if cell_source not in meshes:
+                meshes[cell_source] = build_cell_mesh(cell_source)
+            values.append(solve_cell_problem(problem, meshes[cell_source]).value)
+        return float(np.mean(values))
 
     return estimator
 

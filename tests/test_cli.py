@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 from pathlib import Path
 
@@ -217,6 +218,7 @@ def test_homogenize_jobs_flag_equivalence(tmp_path):
     assert main(["homogenize", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["homogenize", "--config", cfg, "--out", str(out2),
                  "--jobs", "2"]) == 0
+    assert gc.get_freeze_count() == 0  # frozen only while the workers fork
     assert (out1 / "homogenize.csv").read_bytes() == (
         out2 / "homogenize.csv"
     ).read_bytes()
@@ -344,10 +346,10 @@ def test_homogenize_failed_cell_reason_in_csv(tmp_path, monkeypatch):
 
     solve = homogenize.solve_cell_problem
 
-    def fail_first_realization(problem):
+    def fail_first_realization(problem, mesh=None):
         if problem.seed == homogenize._realization_seed(11, 0, 0):
             raise OptimizationError("line search failed")
-        return solve(problem)
+        return solve(problem, mesh)
 
     monkeypatch.setattr(homogenize, "solve_cell_problem", fail_first_realization)
     payload = {
@@ -402,6 +404,7 @@ def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
     with pytest.raises(IndexError):
         main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
               "--jobs", jobs])
+    assert gc.get_freeze_count() == 0
 
 
 def test_homogenize_probe_bug_propagates(tmp_path, monkeypatch):
@@ -463,6 +466,22 @@ BAD_VALUES = {
     "h_list entry": ({"mesh": STOCHASTIC_2D,
                       "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
                                      "h_list": [0.2, -0.1]}}, "homogenize: h"),
+    "non-integral mesh m": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 2.7}},
+                            "mesh: m"),
+    "non-integral m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                                  "m_list": [2, 4.5]}}, "homogenize: m"),
+    "non-numeric m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                                 "m_list": [2, "x"]}}, "homogenize: m"),
+    "non-numeric h_list entry": ({"mesh": STOCHASTIC_2D,
+                                  "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                                 "h_list": [0.3, "x"]}}, "homogenize: h"),
+    "non-numeric n_realizations": ({"mesh": STOCHASTIC_2D,
+                                    "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                                   "h_list": [0.3, 0.25],
+                                                   "n_realizations": "x"}},
+                                   "homogenize: n_realizations"),
+    "non-numeric restarts": ({"solver": {"restarts": "x"}}, "solver: restarts"),
+    "non-numeric seed": ({"seed": "x"}, "seed"),
 }
 
 
@@ -488,3 +507,135 @@ def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {ctx}")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, HOMOGENIZE_PERIODIC)
+    out = tmp_path / "o"
+    assert main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("config error: --jobs")
+    assert not out.exists()
+
+
+BAD_PROBES = {
+    "unknown key": {"frame_rotation": 2},
+    "non-integer seed": {"frame_rotations": 2, "seed": "x"},
+    "negative rotations": {"frame_rotations": -3},
+    "fractional rotations": {"isotropy_rotations": 2.5},
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_PROBES))
+def test_homogenize_bad_probes_fail_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                    case, jobs):
+    # a cell solve would end the command with an IndexError
+    from polynet import homogenize
+
+    monkeypatch.setattr(homogenize, "solve_cell_problem", _raise_index_error)
+    payload = {**TWO_XI_PERIODIC, "homogenize": {
+        **TWO_XI_PERIODIC["homogenize"], "probes": BAD_PROBES[case]}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("config error: homogenize.probes")
+    assert not out.exists()
+
+
+# neither xi commutes with a rotation, so each has 5 distinct probe cells:
+# the base, shared by both probes, and 2 rotated xi per probe
+PERIODIC_PROBES = {
+    **HOMOGENIZE_PERIODIC,
+    "homogenize": {
+        "xi_list": [[[1.1, 0.0], [0.0, 0.9]], [[1.0, 0.1], [0.0, 1.0]]],
+        "m_list": [2, 4],
+        "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 1},
+    },
+}
+# R @ I and I @ R are the same bits, so the isotropy cells are the frame cells
+IDENTITY_PROBES = {**PERIODIC_PROBES, "homogenize": {
+    **PERIODIC_PROBES["homogenize"], "xi_list": [[[1.0, 0.0], [0.0, 1.0]]]}}
+STOCHASTIC_TWO_XI = {
+    "seed": 11,
+    "model": {"pair": {"kind": "quadratic-spring", "stiffness": 1.0}},
+    "mesh": STOCHASTIC_2D,
+    "homogenize": {
+        "xi_list": [[[1.2, 0.0], [0.0, 1.0]], [[1.0, 0.1], [0.0, 0.9]]],
+        "h_list": [0.3, 0.25],
+        "n_realizations": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("payload, builds, solves", [
+    (PERIODIC_PROBES, 2, 2 * (2 + 5)),  # m 2 and m 4, probes on the m 4 mesh
+    (IDENTITY_PROBES, 2, 2 + 3),
+    (STOCHASTIC_TWO_XI, 2 * 2, 2 * 2 * 2),  # scales x realizations
+], ids=["periodic with probes", "identity xi with probes", "stochastic"])
+def test_homogenize_builds_each_source_once(tmp_path, monkeypatch, payload, builds,
+                                            solves):
+    from polynet import homogenize
+
+    built, solved = [], []
+    build, solve = homogenize.build_cell_mesh, homogenize.solve_cell_problem
+
+    def counting_build(source):
+        built.append(source)
+        return build(source)
+
+    def counting_solve(problem, mesh=None):
+        solved.append(problem)
+        return solve(problem, mesh)
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    monkeypatch.setattr(homogenize, "solve_cell_problem", counting_solve)
+    cfg = write_config(tmp_path, payload)
+    assert main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == len(set(built)) == builds
+    assert len(solved) == solves
+
+
+def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, capsys):
+    payload = {**STOCHASTIC_TWO_XI, "homogenize": {
+        **STOCHASTIC_TWO_XI["homogenize"],
+        "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 3}}}
+    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, payload, capsys)
+    assert codes == [0, 0]
+    assert stdouts[0] == stdouts[1]
+    for name in ("homogenize.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    probes = json.loads((out1 / "summary.json").read_text())["probes"]
+    assert sorted(probes) == ["0", "1"]
+    assert all(set(entry) == {"frame_invariance_deviation", "isotropy_deviation"}
+               for entry in probes.values())
+
+
+def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(
+        tmp_path, monkeypatch, capsys):
+    # the pool's workers are forked after the patch, so --jobs 2 fails too
+    from polynet import homogenize
+    from polynet.meshing import InfeasibleLatticeError
+
+    build = homogenize.build_cell_mesh
+    bad_seed = homogenize._realization_seed(11, 1, 0)
+
+    def failing_build(source):
+        if source.lattice.seed == bad_seed:
+            raise InfeasibleLatticeError("no admissible lattice")
+        return build(source)
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", failing_build)
+    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, STOCHASTIC_TWO_XI, capsys)
+    assert codes == [0, 0]
+    assert stdouts[0] == stdouts[1]
+    for name in ("homogenize.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    with open(out1 / "homogenize.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [row for row in rows if row["status"] == "failed"]
+    assert len(rows) == 8
+    assert {(row["xi_id"], row["seed"]) for row in failed} == {
+        ("0", str(bad_seed)), ("1", str(bad_seed))}
+    assert all(row["error"] == "InfeasibleLatticeError: no admissible lattice"
+               for row in failed)

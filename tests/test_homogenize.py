@@ -394,6 +394,29 @@ def test_cell_estimator_equals_cell_energy_density():
     assert estimator(xi) == float(np.mean(values))
 
 
+def test_cell_estimator_builds_each_mesh_once(monkeypatch):
+    from polynet import homogenize
+
+    built = []
+    build = homogenize.build_cell_mesh
+
+    def counting_build(source):
+        built.append(source)
+        return build(source)
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    xi = np.diag([1.1, 0.9])
+    xis = [xi, rotation_2d(0.3) @ xi, xi @ rotation_2d(0.7), np.eye(2), xi]
+    estimator = cell_estimator(source, SPRING, n_realizations=2, seed=5)
+    values = [estimator(x) for x in xis]
+    assert len(built) == 2 and built[0] != built[1]
+    # the kept meshes give the bits of a fresh estimator's fresh meshes
+    fresh = [cell_estimator(source, SPRING, n_realizations=2, seed=5)(x) for x in xis]
+    assert values == fresh
+    assert len(built) == 2 + 2 * len(xis)
+
+
 def test_at_scale_sets_scale_and_reseeds():
     assert at_scale(PeriodicCell(m=2, dim=3), 8) == PeriodicCell(m=8, dim=3)
     stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)

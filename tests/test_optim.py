@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,26 @@ def test_pinned_coincident_vertices_still_raise():
         minimize(mesh, SPRING, bc, init=init)
 
 
+def test_split_pinned_kept_on_mesh_per_free_mask():
+    # the second minimize reuses the split of the first (same free mask), yet
+    # its pinned checks still see its own positions
+    mesh = two_triangles()
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                        vol=VolumetricParams(K=1.0, eta=0.0))
+    assert minimize(mesh, model, _face_bc(np.eye(2))).converged
+    split = mesh._cache["split"]
+    bc = _face_bc(np.diag([-1.0, 1.0]))
+    init = mesh.vertices - np.array([2.0, 0.0])
+    mask, targets = apply_bc(mesh, bc)
+    init[mask] = targets[mask]
+    with pytest.raises(InvertedElementError):
+        minimize(mesh, model, bc, init=init)
+    assert mesh._cache["split"] is split
+    left = BoundaryCondition(kind="dirichlet-face-free-traction", xi=np.eye(2), faces=("x-",))
+    assert minimize(mesh, SPRING, left).converged
+    assert mesh._cache["split"] is not split
+
+
 # The standard case of the solver's h -> 0 study: Matern hard-core (2D) or
 # jittered grid (3D) at intensity 1, r_min 0.3, R_cov 1, lattice seed 3,
 # the 2hR layer pinned.
@@ -417,3 +438,14 @@ def test_minimize_energy_includes_pinned_elements(dim, h):
     assert result.converged
     full = total_energy(mesh, result.state, LANGEVIN_VOL)
     assert abs(result.energy - full) <= 1e-13 * abs(full)
+
+
+def test_cell_solutions_on_a_shared_mesh_equal_fresh_ones():
+    problem = standard_problem(2, 0.1, LANGEVIN_VOL)
+    mesh = build_cell_mesh(problem.source)
+    split = None
+    for xi in (XI_2D, np.diag([0.9, 1.1]), XI_2D):
+        cell = replace(problem, xi=xi, restarts=2)
+        assert solve_cell_problem(cell, mesh) == solve_cell_problem(cell)
+        split = split or mesh._cache["split"]
+        assert mesh._cache["split"] is split
