@@ -19,6 +19,7 @@ from polynet import (
     cell_estimator,
     frame_invariance_probe,
     isotropy_probe,
+    random_rotations,
 )
 
 print("Directional stiffness of the 2D periodic lattice (quadratic springs)")
@@ -32,8 +33,8 @@ xi = np.array([[1.2, 0.0], [0.0, 1.0]])
 
 print("\nProbes on the periodic estimator (m = 10, about 200 elements)")
 periodic = cell_estimator(PeriodicCell(m=10, dim=2), spring)
-frame_dev = frame_invariance_probe(periodic, xi, rotation_count=4, seed=5)
-iso_dev = isotropy_probe(periodic, xi, rotation_count=4, seed=5)
+frame_dev = frame_invariance_probe(periodic, xi, random_rotations(2, 4, 5))
+iso_dev = isotropy_probe(periodic, xi, random_rotations(2, 4, 5))
 print(f"  frame invariance deviation W(R xi): {frame_dev:.2e}  (exact symmetry)")
 print(f"  isotropy deviation W(xi R):         {iso_dev:.4f}  (lattice anisotropy)")
 
@@ -42,6 +43,6 @@ lattice = StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0,
                                 r_min=0.3, R_cov=1.0, seed=0)
 stochastic = cell_estimator(StochasticCell(lattice, h=0.1, dim=2), spring,
                             n_realizations=8, seed=123)
-iso_dev_s = isotropy_probe(stochastic, xi, rotation_count=4, seed=5)
+iso_dev_s = isotropy_probe(stochastic, xi, random_rotations(2, 4, 5))
 print(f"  isotropy deviation:                 {iso_dev_s:.4f}")
 print(f"  periodic / stochastic deviation:    {iso_dev / iso_dev_s:.1f}x")

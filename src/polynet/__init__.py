@@ -68,6 +68,7 @@ from .homogenize import (
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
+    random_rotations,
     rank_one_convexity_sample,
     single_cell_oracle_2d,
     solve_cell_problem,

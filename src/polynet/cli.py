@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ import numpy as np
 from .assembly import BoundaryCondition, EnergyModel, FullyConstrainedError
 from .chains import ChainParams, PairPotential
 from .homogenize import (
-    CellProblem,
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
@@ -33,7 +34,7 @@ from .homogenize import (
     frame_invariance_probe,
     isotropy_probe,
     random_rotations,
-    solve_cell_problems,
+    solve_cells,
     summary_dict,
     sweep_estimate,
     sweep_runs,
@@ -123,19 +124,23 @@ def _integer(value, ctx: str, minimum: int | None = None) -> int:
 
 
 def _number(value, ctx: str) -> float:
+    """A finite number (JSON's NaN and Infinity are not)."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx} must be a number, not {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{ctx} must be a finite number, not {value!r}")
+    return number
 
 
 def _xi(value, dim: int, ctx: str) -> np.ndarray:
-    message = f"{ctx} must be a dim x dim matrix of numbers"
+    message = f"{ctx} must be a dim x dim matrix of finite numbers"
     try:
         xi = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(message) from exc
-    if xi.shape != (dim, dim):
+    if xi.shape != (dim, dim) or not np.isfinite(xi).all():
         raise ConfigError(message)
     return xi
 
@@ -277,21 +282,12 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
 
 def build_settings(cfg: dict) -> tuple[MinimizeSettings, int]:
     section = cfg.get("solver", {})
-    _check_keys(
-        section,
-        {"grad_tol", "max_iters", "memory", "c1", "c2", "restarts"},
-        "solver",
-    )
+    _check_keys(section, {"grad_tol", "max_iters", "restarts"}, "solver")
     grad_tol = section.get("grad_tol")
-    fields = {
-        "grad_tol": None if grad_tol is None else _number(grad_tol, "solver: grad_tol"),
-        "max_iters": _integer(section.get("max_iters", 2000), "solver: max_iters"),
-        "memory": _integer(section.get("memory", 10), "solver: memory"),
-        "armijo_c1": _number(section.get("c1", 1e-4), "solver: c1"),
-        "wolfe_c2": _number(section.get("c2", 0.9), "solver: c2"),
-    }
+    grad_tol = None if grad_tol is None else _number(grad_tol, "solver: grad_tol")
+    max_iters = _integer(section.get("max_iters", 2000), "solver: max_iters")
     try:
-        settings = MinimizeSettings(**fields)
+        settings = MinimizeSettings(grad_tol=grad_tol, max_iters=max_iters)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
     return settings, _integer(section.get("restarts", 1), "solver: restarts", 1)
@@ -392,29 +388,27 @@ def _split(items: list, parts: int) -> list[list]:
 
 
 def _solve_cells(cells, model, restarts, settings, jobs: int):
-    """Solve every distinct cell (xi, source, run seed) once; returns
-    outcome(xi, source, run seed), its CellSolution or the exception it
-    failed with.
+    """Solve every distinct cell (xi, source, run seed) once with solve_cells;
+    returns outcome(xi, source, run seed), its CellSolution or the exception
+    it failed with.
 
-    Cells are grouped by source and each group is split into at most `jobs`
+    The run seed only perturbs the starts of restarts after the first, so
+    with one restart cells that differ in it alone are solved once.  Cells
+    are grouped by source and each group is split into at most `jobs`
     contiguous chunks, so a chunk builds its source's mesh once; chunks run
     in a pool of `jobs` workers, or here when there is one worker or chunk.
     """
-    outcomes, groups = {}, {}
-    for xi, source, seed in cells:
-        key = (xi.tobytes(), source, seed)
-        if key in outcomes:
-            continue
-        try:
-            outcomes[key] = CellProblem(xi=xi, source=source, model=model,
-                                        restarts=restarts, seed=seed, settings=settings)
-        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
-            outcomes[key] = exc
-            continue
-        groups.setdefault(source, []).append(key)
-    chunks = [chunk for keys in groups.values() for chunk in _split(keys, jobs)]
-    batches = [[outcomes[key] for key in chunk] for chunk in chunks]
-    if jobs > 1 and len(batches) > 1:
+    def key(xi, source, seed):
+        return xi.tobytes(), source, seed if restarts > 1 else None
+
+    seen, groups = set(), {}
+    for cell in cells:
+        if key(*cell) not in seen:
+            seen.add(key(*cell))
+            groups.setdefault(cell[1], []).append(cell)
+    chunks = [chunk for group in groups.values() for chunk in _split(group, jobs)]
+    solve = partial(solve_cells, model=model, restarts=restarts, settings=settings)
+    if jobs > 1 and len(chunks) > 1:
         # Frozen while the workers fork, this process's objects stay out of
         # their collections (no copy-on-write of their headers).  Freezing
         # also restarts the collector's generation counts, so every run hands
@@ -422,15 +416,15 @@ def _solve_cells(cells, model, restarts, settings, jobs: int):
         # collection does not fall wherever this run's allocations left it.
         gc.freeze()
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-                solved = list(pool.map(solve_cell_problems, batches))
+            with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+                solved = list(pool.map(solve, chunks))
         finally:
             gc.unfreeze()
     else:
-        solved = [solve_cell_problems(batch) for batch in batches]
-    for chunk, results in zip(chunks, solved):
-        outcomes.update(zip(chunk, results))
-    return lambda xi, source, seed: outcomes[(xi.tobytes(), source, seed)]
+        solved = [solve(chunk) for chunk in chunks]
+    outcomes = {key(*cell): result for chunk, results in zip(chunks, solved)
+                for cell, result in zip(chunk, results)}
+    return lambda xi, source, seed: outcomes[key(xi, source, seed)]
 
 
 def _probe_entries(xi_list, estimator, frame, iso) -> dict:
@@ -442,9 +436,9 @@ def _probe_entries(xi_list, estimator, frame, iso) -> dict:
         try:
             if frame:
                 entry["frame_invariance_deviation"] = frame_invariance_probe(
-                    estimator, xi, rotations=frame)
+                    estimator, xi, frame)
             if iso:
-                entry["isotropy_deviation"] = isotropy_probe(estimator, xi, rotations=iso)
+                entry["isotropy_deviation"] = isotropy_probe(estimator, xi, iso)
         except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
             entry = {"error": failure_reason(exc)}
         if entry:
@@ -493,10 +487,8 @@ def cmd_homogenize(cfg: dict, args) -> int:
     # indexed like xi_list; a failed xi keeps its slot as None
     estimates, failures = [], []
     for xi_id, xi in enumerate(xi_list):
-        cell_outcomes = [[outcome(xi, cell_source, run_seed)
-                          for cell_source, run_seed in scale_runs] for scale_runs in sweep]
         try:
-            estimates.append(sweep_estimate(xi, scales, sweep, cell_outcomes))
+            estimates.append(sweep_estimate(xi, scales, sweep, outcome))
         except RuntimeError as exc:  # a scale without a successful cell
             estimates.append(None)
             failures.append({"xi_id": xi_id, "error": failure_reason(exc)})

@@ -72,6 +72,8 @@ class CellProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        if not np.isfinite(self.xi).all():
+            raise ValueError("xi must be finite")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.model.vol is not None:
@@ -123,7 +125,7 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
     """Minimize over the interior with the affine layer pinned.
 
     mesh is the source's mesh when the caller has built it already (see
-    solve_cell_problems); by default it is built here.  When the layer
+    solve_cells); by default it is built here.  When the layer
     swallows every vertex the admissible set is the single affine state and
     its energy is returned directly (this happens for the coarsest meshes,
     where 2h exceeds the inradius).
@@ -154,28 +156,32 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
     )
 
 
-def solve_cell_problems(problems: list[CellProblem]) -> list:
-    """Each problem's CellSolution, or the ValueError or RuntimeError (every
-    polynet error is one) it raised, in order.
+def solve_cells(cells, model: EnergyModel, restarts: int = 1,
+                settings: MinimizeSettings = DEFAULT_SETTINGS) -> list:
+    """Each cell (xi, cell source, run seed) solved as a CellProblem: its
+    CellSolution, or the ValueError or RuntimeError (every polynet error is
+    one) it raised, in order.
 
-    Consecutive problems with the same source share one mesh, built once and
-    dropped when the source changes; a source whose build raises gives that
-    error to each of its problems.
+    This is where a cell's error is caught and kept.  Consecutive cells with
+    the same source share one mesh, built for the first cell whose problem
+    is valid and dropped when the source changes; a source whose build
+    raises gives that error to each of its valid cells.
     """
     outcomes = []
     source = mesh = None
-    for problem in problems:
-        if problem.source != source:
-            source = problem.source
-            try:
-                mesh = build_cell_mesh(source)
-            except (ValueError, RuntimeError) as exc:
-                mesh = exc
-        if isinstance(mesh, Exception):
-            outcomes.append(mesh)
-            continue
+    for xi, cell_source, seed in cells:
+        if cell_source != source:
+            source, mesh = cell_source, None
         try:
-            outcomes.append(solve_cell_problem(problem, mesh))
+            problem = CellProblem(xi=xi, source=source, model=model,
+                                  restarts=restarts, seed=seed, settings=settings)
+            if mesh is None:
+                try:
+                    mesh = build_cell_mesh(source)
+                except (ValueError, RuntimeError) as exc:
+                    mesh = exc  # kept for the source's later cells
+            outcomes.append(mesh if isinstance(mesh, Exception)
+                            else solve_cell_problem(problem, mesh))
         except (ValueError, RuntimeError) as exc:
             outcomes.append(exc)
     return outcomes
@@ -270,8 +276,8 @@ class CellRecord:
     value: float
     grad_norm: float
     iterations: int
-    status: str = "ok"
-    error: str = ""  # "Type: message" of a failed cell, empty when ok
+    status: str = "ok"  # "ok", "max_iters" (stopped unconverged) or "failed"
+    error: str = ""  # "Type: message" of a failed cell, empty otherwise
 
 
 @dataclass
@@ -354,17 +360,16 @@ def estimate_whom(
     seed: int = 0,
     restarts: int = 1,
     settings: MinimizeSettings = DEFAULT_SETTINGS,
-    on_error: str = "raise",
 ) -> HomogEstimate:
     """Sweep cell problems over mesh scales (and realizations, if stochastic).
 
     source is a PeriodicCell or StochasticCell template; scales replaces its
     m (periodic) or h (stochastic) entry.  Periodic runs force one
     realization.  The expectation over lattice realizations is taken as a
-    sample mean with its standard error.  on_error "record" records a cell's
-    ValueError or RuntimeError (every polynet error is one) as its
-    failure_reason instead of raising; a scale with no successful cell
-    raises a RuntimeError naming the first cell's reason regardless.
+    sample mean with its standard error.  A cell's ValueError or
+    RuntimeError (every polynet error is one) is recorded as its
+    failure_reason; a scale with no successful cell raises a RuntimeError
+    naming the first cell's reason.
 
     The Cauchy diagnostic cauchy_gaps holds |v_{k+1} - v_k| over successive
     scales.  It should tend to zero as h shrinks, but need not decrease
@@ -375,39 +380,32 @@ def estimate_whom(
     scales = list(scales)
     if len(scales) < 2:
         raise ValueError("need at least 2 scales for a convergence sweep")
-    if on_error not in ("raise", "record"):
-        raise ValueError("on_error must be 'raise' or 'record'")
     if n_realizations < 1 and not isinstance(source, PeriodicCell):
         raise ValueError("n_realizations must be at least 1")
 
     runs = sweep_runs(source, scales, n_realizations, seed)
-    outcomes = []
-    for scale_runs in runs:
-        outcomes.append([])
-        for cell_source, run_seed in scale_runs:
-            try:
-                problem = CellProblem(xi=xi, source=cell_source, model=model,
-                                      restarts=restarts, seed=run_seed, settings=settings)
-                outcomes[-1].append(solve_cell_problem(problem))
-            except (ValueError, RuntimeError) as exc:
-                if on_error == "raise":
-                    raise
-                outcomes[-1].append(exc)
-    return sweep_estimate(xi, scales, runs, outcomes)
+    cells = [(xi, cell_source, run_seed) for scale_runs in runs
+             for cell_source, run_seed in scale_runs]
+    solved = solve_cells(cells, model, restarts, settings)
+    outcome = {(s, r): sol for (_, s, r), sol in zip(cells, solved)}
+    return sweep_estimate(xi, scales, runs, lambda _, s, r: outcome[(s, r)])
 
 
-def sweep_estimate(xi, scales, runs, outcomes) -> HomogEstimate:
+def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
     """The HomogEstimate of one xi from its cells' outcomes.
 
-    runs is sweep_runs' list; outcomes holds, in the same layout, each
-    cell's CellSolution or the exception it failed with.  A scale with no
-    successful cell raises a RuntimeError naming the first cell's reason.
+    runs is sweep_runs' list; outcome(xi, cell source, run seed) is that
+    cell's CellSolution or the exception it failed with.  A cell that
+    stopped at max_iters keeps its value under status "max_iters".  A scale
+    with no successful cell raises a RuntimeError naming the first cell's
+    reason.
     """
     periodic = isinstance(runs[0][0][0], PeriodicCell)
     per_h: list[ScaleEstimate] = []
-    for scale, scale_runs, scale_outcomes in zip(scales, runs, outcomes):
+    for scale, scale_runs in zip(scales, runs):
         records = []
-        for real, ((_, run_seed), sol) in enumerate(zip(scale_runs, scale_outcomes)):
+        for real, (cell_source, run_seed) in enumerate(scale_runs):
+            sol = outcome(xi, cell_source, run_seed)
             if isinstance(sol, Exception):
                 records.append(
                     CellRecord(scale, real, run_seed, math.nan, math.nan, 0, "failed",
@@ -422,18 +420,17 @@ def sweep_estimate(xi, scales, runs, outcomes) -> HomogEstimate:
                     sol.value,
                     sol.grad_norm,
                     sol.iterations,
+                    "ok" if sol.converged else "max_iters",
                 )
             )
-        values = np.array([r.value for r in records if r.status == "ok"])
+        values = np.array([r.value for r in records if r.status != "failed"])
         if values.size == 0:
             raise RuntimeError(
                 f"every cell problem failed at scale {scale}: {records[0].error}"
             )
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-        grad_norm = float(
-            max(r.grad_norm for r in records if r.status == "ok")
-        )
+        grad_norm = float(max(r.grad_norm for r in records if r.status != "failed"))
         h_val = records[0].scale if periodic else float(scale)
         per_h.append(
             ScaleEstimate(
@@ -489,16 +486,13 @@ def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_rotations(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """The rotations a probe draws when none are given: `count` of
-    random_rotation from a generator seeded with `seed`."""
+    """`count` rotations from random_rotation on a generator seeded with `seed`."""
     rng = np.random.default_rng(seed)
     return [random_rotation(dim, rng) for _ in range(count)]
 
 
-def _probe(estimator, xi, rotation_count, seed, rotations, side: str) -> float:
+def _probe(estimator, xi, rotations, side: str) -> float:
     xi = np.asarray(xi, dtype=float)
-    if rotations is None:
-        rotations = random_rotations(xi.shape[0], rotation_count, seed)
     base = float(estimator(xi))
     denom = max(abs(base), np.finfo(float).tiny)
     worst = 0.0
@@ -508,16 +502,14 @@ def _probe(estimator, xi, rotation_count, seed, rotations, side: str) -> float:
     return worst
 
 
-def frame_invariance_probe(estimator, xi, rotation_count: int = 8, seed: int = 0,
-                           rotations=None) -> float:
-    """Max relative deviation of W(R @ xi) from W(xi) over random rotations R."""
-    return _probe(estimator, xi, rotation_count, seed, rotations, "left")
+def frame_invariance_probe(estimator, xi, rotations) -> float:
+    """Max relative deviation of W(R @ xi) from W(xi) over the rotations R."""
+    return _probe(estimator, xi, rotations, "left")
 
 
-def isotropy_probe(estimator, xi, rotation_count: int = 8, seed: int = 0,
-                   rotations=None) -> float:
+def isotropy_probe(estimator, xi, rotations) -> float:
     """Max relative deviation of W(xi @ R) from W(xi); large means anisotropic."""
-    return _probe(estimator, xi, rotation_count, seed, rotations, "right")
+    return _probe(estimator, xi, rotations, "right")
 
 
 @dataclass

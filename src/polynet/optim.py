@@ -24,32 +24,31 @@ from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_b
 from .meshing import Mesh
 
 
+# L-BFGS history length and the strong Wolfe constants of the line search
+MEMORY = 10
+ARMIJO_C1 = 1e-4
+WOLFE_C2 = 0.9
+
+
 class OptimizationError(RuntimeError):
     """The line search cannot decrease the energy by a machine-precision margin."""
 
 
 @dataclass(frozen=True)
 class MinimizeSettings:
-    """Tolerances and limits of the quasi-Newton loop.
+    """Tolerance and iteration limit of the quasi-Newton loop.
 
     grad_tol None means the default rule 1e-8 * (1 + |E(init)|).
     """
 
     grad_tol: float | None = None
     max_iters: int = 2000
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    wolfe_c2: float = 0.9
 
     def __post_init__(self):
         if self.grad_tol is not None and not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
-        if not (0.0 < self.armijo_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < armijo_c1 < wolfe_c2 < 1")
 
 
 DEFAULT_SETTINGS = MinimizeSettings()
@@ -118,7 +117,7 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
     tol = settings.grad_tol
     if tol is None:
         tol = 1e-8 * (1.0 + abs(f))
-    history: deque = deque(maxlen=settings.memory)
+    history: deque = deque(maxlen=MEMORY)
 
     iterations = 0
     for iterations in range(settings.max_iters + 1):
@@ -138,7 +137,7 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
             )
             alpha, _, _, f_new, _, _ = line_search(
                 fun, grad, x, direction, gfk=g, old_fval=f,
-                c1=settings.armijo_c1, c2=settings.wolfe_c2,
+                c1=ARMIJO_C1, c2=WOLFE_C2,
             )
         if alpha is not None:  # scipy then also returns the energy at the step
             x_new = x + alpha * direction

@@ -29,6 +29,7 @@ from polynet.homogenize import (
     cell_estimator,
     estimate_whom,
     isotropy_probe,
+    random_rotations,
     single_cell_oracle_2d,
 )
 from polynet.meshing import (
@@ -286,14 +287,14 @@ def test_criterion_10_isotropy_contrast():
     spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
     xi = np.array([[1.2, 0.0], [0.0, 1.0]])
     periodic = cell_estimator(PeriodicCell(m=10, dim=2), spring)
-    dev_periodic = isotropy_probe(periodic, xi, rotation_count=4, seed=5)
+    dev_periodic = isotropy_probe(periodic, xi, random_rotations(2, 4, 5))
     lattice = StochasticLatticeSpec(
         kind="matern-hardcore", intensity=1.0, r_min=0.3, R_cov=1.0, seed=0
     )
     stochastic = cell_estimator(
         StochasticCell(lattice, h=0.1, dim=2), spring, n_realizations=8, seed=123
     )
-    dev_stochastic = isotropy_probe(stochastic, xi, rotation_count=4, seed=5)
+    dev_stochastic = isotropy_probe(stochastic, xi, random_rotations(2, 4, 5))
     # matched element counts: 2 m^2 = 200 vs ~2 x (intensity / h^2) in 2D
     sample_mesh = build_stochastic_mesh(
         StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0,

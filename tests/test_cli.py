@@ -340,6 +340,33 @@ def test_homogenize_failing_xi_keeps_indices(tmp_path, capsys):
     assert {row.split(",")[0] for row in rows[1:]} == {"1"}
 
 
+def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
+    # the h 0.25 cells are fully pinned (0 iterations); each h 0.15 cell
+    # stops after its one iteration with a gradient above tolerance
+    config = Path(__file__).resolve().parents[1] / "configs" / "homogenize_stochastic.json"
+    payload = json.loads(config.read_text())
+    payload["model"] = {"pair": {"kind": "langevin-chain"},
+                        "volumetric": {"K": 1.0, "eta": 0.1}}
+    payload["solver"] = {"max_iters": 1}
+    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, payload, capsys)
+    assert codes == [0, 0]
+    assert stdouts[0] == stdouts[1]
+    for name in ("homogenize.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    with open(out1 / "homogenize.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for row in rows:
+        expected = "ok" if float(row["h"]) == 0.25 else "max_iters"
+        assert (row["status"], row["error"]) == (expected, "")
+        assert np.isfinite(float(row["value"]))
+    # an unconverged cell keeps its value in the mean
+    per_h = json.loads((out1 / "summary.json").read_text())["estimates"][0]["per_h"]
+    assert [entry["n"] for entry in per_h] == [4, 4]
+    fine = [float(row["value"]) for row in rows if row["status"] == "max_iters"]
+    assert per_h[1]["mean"] == pytest.approx(np.mean(fine), rel=1e-15)
+
+
 def test_homogenize_failed_cell_reason_in_csv(tmp_path, monkeypatch):
     from polynet import homogenize
     from polynet.optim import OptimizationError
@@ -482,6 +509,21 @@ BAD_VALUES = {
                                    "homogenize: n_realizations"),
     "non-numeric restarts": ({"solver": {"restarts": "x"}}, "solver: restarts"),
     "non-numeric seed": ({"seed": "x"}, "seed"),
+    # JSON's NaN and Infinity parse as floats; the NaN xi used to exit 0
+    "NaN xi entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                     "xi_list": [[[float("nan"), 0.0], [0.0, 1.0]]]}},
+                     "homogenize: every xi"),
+    "infinite xi entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                          "xi_list": [[[1.0, 0.0], [0.0, float("inf")]]]}},
+                          "homogenize: every xi"),
+    "infinite stiffness": ({"model": {"pair": {"kind": "quadratic-spring",
+                                               "stiffness": float("inf")}}},
+                           "model.pair: stiffness"),
+    "NaN grad_tol": ({"solver": {"grad_tol": float("nan")}}, "solver: grad_tol"),
+    # the L-BFGS memory and line-search constants are fixed
+    "solver memory": ({"solver": {"memory": 10}}, "solver: unknown keys"),
+    "solver c1": ({"solver": {"c1": 1e-4}}, "solver: unknown keys"),
+    "solver c2": ({"solver": {"c2": 0.9}}, "solver: unknown keys"),
 }
 
 
@@ -568,9 +610,11 @@ STOCHASTIC_TWO_XI = {
 }
 
 
+# with one restart the probe base cell is the sweep's m 4 cell: it differs
+# only in its run seed, which a single run never uses
 @pytest.mark.parametrize("payload, builds, solves", [
-    (PERIODIC_PROBES, 2, 2 * (2 + 5)),  # m 2 and m 4, probes on the m 4 mesh
-    (IDENTITY_PROBES, 2, 2 + 3),
+    (PERIODIC_PROBES, 2, 2 * (2 + 4)),  # m 2 and m 4, probes on the m 4 mesh
+    (IDENTITY_PROBES, 2, 2 + 2),
     (STOCHASTIC_TWO_XI, 2 * 2, 2 * 2 * 2),  # scales x realizations
 ], ids=["periodic with probes", "identity xi with probes", "stochastic"])
 def test_homogenize_builds_each_source_once(tmp_path, monkeypatch, payload, builds,

@@ -17,8 +17,10 @@ from polynet.homogenize import (
     isotropy_probe,
     rank_one_convexity_sample,
     random_rotation,
+    random_rotations,
     single_cell_oracle_2d,
     solve_cell_problem,
+    solve_cells,
     summary_dict,
     write_estimates_csv,
 )
@@ -190,9 +192,38 @@ def test_estimate_whom_records_failures():
     )
     xi = np.diag([-1.0, 1.0])
     with pytest.raises(RuntimeError):
-        estimate_whom(xi, [2, 4], model, PeriodicCell(m=0), on_error="record")
-    with pytest.raises(ValueError):
-        estimate_whom(xi, [2, 4], model, PeriodicCell(m=0), on_error="bogus")
+        estimate_whom(xi, [2, 4], model, PeriodicCell(m=0))
+
+
+def test_cell_problem_rejects_non_finite_xi():
+    # a fully pinned cell would otherwise return the affine energy, NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CellProblem(xi=np.diag([bad, 1.0]), source=PeriodicCell(m=2), model=SPRING)
+
+
+def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
+    from polynet import homogenize
+
+    xi = np.diag([1.1, 0.9])
+    m4, bad_dim = PeriodicCell(m=4), PeriodicCell(m=2, dim=4)
+    expected = solve_cell_problem(CellProblem(xi=xi, source=m4, model=SPRING))
+    built = []
+    build = homogenize.build_cell_mesh
+
+    def counting_build(source):
+        built.append(source)
+        return build(source)
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    cells = [(np.diag([np.nan, 1.0]), m4, 0), (xi, m4, 0), (xi, m4, 1),
+             (xi, bad_dim, 0), (xi, bad_dim, 1)]
+    outcomes = solve_cells(cells, SPRING)
+    assert isinstance(outcomes[0], ValueError) and "finite" in str(outcomes[0])
+    assert outcomes[1].value == outcomes[2].value == expected.value
+    # a failed build is kept for the source's later cells, not retried
+    assert outcomes[3] is outcomes[4] and isinstance(outcomes[3], ValueError)
+    assert built == [m4, bad_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +232,25 @@ def test_estimate_whom_records_failures():
 
 def test_frame_invariance_identity_rotation_exact_zero():
     est = cell_estimator(PeriodicCell(m=4), SPRING)
-    dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), rotations=[np.eye(2)])
+    dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), [np.eye(2)])
     assert dev == 0.0
 
 
 def test_frame_invariance_periodic_quadratic():
     est = cell_estimator(PeriodicCell(m=4), SPRING)
-    dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), rotation_count=8, seed=0)
+    dev = frame_invariance_probe(est, np.diag([1.1, 0.9]), random_rotations(2, 8, 0))
     assert dev <= 1e-6
 
 
 def test_isotropy_probe_detects_lattice_anisotropy():
     est = cell_estimator(PeriodicCell(m=4), SPRING)
-    dev = isotropy_probe(est, np.diag([1.2, 1.0]), rotation_count=8, seed=0)
+    dev = isotropy_probe(est, np.diag([1.2, 1.0]), random_rotations(2, 8, 0))
     assert dev > 1e-2
 
 
 def test_isotropy_probe_identity_rotation_zero():
     est = cell_estimator(PeriodicCell(m=4), SPRING)
-    assert isotropy_probe(est, np.diag([1.2, 1.0]), rotations=[np.eye(2)]) == 0.0
+    assert isotropy_probe(est, np.diag([1.2, 1.0]), [np.eye(2)]) == 0.0
 
 
 def test_isotropy_probe_synthetic_monte_carlo_estimator():
@@ -237,8 +268,8 @@ def test_isotropy_probe_synthetic_monte_carlo_estimator():
         return estimator
 
     xi = np.diag([1.3, 0.9])
-    dev_small = isotropy_probe(direction_estimator(20), xi, rotation_count=6, seed=5)
-    dev_large = isotropy_probe(direction_estimator(5000), xi, rotation_count=6, seed=5)
+    dev_small = isotropy_probe(direction_estimator(20), xi, random_rotations(2, 6, 5))
+    dev_large = isotropy_probe(direction_estimator(5000), xi, random_rotations(2, 6, 5))
     assert dev_large < dev_small
     assert dev_large < 0.02
 

@@ -203,10 +203,6 @@ def test_settings_validation():
         MinimizeSettings(grad_tol=0.0)
     with pytest.raises(ValueError):
         MinimizeSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        MinimizeSettings(memory=0)
-    with pytest.raises(ValueError):
-        MinimizeSettings(armijo_c1=0.5, wolfe_c2=0.4)
 
 
 def test_line_search_failure_raises():
