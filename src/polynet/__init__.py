@@ -63,7 +63,6 @@ from .homogenize import (
     StochasticCell,
     anisotropy_counterexample,
     at_scale,
-    cell_energy_density,
     cell_estimator,
     estimate_whom,
     frame_invariance_probe,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .chains import PairPotential
 from .meshing import Mesh, cofactors, edge_columns
@@ -247,6 +246,8 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
     clipped below at 1e-8 of its maximum.  The volumetric term is left out.
     Applied to each component, it is the exact Hessian for quadratic springs.
     """
+    from scipy.sparse import coo_matrix
+
     geometry = _geometry(mesh)
     edge_i, edge_j, rest = geometry["edge_i"], geometry["edge_j"], geometry["rest"]
     # the state minimize has just evaluated, so it is usually cached

@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -504,16 +505,20 @@ def cmd_homogenize(cfg: dict, args) -> int:
         return float(np.mean(values))
 
     probes = _probe_entries(xi_list, estimator, frame, iso)
-    ok_cells = sum(s.stats.n for est in estimates if est is not None for s in est.per_h)
+    statuses = Counter(rec.status for est in estimates if est is not None
+                       for s in est.per_h for rec in s.records)
+    # the cells in the means: converged or stopped at max_iters
+    kept = statuses["ok"] + statuses["max_iters"]
     out = _out_dir(cfg, args)
-    if ok_cells:
+    if kept:
         write_estimates_csv(out / "homogenize.csv", estimates)
     summary = summary_dict(estimates, probes)
     if failures:
         summary["failed"] = failures
     write_json(out / "summary.json", summary)
-    print(f"cells ok: {ok_cells}")
-    return 0 if ok_cells >= 1 else 4
+    print(f"cells ok: {statuses['ok']}")
+    print(f"cells max_iters: {statuses['max_iters']}")
+    return 0 if kept >= 1 else 4
 
 
 def cmd_counterexample(cfg: dict, args) -> int:

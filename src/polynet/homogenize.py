@@ -187,11 +187,6 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     return outcomes
 
 
-def cell_energy_density(problem: CellProblem) -> float:
-    """Estimated homogenized density at the problem's scale: min energy / vol."""
-    return solve_cell_problem(problem).value
-
-
 # ---------------------------------------------------------------------------
 # Single-cell convex oracle for quadratic springs (periodic fluctuations)
 
@@ -680,6 +675,7 @@ def summary_dict(estimates: list[HomogEstimate | None], probes: dict | None = No
                         "mean": s.stats.mean,
                         "stderr": s.stats.stderr,
                         "n": s.stats.n,
+                        "n_max_iters": sum(r.status == "max_iters" for r in s.records),
                     }
                     for s in est.per_h
                 ],

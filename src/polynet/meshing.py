@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 
 class DegenerateGeometryError(ValueError):
@@ -278,6 +277,8 @@ def stochastic_lattice(spec: StochasticLatticeSpec, box) -> np.ndarray:
     marks = rng.random(count)
     alive = np.ones(count, dtype=bool)
     if count >= 2:
+        from scipy.spatial import cKDTree
+
         pairs = cKDTree(proposals).query_pairs(spec.r_min, output_type="ndarray")
         if pairs.size:
             mi, mj = marks[pairs[:, 0]], marks[pairs[:, 1]]
@@ -305,6 +306,8 @@ def _delaunay_simplices(points: np.ndarray):
     n, dim = points.shape
     if n < dim + 1:
         raise DegenerateGeometryError("need at least dim+1 points to triangulate")
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tri = Delaunay(points)
     except QhullError as exc:
@@ -366,6 +369,8 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
         raise ValueError("admissibility check needs at least 2 points")
     if not (r_claim > 0.0 and R_claim > 0.0):
         raise ValueError("claimed radii must be positive")
+    from scipy.spatial import cKDTree
+
     lo, hi = _box_arrays(box)
     tree = cKDTree(points)
     dists, _ = tree.query(points, k=2)

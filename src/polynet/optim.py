@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import line_search
-from scipy.sparse.linalg import splu
 
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
                        edge_stiffness_laplacian, energy_gradient, split_pinned,
@@ -126,6 +124,8 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
             return x, f, gnorm, iterations, True
         if iterations == settings.max_iters:
             break
+        # here, not at module level: a start that meets the tolerance never loads it
+        from scipy.optimize import line_search
 
         direction = _two_loop(g, history, precondition)
         if direction @ g >= 0.0:
@@ -198,6 +198,8 @@ def minimize(
         # factorized on first use: a start that is already critical never pays
         nonlocal lu
         if lu is None:
+            from scipy.sparse.linalg import splu
+
             stiffness = edge_stiffness_laplacian(active, state, model)
             # K_ff is symmetric positive definite: symmetric ordering, no pivoting
             lu = splu(stiffness[free][:, free], permc_spec="MMD_AT_PLUS_A",

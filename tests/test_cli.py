@@ -351,6 +351,8 @@ def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
     codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, payload, capsys)
     assert codes == [0, 0]
     assert stdouts[0] == stdouts[1]
+    # stdout counts the converged and the unconverged cells apart
+    assert stdouts[0] == "cells ok: 4\ncells max_iters: 4\n"
     for name in ("homogenize.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     with open(out1 / "homogenize.csv", newline="") as fh:
@@ -363,6 +365,7 @@ def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
     # an unconverged cell keeps its value in the mean
     per_h = json.loads((out1 / "summary.json").read_text())["estimates"][0]["per_h"]
     assert [entry["n"] for entry in per_h] == [4, 4]
+    assert [entry["n_max_iters"] for entry in per_h] == [0, 4]
     fine = [float(row["value"]) for row in rows if row["status"] == "max_iters"]
     assert per_h[1]["mean"] == pytest.approx(np.mean(fine), rel=1e-15)
 

@@ -10,7 +10,6 @@ from polynet.homogenize import (
     StochasticCell,
     anisotropy_counterexample,
     at_scale,
-    cell_energy_density,
     cell_estimator,
     estimate_whom,
     frame_invariance_probe,
@@ -48,7 +47,7 @@ def quadratic_density(xi):
 
 def test_cell_density_identity_quadratic():
     problem = CellProblem(xi=np.eye(2), source=PeriodicCell(m=4), model=SPRING)
-    assert cell_energy_density(problem) == 3.0
+    assert solve_cell_problem(problem).value == 3.0
 
 
 def test_cell_density_fully_pinned_coarse_mesh():
@@ -67,7 +66,7 @@ def test_cell_density_calibrated_chain_rest_energy():
     params = ChainParams(k=1.0, beta=1.0, c=base, n=1.0)
     model = EnergyModel(pair=PairPotential.langevin_chain(params))
     problem = CellProblem(xi=np.eye(2), source=PeriodicCell(m=4), model=model)
-    assert abs(cell_energy_density(problem)) <= 1e-12
+    assert abs(solve_cell_problem(problem).value) <= 1e-12
 
 
 def test_cell_problem_rejects_vol_with_small_det():
@@ -81,13 +80,13 @@ def test_cell_problem_rejects_vol_with_small_det():
 
 def test_cell_restarts_do_not_hurt_convex_problem():
     xi = np.array([[1.1, 0.0], [0.0, 0.9]])
-    one = cell_energy_density(
+    one = solve_cell_problem(
         CellProblem(xi=xi, source=PeriodicCell(m=4), model=SPRING, restarts=1)
-    )
-    multi = cell_energy_density(
+    ).value
+    multi = solve_cell_problem(
         CellProblem(xi=xi, source=PeriodicCell(m=4), model=SPRING,
                     restarts=3, seed=7)
-    )
+    ).value
     assert multi <= one + 1e-12
     assert abs(multi - one) <= 1e-9 * abs(one)
 
@@ -131,9 +130,9 @@ def test_oracle_agrees_with_refined_cell_estimates():
     xi = np.array([[1.1, 0.0], [0.0, 0.9]])
     oracle = single_cell_oracle_2d(xi)
     values = [
-        cell_energy_density(
+        solve_cell_problem(
             CellProblem(xi=xi, source=PeriodicCell(m=m), model=SPRING)
-        )
+        ).value
         for m in (1, 4, 16)
     ]
     for val in values:
@@ -390,7 +389,7 @@ def test_stochastic_estimator_common_random_numbers():
     assert dev < 0.2
 
 
-def test_cell_estimator_equals_cell_energy_density():
+def test_cell_estimator_equals_solve_cell_problem():
     from dataclasses import replace
 
     from polynet.homogenize import _realization_seed
@@ -401,9 +400,9 @@ def test_cell_estimator_equals_cell_energy_density():
                             vol=VolumetricParams(K=1.0, eta=0.1))
     squeeze = np.diag([0.4, 0.5])
     periodic = PeriodicCell(m=4)
-    expected = cell_energy_density(
+    expected = solve_cell_problem(
         CellProblem(xi=squeeze, source=periodic, model=chain_vol, restarts=3, seed=3)
-    )
+    ).value
     assert cell_estimator(periodic, chain_vol, seed=3, restarts=3)(squeeze) == expected
 
     xi = np.array([[1.1, 0.05], [0.0, 0.95]])
@@ -411,14 +410,14 @@ def test_cell_estimator_equals_cell_energy_density():
     stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
     seeds = [_realization_seed(5, 0, r) for r in range(3)]
     values = [
-        cell_energy_density(
+        solve_cell_problem(
             CellProblem(
                 xi=xi,
                 source=replace(stochastic, lattice=replace(LATTICE_2D, seed=s)),
                 model=SPRING,
                 seed=s,
             )
-        )
+        ).value
         for s in seeds
     ]
     estimator = cell_estimator(stochastic, SPRING, n_realizations=3, seed=5)

@@ -2,8 +2,10 @@
 
 Every name a module imports must be used in that module, and no import may
 reach into a private scipy module or name (one whose path has a component
-starting with an underscore).  The package __init__ is skipped: it imports
-only to re-export.
+starting with an underscore).  The package __init__ is skipped there: it
+imports only to re-export.  No module, __init__ included, imports scipy at
+top level: scipy loads inside the function that first needs it, so a run
+that never triangulates, factorizes or line-searches never pays its import.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polynet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imports(tree):
@@ -55,3 +58,17 @@ def test_no_private_scipy_import(path):
         and any(part.startswith("_") for part in full.split("."))
     )
     assert private == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_top_level_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top_level = sorted(
+        f"line {node.lineno}"
+        for node in tree.body
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy")
+    )
+    assert top_level == []

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.optimize import line_search
 
 from helpers import spring_oracle
@@ -261,8 +262,9 @@ def _refuse_factorization(*args, **kwargs):
 
 def test_critical_start_never_factorizes(monkeypatch):
     # the periodic affine state is already critical: no iteration, so the
-    # preconditioner is never applied and K is never factorized
-    monkeypatch.setattr(optim, "splu", _refuse_factorization)
+    # preconditioner is never applied and K is never factorized; minimize
+    # imports splu where it factorizes, so the scipy name is the one to patch
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", _refuse_factorization)
     mesh = periodic_mesh_2d(4)
     bc = BoundaryCondition(kind="affine-layer", xi=np.diag([1.2, 0.9]),
                            depth=2.0 * mesh.h)

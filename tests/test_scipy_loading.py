@@ -1,0 +1,59 @@
+"""scipy loads on first use, never on import: a periodic run loads none of it.
+
+Each check runs in a fresh interpreter, since the test process itself has
+imported scipy long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PERIODIC_RUNS = """
+from polynet.cli import main
+
+for command, name in (("homogenize", "homogenize_periodic"),
+                      ("mesh", "mesh_periodic"),
+                      ("counterexample", "counterexample")):
+    args = [command, "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}"]
+    if command == "homogenize":
+        args += ["--jobs", "1"]
+    assert main(args) == 0, command
+"""
+
+STOCHASTIC_MESH = """
+from polynet.meshing import StochasticLatticeSpec, build_stochastic_mesh
+
+spec = StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0, r_min=0.3,
+                             R_cov=1.0, seed=3)
+build_stochastic_mesh(spec, 0.25, 2)
+"""
+
+
+def scipy_modules_after(code, tmp_path):
+    """Names of the scipy modules loaded by running code in a fresh interpreter."""
+    script = "\n".join([
+        "import json, sys",
+        f"configs, out = {str(ROOT / 'configs')!r}, {str(tmp_path)!r}",
+        code,
+        'print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))',
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_periodic_runs_load_no_scipy(tmp_path):
+    assert scipy_modules_after(PERIODIC_RUNS, tmp_path) == []
+
+
+def test_stochastic_mesh_loads_scipy_spatial(tmp_path):
+    # positive control: the check sees scipy once a run needs it
+    assert "scipy.spatial" in scipy_modules_after(STOCHASTIC_MESH, tmp_path)
