@@ -45,6 +45,7 @@ from .assembly import (
     InvertedElementError,
     affine_positions,
     apply_bc,
+    energy_and_gradient,
     energy_gradient,
     total_energy,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import PairPotential
-from .meshing import Mesh, cofactors, edge_columns
+from .meshing import Mesh, cofactors, determinants, edge_columns
 from .volumetric import VolumetricParams, w_vol_eta_j
 
 UNIFORM_WEIGHTS = "uniform-h"
@@ -133,27 +133,35 @@ def _edge_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
     return summed[model.weight_mode]
 
 
-def _point_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
-    """Per-edge differences, lengths and stretches and, with a volumetric
-    term, per-element Jacobians and cofactors of the deformed edge matrix.
-
-    The line search evaluates energy and gradient at the same positions, so
-    the last state is kept on the mesh and reused while positions (compared
-    bit for bit) and model are unchanged; the energies and the gradient are
-    added to it on first use.
-    """
-    key = (positions.shape, positions.tobytes(), model)
-    state = mesh._cache.get("state")
-    if state is not None and state["key"] == key:
-        return state
+def _edges(mesh: Mesh, positions: np.ndarray):
+    """Per-edge deformed differences (one array per component), lengths and
+    stretches."""
     geometry = _geometry(mesh)
     delta = [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T]
     dist = np.sqrt(sum(d * d for d in delta))
-    state = {"key": key, "delta": delta, "dist": dist, "stretch": dist / geometry["rest"]}
+    return delta, dist, dist / geometry["rest"]
+
+
+def _point_state(mesh: Mesh, positions, model: EnergyModel, gradient: bool) -> dict:
+    """Per-edge differences, lengths and stretches and, with a volumetric
+    term, per-element Jacobians of the deformed edge matrix, checked.
+
+    For the gradient the state also holds the cofactors, and coincident
+    vertices are checked before inverted elements.
+    """
+    positions = np.asarray(positions, dtype=float)
+    delta, dist, stretch = _edges(mesh, positions)
+    state = {"delta": delta, "dist": dist, "stretch": stretch}
+    if gradient:
+        _check_not_coincident(state)
     if model.vol is not None:
-        state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
-        state["jac"] = det / geometry["det_x"]
-    mesh._cache["state"] = state
+        cols = edge_columns(positions, mesh.elements)
+        if gradient:
+            state["cof"], det = cofactors(cols)
+        else:
+            det = determinants(cols)
+        state["jac"] = det / _geometry(mesh)["det_x"]
+        _check_not_inverted(mesh, state, model.vol)
     return state
 
 
@@ -174,50 +182,53 @@ def _check_not_coincident(state: dict) -> None:
         )
 
 
-def _energy_state(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> dict:
-    """The point state with per-edge pair energies and per-element
-    volumetric energies added."""
-    state = _point_state(mesh, np.asarray(positions, dtype=float), model)
-    if model.vol is not None:
-        _check_not_inverted(mesh, state, model.vol)
-    if "pair" not in state:
-        state["pair"] = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
-        state["vol"] = (0.0 if model.vol is None else
-                        mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol))
-    return state
+def _volumetric_energies(mesh: Mesh, model: EnergyModel, state: dict):
+    return (0.0 if model.vol is None else
+            mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol))
+
+
+def _energy(mesh: Mesh, model: EnergyModel, state: dict, pair) -> float:
+    """Total energy from the per-edge pair energies `pair` of the state."""
+    total = model.f * float(_edge_weights(mesh, model) @ np.asarray(pair, dtype=float))
+    return total + float(np.sum(_volumetric_energies(mesh, model, state)))
 
 
 def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Per-element energies; their sum is the total energy."""
-    state = _energy_state(mesh, positions, model)
-    per_elem = state["pair"][_geometry(mesh)["elem_edge"]].sum(axis=0)
-    return _element_weights(mesh, model) * model.f * per_elem + state["vol"]
+    state = _point_state(mesh, positions, model, gradient=False)
+    pair = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
+    per_elem = pair[_geometry(mesh)["elem_edge"]].sum(axis=0)
+    return (_element_weights(mesh, model) * model.f * per_elem
+            + _volumetric_energies(mesh, model, state))
 
 
 def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
     """Total network energy of the deformed positions."""
-    state = _energy_state(mesh, positions, model)
-    pair = model.f * float(_edge_weights(mesh, model) @ state["pair"])
-    return pair + float(np.sum(state["vol"]))
+    state = _point_state(mesh, positions, model, gradient=False)
+    return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
 
 
 def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Exact analytic gradient of total_energy, one d-vector per vertex."""
-    state = _point_state(mesh, np.asarray(positions, dtype=float), model)
-    _check_not_coincident(state)
-    if model.vol is not None:
-        _check_not_inverted(mesh, state, model.vol)
-    if "grad" not in state:
-        state["grad"] = _gradient(mesh, model, state)
-    return state["grad"].copy()
+    state = _point_state(mesh, positions, model, gradient=True)
+    return _gradient(mesh, model, state, model.pair.derivative(state["stretch"]))
 
 
-def _gradient(mesh: Mesh, model: EnergyModel, state: dict) -> np.ndarray:
-    """One term per unique edge at each endpoint and, with a volumetric term,
-    the moment w'(J) cof(Q) / d! of every element at its corners, Q the
-    deformed edge matrix; one bincount per component."""
+def energy_and_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
+    """(total_energy, energy_gradient) from one evaluation of the point state
+    and of the pair potential, with energy_gradient's checks."""
+    state = _point_state(mesh, positions, model, gradient=True)
+    pair, dW = model.pair.energy_and_derivative(state["stretch"])
+    return _energy(mesh, model, state, pair), _gradient(mesh, model, state, dW)
+
+
+def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
+    """One term per unique edge at each endpoint, dW the per-edge pair
+    derivative, and, with a volumetric term, the moment w'(J) cof(Q) / d! of
+    every element at its corners, Q the deformed edge matrix; one bincount
+    per component."""
     geometry = _geometry(mesh)
-    dW = np.asarray(model.pair.derivative(state["stretch"]), dtype=float)
+    dW = np.asarray(dW, dtype=float)
     coef = model.f * _edge_weights(mesh, model) * dW / (geometry["rest"] * state["dist"])
     moments = []
     if model.vol is not None:
@@ -238,20 +249,23 @@ def _gradient(mesh: Mesh, model: EnergyModel, state: dict) -> np.ndarray:
     return grad
 
 
-def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
-    """Scalar graph Laplacian of the unique edges, n x n sparse CSC.
+def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyModel,
+                             free: np.ndarray | None = None):
+    """Scalar graph Laplacian of the unique edges, sparse CSC, restricted to
+    the vertices of the boolean mask `free` (all of them by default).
 
     Edge weight (summed element weight) * f * W''(r_e) / rest_e^2, with W''
     a central difference of the pair derivative at the given positions,
     clipped below at 1e-8 of its maximum.  The volumetric term is left out.
     Applied to each component, it is the exact Hessian for quadratic springs.
+    The block is assembled directly: an edge adds its weight to the diagonal
+    of each free endpoint, and -weight off the diagonal when both are free.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csc_matrix
 
     geometry = _geometry(mesh)
     edge_i, edge_j, rest = geometry["edge_i"], geometry["edge_j"], geometry["rest"]
-    # the state minimize has just evaluated, so it is usually cached
-    stretch = _point_state(mesh, np.asarray(positions, dtype=float), model)["stretch"]
+    stretch = _edges(mesh, np.asarray(positions, dtype=float))[2]
     step = 1e-6
     d2w = (
         np.asarray(model.pair.derivative(stretch + step), dtype=float)
@@ -259,10 +273,16 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
     ) / (2.0 * step)
     d2w = np.maximum(d2w, 1e-8 * d2w.max())
     w = _edge_weights(mesh, model) * model.f * d2w / rest**2
-    rows = np.concatenate([edge_i, edge_j, edge_i, edge_j])
-    cols = np.concatenate([edge_j, edge_i, edge_i, edge_j])
     n = mesh.num_vertices
-    return coo_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(n, n)).tocsc()
+    free = np.ones(n, dtype=bool) if free is None else free
+    block = np.cumsum(free) - 1  # index of each free vertex in the block
+    diagonal = (np.bincount(edge_i, w, n) + np.bincount(edge_j, w, n))[free]
+    both = free[edge_i] & free[edge_j]
+    i, j, off = block[edge_i[both]], block[edge_j[both]], -w[both]
+    k = np.arange(diagonal.size)
+    return csc_matrix((np.concatenate([off, off, diagonal]),
+                       (np.concatenate([i, j, k]), np.concatenate([j, i, k]))),
+                      shape=(k.size, k.size))
 
 
 def _submesh(mesh: Mesh, keep: np.ndarray) -> Mesh:
@@ -277,11 +297,10 @@ def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: Ene
     The active sub-mesh holds the elements that touch a free vertex and keeps
     the vertex numbering; the other elements' energy stays constant.  They
     are checked once per call for what total_energy and energy_gradient of
-    the whole mesh raise on them.  Both sub-meshes, and with them their
-    geometry, stay on mesh for the last free mask, so restarts and further
-    xi on the same mesh split it once.
+    the whole mesh raise on them, from one state without cofactors.  Both
+    sub-meshes, and with them their geometry, stay on mesh for the last free
+    mask, so restarts and further xi on the same mesh split it once.
     """
-    positions = np.asarray(positions, dtype=float)
     key = free.tobytes()
     split = mesh._cache.get("split")
     if split is None or split[0] != key:
@@ -289,9 +308,9 @@ def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: Ene
         split = (key, _submesh(mesh, touches), _submesh(mesh, ~touches))
         mesh._cache["split"] = split
     _, active, pinned = split
-    energy = total_energy(pinned, positions, model)
-    _check_not_coincident(_point_state(pinned, positions, model))
-    return active, energy
+    state = _point_state(pinned, positions, model, gradient=False)
+    _check_not_coincident(state)
+    return active, _energy(pinned, model, state, model.pair.energy(state["stretch"]))
 
 
 _FACE_AXES = {"x": 0, "y": 1, "z": 2}

@@ -38,10 +38,14 @@ def inv_langevin_series(rho):
     Returns 3*rho + (9/5)*rho**3 + (297/175)*rho**5 + (1539/875)*rho**7.
     Total on finite reals; the physically meaningful range is |rho| < 1.
     """
-    rho = np.asarray(rho, dtype=float)
-    r2 = rho * rho
-    out = rho * (_C1 + r2 * (_C3 + r2 * (_C5 + r2 * _C7)))
+    out = _series(np.asarray(rho, dtype=float))
     return out if out.ndim else float(out)
+
+
+def _series(rho):
+    """The truncated inverse-Langevin series of a float array, in Horner form."""
+    r2 = rho * rho
+    return rho * (_C1 + r2 * (_C3 + r2 * (_C5 + r2 * _C7)))
 
 
 def _inv_langevin_series_prime(rho):
@@ -58,8 +62,10 @@ def _log_x_over_sinh(x):
     log a - a - log1p(-exp(-2a)) + log 2 avoids sinh overflow.
     """
     a = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(a)
     small = a < 1e-4
+    if not small.any():
+        return np.log(a) - a - np.log1p(-np.exp(-2.0 * a)) + _LN2
+    out = np.zeros_like(a)
     asml = a[small]
     out[small] = asml * asml * (asml * asml / 180.0 - 1.0 / 6.0)
     abig = a[~small]
@@ -70,8 +76,10 @@ def _log_x_over_sinh(x):
 def _langevin(x):
     """Langevin function coth x - 1/x with a series branch near the origin."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
     small = np.abs(x) < 0.05
+    if not small.any():
+        return 1.0 / np.tanh(x) - 1.0 / x
+    out = np.zeros_like(x)
     xs = x[small]
     x2 = xs * xs
     out[small] = xs * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
@@ -113,10 +121,8 @@ def chain_energy(r, params: ChainParams | None = None):
     is returned exactly.
     """
     p = params if params is not None else DEFAULT_CHAIN
-    r = np.asarray(r, dtype=float)
-    rho = r / math.sqrt(p.n)
-    x = rho * (_C1 + rho * rho * (_C3 + rho * rho * (_C5 + rho * rho * _C7)))
-    out = (p.k / p.beta) * p.n * (rho * x + _log_x_over_sinh(x)) - p.c / p.beta
+    rho, x = _stretch_and_series(r, p)
+    out = _chain_energy(p, rho, x)
     return out if out.ndim else float(out)
 
 
@@ -128,13 +134,25 @@ def chain_energy_derivative(r, params: ChainParams | None = None):
     Vanishes at r = 0.
     """
     p = params if params is not None else DEFAULT_CHAIN
-    r = np.asarray(r, dtype=float)
-    rho = r / math.sqrt(p.n)
-    x = rho * (_C1 + rho * rho * (_C3 + rho * rho * (_C5 + rho * rho * _C7)))
-    out = (p.k / p.beta) * math.sqrt(p.n) * (
+    rho, x = _stretch_and_series(r, p)
+    out = _chain_derivative(p, rho, x)
+    return out if out.ndim else float(out)
+
+
+def _stretch_and_series(r, p: ChainParams):
+    """rho = r / sqrt(n) and the series x(rho), as float arrays."""
+    rho = np.asarray(r, dtype=float) / math.sqrt(p.n)
+    return rho, _series(rho)
+
+
+def _chain_energy(p: ChainParams, rho, x):
+    return (p.k / p.beta) * p.n * (rho * x + _log_x_over_sinh(x)) - p.c / p.beta
+
+
+def _chain_derivative(p: ChainParams, rho, x):
+    return (p.k / p.beta) * math.sqrt(p.n) * (
         x + (rho - _langevin(x)) * _inv_langevin_series_prime(rho)
     )
-    return out if out.ndim else float(out)
 
 
 def quadratic_spring_energy(r, stiffness: float = 1.0):
@@ -191,6 +209,15 @@ class PairPotential:
         if self.kind == LANGEVIN_CHAIN:
             return chain_energy_derivative(r, self.chain)
         return quadratic_spring_derivative(r, self.stiffness)
+
+    def energy_and_derivative(self, r):
+        """(energy(r), derivative(r)) of a float array r, sharing the chain's
+        series; each equals the separate call's result bit for bit."""
+        if self.kind == LANGEVIN_CHAIN:
+            rho, x = _stretch_and_series(r, self.chain)
+            return _chain_energy(self.chain, rho, x), _chain_derivative(self.chain, rho, x)
+        return (quadratic_spring_energy(r, self.stiffness),
+                quadratic_spring_derivative(r, self.stiffness))
 
 
 @dataclass(frozen=True)

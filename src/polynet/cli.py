@@ -135,6 +135,13 @@ def _number(value, ctx: str) -> float:
     return number
 
 
+def _list(value, ctx: str, minimum: int) -> list:
+    """A JSON list of at least `minimum` entries."""
+    if not isinstance(value, list) or len(value) < minimum:
+        raise ConfigError(f"{ctx} must be a list of {minimum} or more entries, not {value!r}")
+    return value
+
+
 def _xi(value, dim: int, ctx: str) -> np.ndarray:
     message = f"{ctx} must be a dim x dim matrix of finite numbers"
     try:
@@ -273,11 +280,17 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
             depth = default_layer_depth(source, mesh)
         else:
             depth = _number(depth, "bc: depth")
+            if depth < 0.0:
+                raise ConfigError("bc: depth must be nonnegative")
         return BoundaryCondition(kind="affine-layer", xi=xi, depth=depth)
     if kind == "dirichlet-face-free-traction":
         _check_keys(section, {"kind", "xi", "faces"}, "bc")
-        faces = tuple(_need(section, "faces", "bc"))
-        return BoundaryCondition(kind=kind, xi=xi, faces=faces)
+        faces = _list(_need(section, "faces", "bc"), "bc: faces", 1)
+        names = [axis + side for axis in "xyz"[: source.dim] for side in "-+"]
+        unknown = [face for face in faces if face not in names]
+        if unknown:
+            raise ConfigError(f"bc: faces must be names from {names}, not {unknown}")
+        return BoundaryCondition(kind=kind, xi=xi, faces=tuple(faces))
     raise ConfigError(f"bc: unknown kind {kind!r}")
 
 
@@ -353,6 +366,10 @@ def cmd_minimize(cfg: dict, args) -> int:
     settings, _ = build_settings(cfg)
     min_cfg = cfg.get("minimize", {})
     _check_keys(min_cfg, {"write_positions"}, "minimize")
+    write_positions = min_cfg.get("write_positions", False)
+    if not isinstance(write_positions, bool):
+        raise ConfigError(f"minimize: write_positions must be true or false, "
+                          f"not {write_positions!r}")
     out = _out_dir(cfg, args)
     result = minimize(mesh, model, bc, settings=settings)
     payload = {
@@ -363,7 +380,7 @@ def cmd_minimize(cfg: dict, args) -> int:
     }
     write_json(out / "result.json", payload)
     print(_to_json(payload))
-    if min_cfg.get("write_positions", False):
+    if write_positions:
         lines = [f"{mesh.dim} {mesh.num_vertices}"]
         for row in result.state:
             lines.append(" ".join(f"{c:.17g}" for c in row))
@@ -457,18 +474,18 @@ def cmd_homogenize(cfg: dict, args) -> int:
         "homogenize",
     )
     xi_list = [_xi(x, source.dim, "homogenize: every xi")
-               for x in _need(section, "xi_list", "homogenize")]
+               for x in _list(_need(section, "xi_list", "homogenize"), "homogenize: xi_list", 1)]
     settings, restarts = build_settings(cfg)
     seed = _integer(cfg.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
 
     periodic = isinstance(source, PeriodicCell)
     scale_key = "m_list" if periodic else "h_list"
+    # a sweep needs at least 2 scales
     scales = [_scale(value, periodic, "homogenize")
-              for value in _need(section, scale_key, "homogenize")]
+              for value in _list(_need(section, scale_key, "homogenize"),
+                                 f"homogenize: {scale_key}", 2)]
     n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
                                          "homogenize: n_realizations", 1)
-    if len(scales) < 2:
-        raise ConfigError("homogenize: a sweep needs at least 2 scales")
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
 
     # one job list: every sweep cell, then every probe cell at the finest scale

@@ -91,9 +91,15 @@ def cofactors(cols: list):
     return cof, sum(x * y for x, y in zip(cols[0], cof[0]))
 
 
+def determinants(cols: list):
+    """det(A) alone, with the products of cofactors: column 0 of cof(A) only."""
+    first = (cols[1][1], -cols[1][0]) if len(cols) == 2 else _cross(cols[1], cols[2])
+    return sum(x * y for x, y in zip(cols[0], first))
+
+
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed simplex volumes det(edge matrix) / dim! for a batch of elements."""
-    return cofactors(edge_columns(vertices, elements))[1] / math.factorial(vertices.shape[1])
+    return determinants(edge_columns(vertices, elements)) / math.factorial(vertices.shape[1])
 
 
 def _make_mesh(dim: int, vertices: np.ndarray, elements: np.ndarray,

@@ -3,22 +3,25 @@
 A limited-memory quasi-Newton loop with a strong Wolfe line search drives
 every cell problem and boundary-value problem.  Its initial inverse Hessian
 is the inverse of the edge-stiffness Laplacian at the starting state,
-factorized once per minimize call on first use.  Energy is monotone
+factorized once per minimize call on first use.  The line search is written
+here (Nocedal & Wright, Alg. 3.5 and 3.6) and evaluates energy and gradient
+together, once per trial step; scipy.optimize is never imported, and
+scipy.sparse only at the first factorization.  Energy is monotone
 nonincreasing across accepted iterations; the run is deterministic for
 fixed inputs.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
-                       edge_stiffness_laplacian, energy_gradient, split_pinned,
-                       total_energy)
+                       edge_stiffness_laplacian, energy_and_gradient, split_pinned)
 from .meshing import Mesh
 
 
@@ -81,37 +84,140 @@ def _two_loop(grad, history, precondition):
     return -q
 
 
-def _gradient_contraction_step(fun, grad, x, f, g, direction, noise):
+class _Trial(NamedTuple):
+    """A trial step: its length, point, energy, gradient and the slope of the
+    energy along the search direction."""
+
+    alpha: float
+    x: np.ndarray
+    f: float
+    g: np.ndarray
+    slope: float
+
+
+def _trial(fg, x, direction, alpha: float) -> _Trial:
+    x_new = x + alpha * direction
+    f, g = fg(x_new)
+    return _Trial(alpha, x_new, float(f), g, float(g @ direction))
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a, or None."""
+    db, dc = b - a, c - a
+    rb, rc = fb - fa - fpa * db, fc - fa - fpa * dc
+    try:
+        denom = (db * dc) ** 2 * (db - dc)
+        A = (dc ** 2 * rb - db ** 2 * rc) / denom
+        B = (db ** 3 * rc - dc ** 3 * rb) / denom
+        xmin = a + (-B + math.sqrt(B * B - 3.0 * A * fpa)) / (3.0 * A)
+    except (ArithmeticError, ValueError):  # a zero division or a negative radical
+        return None
+    return xmin if math.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa at
+    a, or None."""
+    db = b - a
+    try:
+        xmin = a - fpa / (2.0 * ((fb - fa - fpa * db) / (db * db)))
+    except ArithmeticError:
+        return None
+    return xmin if math.isfinite(xmin) else None
+
+
+def _sufficient_decrease(trial: _Trial, start: _Trial) -> bool:
+    # written with <= so that a NaN energy fails it
+    return trial.f <= start.f + ARMIJO_C1 * trial.alpha * start.slope
+
+
+def _zoom(fg, x, direction, start: _Trial, lo: _Trial, hi: _Trial):
+    """Alg. 3.6: shrink [lo, hi], which holds a strong Wolfe step, by cubic
+    interpolation, else quadratic, else bisection; at most 11 trials."""
+    rec = start  # the point dropped last, the cubic's third
+    for i in range(11):
+        dalpha = hi.alpha - lo.alpha
+        a, b = min(lo.alpha, hi.alpha), max(lo.alpha, hi.alpha)
+        # the margins keep the sign of dalpha, as in scipy's _zoom
+        alpha = None
+        if i > 0:
+            margin = 0.2 * dalpha
+            alpha = _cubicmin(lo.alpha, lo.f, lo.slope, hi.alpha, hi.f, rec.alpha, rec.f)
+            if alpha is not None and (alpha > b - margin or alpha < a + margin):
+                alpha = None
+        if alpha is None:
+            margin = 0.1 * dalpha
+            alpha = _quadmin(lo.alpha, lo.f, lo.slope, hi.alpha, hi.f)
+            if alpha is None or alpha > b - margin or alpha < a + margin:
+                alpha = lo.alpha + 0.5 * dalpha
+        trial = _trial(fg, x, direction, alpha)
+        if not _sufficient_decrease(trial, start) or trial.f >= lo.f:
+            rec, hi = hi, trial
+            continue
+        if abs(trial.slope) <= -WOLFE_C2 * start.slope:
+            return trial
+        if trial.slope * dalpha >= 0.0:
+            rec, hi = hi, lo
+        else:
+            rec = lo
+        lo = trial
+    return None
+
+
+def _wolfe_search(fg, x, f, g, direction):
+    """A step along the descent direction that meets the strong Wolfe
+    conditions with ARMIJO_C1 and WOLFE_C2, as a _Trial, or None.
+
+    Alg. 3.5 of Nocedal & Wright (Numerical Optimization, 2nd ed.), with the
+    safeguards and caps of scipy's scalar_search_wolfe2: the first trial is
+    alpha = 1, the step doubles at most 9 times, and the zoom takes at most
+    11 trials.
+    """
+    start = _Trial(0.0, x, f, g, float(g @ direction))
+    prev, alpha = start, 1.0
+    for i in range(10):
+        trial = _trial(fg, x, direction, alpha)
+        if not _sufficient_decrease(trial, start) or (i > 0 and trial.f >= prev.f):
+            return _zoom(fg, x, direction, start, prev, trial)
+        if abs(trial.slope) <= -WOLFE_C2 * start.slope:
+            return trial
+        if trial.slope >= 0.0:
+            return _zoom(fg, x, direction, start, trial, prev)
+        prev, alpha = trial, 2.0 * alpha
+    return None
+
+
+def _gradient_contraction_step(fg, x, f, g, direction, noise):
     """Terminal-phase acceptance: once energy differences drop below machine
     precision, accept a step that contracts the gradient norm without raising
     the energy beyond noise level."""
     gnorm = np.linalg.norm(g)
     for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        x_new = x + alpha * direction
-        f_new = float(fun(x_new))
-        if not np.isfinite(f_new) or f_new > f + noise:
+        trial = _trial(fg, x, direction, alpha)
+        if not np.isfinite(trial.f) or trial.f > f + noise:
             continue
-        g_new = np.asarray(grad(x_new), dtype=float)
-        if np.linalg.norm(g_new) <= 0.9 * gnorm:
-            return x_new, f_new, g_new
+        if np.linalg.norm(trial.g) <= 0.9 * gnorm:
+            return trial
     return None
 
 
-def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
-          precondition=None):
+def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=None):
     """Generic L-BFGS on a flat vector; returns (x, f, grad_norm, iters, converged).
 
-    precondition, when given, maps a flat vector v to H0 v, H0 the initial
-    inverse Hessian; it is called once per iteration, never at a start that
-    meets the tolerance.  When the Wolfe line search along the quasi-Newton
-    direction fails, a step that contracts the gradient without raising the
-    energy beyond noise is tried; failing that, it raises OptimizationError.
+    fg maps a flat vector to (energy, gradient), the gradient a flat array;
+    it is called once per trial point.  precondition, when given, maps a
+    flat vector v to H0 v, H0 the initial inverse Hessian; it is called once
+    per iteration, never at a start that meets the tolerance.  When the
+    Wolfe line search along the quasi-Newton direction fails, a step that
+    contracts the gradient without raising the energy beyond noise is
+    tried; failing that, it raises OptimizationError.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = float(fun(x))
+    f, g = fg(x)
+    f = float(f)
     if not np.isfinite(f):
         raise ValueError("energy is not finite at the initial state")
-    g = np.asarray(grad(x), dtype=float)
     tol = settings.grad_tol
     if tol is None:
         tol = 1e-8 * (1.0 + abs(f))
@@ -124,38 +230,24 @@ def lbfgs(fun, grad, x0, settings: MinimizeSettings = DEFAULT_SETTINGS,
             return x, f, gnorm, iterations, True
         if iterations == settings.max_iters:
             break
-        # here, not at module level: a start that meets the tolerance never loads it
-        from scipy.optimize import line_search
-
         direction = _two_loop(g, history, precondition)
         if direction @ g >= 0.0:
             direction = -g
         noise = 1e-12 * (1.0 + abs(f))
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="The line search algorithm", category=RuntimeWarning
-            )
-            alpha, _, _, f_new, _, _ = line_search(
-                fun, grad, x, direction, gfk=g, old_fval=f,
-                c1=ARMIJO_C1, c2=WOLFE_C2,
-            )
-        if alpha is not None:  # scipy then also returns the energy at the step
-            x_new = x + alpha * direction
-            g_new = np.asarray(grad(x_new), dtype=float)
-        else:
-            step = _gradient_contraction_step(fun, grad, x, f, g, direction, noise)
-            if step is None:
-                raise OptimizationError(
-                    "line search failed: energy cannot decrease by a machine-"
-                    "precision margin and the gradient does not contract")
-            x_new, f_new, g_new = step
-        if f_new > f + noise:
+        step = _wolfe_search(fg, x, f, g, direction)
+        if step is None:
+            step = _gradient_contraction_step(fg, x, f, g, direction, noise)
+        if step is None:
+            raise OptimizationError(
+                "line search failed: energy cannot decrease by a machine-"
+                "precision margin and the gradient does not contract")
+        if step.f > f + noise:
             raise OptimizationError("line search produced an energy increase")
-        s, y = x_new - x, g_new - g
+        s, y = step.x - x, step.g - g
         sy = s @ y
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             history.append((s, y, 1.0 / sy))
-        x, f, g = x_new, float(f_new), g_new
+        x, f, g = step.x, step.f, step.g
 
     return x, f, float(np.linalg.norm(g)), iterations, False
 
@@ -186,11 +278,9 @@ def minimize(
         positions[free] = x.reshape(-1, mesh.dim)
         return positions
 
-    def fun(x):
-        return total_energy(active, unpack(x), model) + pinned_energy
-
-    def grad(x):
-        return energy_gradient(active, unpack(x), model)[free].ravel()
+    def fg(x):
+        energy, grad = energy_and_gradient(active, unpack(x), model)
+        return energy + pinned_energy, grad[free].ravel()
 
     lu = None
 
@@ -200,13 +290,13 @@ def minimize(
         if lu is None:
             from scipy.sparse.linalg import splu
 
-            stiffness = edge_stiffness_laplacian(active, state, model)
+            stiffness = edge_stiffness_laplacian(active, state, model, free)
             # K_ff is symmetric positive definite: symmetric ordering, no pivoting
-            lu = splu(stiffness[free][:, free], permc_spec="MMD_AT_PLUS_A",
+            lu = splu(stiffness, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return lu.solve(x.reshape(-1, mesh.dim)).ravel()
 
-    x, f, gnorm, iters, converged = lbfgs(fun, grad, state[free].ravel(), settings, precondition)
+    x, f, gnorm, iters, converged = lbfgs(fg, state[free].ravel(), settings, precondition)
     return MinimizeResult(
         state=unpack(x), energy=f, grad_norm=gnorm, iterations=iters, converged=converged
     )

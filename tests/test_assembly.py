@@ -12,6 +12,7 @@ from polynet.assembly import (
     InvertedElementError,
     apply_bc,
     element_energies,
+    energy_and_gradient,
     energy_gradient,
     total_energy,
 )
@@ -338,7 +339,20 @@ def test_kernel_matches_per_pair_oracle(kind, dim, h, model):
     assert plateau_seen or model.vol is None
 
 
+@pytest.mark.parametrize("model", [SPRING, CHAIN, LANGEVIN_VOL],
+                         ids=["spring", "langevin", "langevin+vol"])
+def test_energy_and_gradient_equal_separate_calls_bitwise(model):
+    rng = np.random.default_rng(11)
+    for kind, dim, h in (("matern-hardcore", 2, 0.1), ("jittered-grid", 3, 0.25)):
+        mesh = _stochastic_mesh(kind, dim, h)
+        state = mesh.vertices + 0.05 * mesh.h * rng.standard_normal(mesh.vertices.shape)
+        energy, grad = energy_and_gradient(mesh, state, model)
+        assert energy == total_energy(mesh, state, model)
+        np.testing.assert_array_equal(grad, energy_gradient(mesh, state, model))
+
+
 def test_state_cache_follows_in_place_mutation():
+    # no state outlives a call: results follow the positions passed in
     mesh = _stochastic_mesh("matern-hardcore", 2, 0.1)
     rng = np.random.default_rng(12)
     state = mesh.vertices + 0.05 * mesh.h * rng.standard_normal(mesh.vertices.shape)
@@ -356,6 +370,7 @@ def test_state_cache_follows_in_place_mutation():
 
 
 def test_state_cache_alternating_models():
+    # no state outlives a call: results follow the model passed in
     mesh = _stochastic_mesh("jittered-grid", 3, 0.25)
     rng = np.random.default_rng(13)
     state = mesh.vertices + 0.1 * mesh.h * rng.standard_normal(mesh.vertices.shape)
@@ -393,6 +408,8 @@ def test_coincident_checked_before_inverted():
         total_energy(mesh, state, model)
     with pytest.raises(CoincidentVerticesError):
         energy_gradient(mesh, state, model)
-    # a cached state does not skip the checks on the next call
+    with pytest.raises(CoincidentVerticesError):
+        energy_and_gradient(mesh, state, model)
+    # a call at the same positions checks them again
     with pytest.raises(InvertedElementError):
         total_energy(mesh, state, model)

@@ -6,6 +6,8 @@ import pytest
 
 from polynet.chains import (
     INV_LANGEVIN_COEFFS,
+    _langevin,
+    _log_x_over_sinh,
     ChainParams,
     GrowthBounds,
     PairPotential,
@@ -196,3 +198,25 @@ def test_growth_condition_input_validation():
         check_growth_condition(spring, GrowthBounds(8.0, 1.0, 1.0), r_max=0.0)
     with pytest.raises(ValueError):
         check_growth_condition(spring, GrowthBounds(8.0, 1.0, 1.0), 1.0, samples=1)
+
+
+def test_small_x_branches_leave_other_entries_bitwise_unchanged():
+    # an array with no small x skips the masked branches; its entries equal
+    # those computed beside small ones, through the masks
+    x = np.linspace(0.06, 3.0, 101)
+    mixed = np.concatenate([[0.0, 1e-5, 0.01], x])
+    np.testing.assert_array_equal(_log_x_over_sinh(mixed)[3:], _log_x_over_sinh(x))
+    np.testing.assert_array_equal(_langevin(mixed)[3:], _langevin(x))
+
+
+@pytest.mark.parametrize("potential", [
+    PairPotential.langevin_chain(),
+    PairPotential.langevin_chain(ChainParams(k=1.3, beta=0.7, c=0.2, n=4.0)),
+    PairPotential.quadratic_spring(1.7),
+], ids=["chain", "chain-params", "spring"])
+def test_energy_and_derivative_equal_separate_calls_bitwise(potential):
+    r = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.01, 2.5, 200)])
+    for sample in (r, r[3:]):  # with and without small-x entries
+        energy, derivative = potential.energy_and_derivative(sample)
+        np.testing.assert_array_equal(energy, potential.energy(sample))
+        np.testing.assert_array_equal(derivative, potential.derivative(sample))

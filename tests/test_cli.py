@@ -527,6 +527,16 @@ BAD_VALUES = {
     "solver memory": ({"solver": {"memory": 10}}, "solver: unknown keys"),
     "solver c1": ({"solver": {"c1": 1e-4}}, "solver: unknown keys"),
     "solver c2": ({"solver": {"c2": 0.9}}, "solver: unknown keys"),
+    # lists given as numbers raised TypeError; an empty xi_list exited 4
+    "xi_list number": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "xi_list": 1}},
+                       "homogenize: xi_list"),
+    "empty xi_list": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "xi_list": []}},
+                      "homogenize: xi_list"),
+    "m_list number": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "m_list": 4}},
+                      "homogenize: m_list"),
+    "h_list number": ({"mesh": STOCHASTIC_2D,
+                       "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "h_list": 0.3}},
+                      "homogenize: h_list"),
 }
 
 
@@ -552,6 +562,35 @@ def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {ctx}")
+
+
+FACE_BC = {"kind": "dirichlet-face-free-traction", "xi": [[1.2, 0.0], [0.0, 1.0]]}
+# each raised ValueError or TypeError out of the solve (exit 1)
+BAD_BC = {
+    "faces string": {**FACE_BC, "faces": "x-"},
+    "faces number": {**FACE_BC, "faces": 5},
+    "empty faces": {**FACE_BC, "faces": []},
+    "unknown face": {**FACE_BC, "faces": ["q+"]},
+    "face beyond dim": {**FACE_BC, "faces": ["x-", "z+"]},
+    "negative depth": {"kind": "affine-layer", "xi": [[1.2, 0.0], [0.0, 1.0]], "depth": -0.1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BC))
+def test_minimize_bad_bc_is_config_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, {**MINIMIZE_CALIBRATED, "bc": BAD_BC[case]})
+    out = tmp_path / "o"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bc:")
+    assert not out.exists()
+
+
+def test_minimize_write_positions_must_be_boolean(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**MINIMIZE_CALIBRATED, "minimize": {"write_positions": "no"}})
+    out = tmp_path / "o"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: minimize: write_positions")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -2,7 +2,9 @@
 
 Every name a module imports must be used in that module, and no import may
 reach into a private scipy module or name (one whose path has a component
-starting with an underscore).  The package __init__ is skipped there: it
+starting with an underscore).  scipy is imported from scipy.spatial,
+scipy.sparse and scipy.sparse.linalg only; the line search is polynet's own,
+so scipy.optimize never loads.  The package __init__ is skipped there: it
 imports only to re-export.  No module, __init__ included, imports scipy at
 top level: scipy loads inside the function that first needs it, so a run
 that never triangulates, factorizes or line-searches never pays its import.
@@ -72,3 +74,18 @@ def test_no_top_level_scipy_import(path):
             and (node.module or "").split(".")[0] == "scipy")
     )
     assert top_level == []
+
+
+SCIPY_ALLOWED = {"scipy.spatial", "scipy.sparse", "scipy.sparse.linalg"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_scipy_imported_from_spatial_and_sparse_only(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    other = sorted(m for m in modules
+                   if m.split(".")[0] == "scipy" and m not in SCIPY_ALLOWED)
+    assert other == []

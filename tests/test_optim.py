@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.optimize import line_search
 
 from helpers import spring_oracle
 from polynet import optim
@@ -38,6 +37,8 @@ from polynet.meshing import (
     periodic_mesh_3d,
 )
 from polynet.optim import (
+    ARMIJO_C1,
+    WOLFE_C2,
     MinimizeSettings,
     OptimizationError,
     lbfgs,
@@ -70,8 +71,7 @@ def test_lbfgs_solves_strictly_convex_quadratic():
 
     x_star = np.linalg.solve(q, -c)
     x, f, gnorm, iters, converged = lbfgs(
-        lambda x: 0.5 * x @ q @ x + c @ x,
-        lambda x: q @ x + c,
+        lambda x: (0.5 * x @ q @ x + c @ x, q @ x + c),
         rng.standard_normal(n),
         MinimizeSettings(grad_tol=1e-10, max_iters=500),
     )
@@ -85,8 +85,7 @@ def test_lbfgs_honest_nonconvergence_flag():
     a = rng.standard_normal((n, n))
     q = a @ a.T + 0.1 * np.eye(n)
     x, f, gnorm, iters, converged = lbfgs(
-        lambda x: 0.5 * x @ q @ x,
-        lambda x: q @ x,
+        lambda x: (0.5 * x @ q @ x, q @ x),
         rng.standard_normal(n),
         MinimizeSettings(grad_tol=1e-14, max_iters=1),
     )
@@ -97,7 +96,7 @@ def test_lbfgs_honest_nonconvergence_flag():
 
 def test_lbfgs_rejects_nonfinite_start():
     with pytest.raises(ValueError):
-        lbfgs(lambda x: float("nan"), lambda x: x, np.zeros(3))
+        lbfgs(lambda x: (float("nan"), x), np.zeros(3))
 
 
 def test_affine_state_is_critical_on_periodic_lattice():
@@ -206,36 +205,94 @@ def test_settings_validation():
         MinimizeSettings(max_iters=0)
 
 
+def inconsistent(x):
+    """f = x_0 with a gradient that claims f falls along +x_0."""
+    return float(x[0]), np.array([-1.0, 0.0])
+
+
 def test_line_search_failure_raises():
     # inconsistent gradient: every claimed descent direction increases f, so
     # neither the Wolfe search nor the steepest-descent fallback can decrease
     # the energy and the solver must raise instead of looping
-    def fun(x):
-        return float(x[0])
-
-    def grad(x):
-        return np.array([-1.0, 0.0])
-
     with pytest.raises(OptimizationError):
-        lbfgs(fun, grad, np.zeros(2), MinimizeSettings(grad_tol=1e-12, max_iters=10))
+        lbfgs(inconsistent, np.zeros(2), MinimizeSettings(grad_tol=1e-12, max_iters=10))
 
 
 def test_line_search_failure_lets_no_warning_escape():
-    # the inconsistent gradient of test_line_search_failure_raises: scipy's
-    # Wolfe search warns about it, and lbfgs silences exactly that warning
-    def fun(x):
-        return float(x[0])
-
-    def grad(x):
-        return np.array([-1.0, 0.0])
-
+    # the inconsistent gradient of test_line_search_failure_raises: the Wolfe
+    # search fails silently, and lbfgs raises without a warning
     x0 = np.zeros(2)
-    with pytest.warns(RuntimeWarning, match="^The line search algorithm"):
-        line_search(fun, grad, x0, -grad(x0), gfk=grad(x0), old_fval=fun(x0))
+    f0, g0 = inconsistent(x0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert optim._wolfe_search(inconsistent, x0, f0, g0, -g0) is None
         with pytest.raises(OptimizationError):
-            lbfgs(fun, grad, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
+            lbfgs(inconsistent, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
+
+
+def one_dimensional(fun, slope):
+    def fg(x):
+        return float(fun(x[0])), np.array([float(slope(x[0]))])
+    return fg
+
+
+# (energy, its derivative, start, search direction): "zoom" and
+# "quartic-zoom" need the zoom (alpha = 1 gives no sufficient decrease),
+# "doubling" doubles the step four times, and "more-thuente" is the first
+# test function of More & Thuente (ACM TOMS 20, 1994) with beta = 2
+SEARCHES = {
+    "zoom": (lambda t: (t - 3.0) ** 2, lambda t: 2.0 * (t - 3.0), 0.0, 6.0),
+    "doubling": (lambda t: (t - 100.0) ** 2, lambda t: 2.0 * (t - 100.0), 0.0, 1.0),
+    "more-thuente": (lambda t: -t / (t * t + 2.0),
+                     lambda t: (t * t - 2.0) / (t * t + 2.0) ** 2, 0.0, 1.0),
+    "quartic-zoom": (lambda t: t ** 4, lambda t: 4.0 * t ** 3, 1.0, -4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_wolfe_search_step_meets_both_strong_wolfe_conditions(name):
+    fun, slope, t0, d = SEARCHES[name]
+    fg = one_dimensional(fun, slope)
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return fg(x)
+
+    x0, direction = np.array([t0]), np.array([d])
+    f0, g0 = fg(x0)
+    step = optim._wolfe_search(counted, x0, f0, g0, direction)
+    assert step is not None
+    slope0 = slope(t0) * d
+    assert slope0 < 0.0
+    assert step.f <= f0 + ARMIJO_C1 * step.alpha * slope0
+    assert abs(slope(step.x[0]) * d) <= WOLFE_C2 * abs(slope0)
+    # the step comes with its own point, energy and gradient, each trial
+    # point evaluated once
+    np.testing.assert_array_equal(step.x, x0 + step.alpha * direction)
+    assert (step.f, step.g[0]) == (fun(step.x[0]), slope(step.x[0]))
+    np.testing.assert_array_equal(calls[-1], step.x)
+    assert len({c.tobytes() for c in calls}) == len(calls)
+    if name.endswith("zoom"):
+        assert fun(t0 + d) > f0 + ARMIJO_C1 * slope0
+    if name == "doubling":
+        assert step.alpha == 16.0
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_wolfe_search_takes_scipy_step(name):
+    # the search keeps the rules of scipy's scalar_search_wolfe2, which
+    # serves here as the reference
+    from scipy.optimize import line_search
+
+    fun, slope, t0, d = SEARCHES[name]
+    fg = one_dimensional(fun, slope)
+    x0, direction = np.array([t0]), np.array([d])
+    f0, g0 = fg(x0)
+    step = optim._wolfe_search(fg, x0, f0, g0, direction)
+    alpha = line_search(lambda x: fg(x)[0], lambda x: fg(x)[1], x0, direction, gfk=g0,
+                        old_fval=f0, c1=ARMIJO_C1, c2=WOLFE_C2)[0]
+    assert step.alpha == pytest.approx(alpha, rel=1e-12)
 
 
 def test_lbfgs_exact_inverse_hessian_converges_in_one_iteration():
@@ -244,15 +301,21 @@ def test_lbfgs_exact_inverse_hessian_converges_in_one_iteration():
     a = rng.standard_normal((n, n))
     q = a @ a.T + n * np.eye(n)
     c = rng.standard_normal(n)
+    evaluated = []
+
+    def fg(x):
+        evaluated.append(x)
+        return 0.5 * x @ q @ x + c @ x, q @ x + c
+
     x, f, gnorm, iters, converged = lbfgs(
-        lambda x: 0.5 * x @ q @ x + c @ x,
-        lambda x: q @ x + c,
+        fg,
         rng.standard_normal(n),
         MinimizeSettings(grad_tol=1e-9),
         precondition=lambda v: np.linalg.solve(q, v),
     )
     assert converged
     assert iters == 1
+    assert len(evaluated) == 2  # the start and the accepted unit step, once each
     np.testing.assert_allclose(x, np.linalg.solve(q, -c), rtol=1e-10, atol=1e-12)
 
 
@@ -289,8 +352,8 @@ def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
     xi = np.array([[1.2, 0.05], [0.0, 1.0]])
     built = []
 
-    def spy(mesh_, positions, model_):
-        built.append(edge_stiffness_laplacian(mesh_, positions, model_))
+    def spy(mesh_, positions, model_, free_):
+        built.append(edge_stiffness_laplacian(mesh_, positions, model_, free_))
         return built[-1]
 
     monkeypatch.setattr(optim, "edge_stiffness_laplacian", spy)
@@ -300,10 +363,14 @@ def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
     assert result.iterations <= 2
     assert len(built) == 1
 
-    # K is built on the elements that touch a free vertex, so only its free
-    # block K_ff, the block minimize factorizes, is the Hessian's
-    free = np.repeat(~apply_bc(mesh, bc)[0], 2)
+    # K_ff is built on the elements that touch a free vertex; it equals the
+    # free block of the whole mesh's K, and that block is the Hessian's
+    free_vertices = ~apply_bc(mesh, bc)[0]
+    free = np.repeat(free_vertices, 2)
     base = affine_positions(mesh, xi)
+    whole = edge_stiffness_laplacian(mesh, base, model).toarray()
+    np.testing.assert_allclose(built[0].toarray(), whole[free_vertices][:, free_vertices],
+                               rtol=1e-13, atol=0.0)
     g0 = energy_gradient(mesh, base, model).ravel()
     hessian = np.empty((g0.size, g0.size))
     for k in range(g0.size):
@@ -311,12 +378,13 @@ def test_minimize_builds_stiffness_from_volume_weights(monkeypatch):
         moved[k] += 1.0
         hessian[:, k] = energy_gradient(mesh, moved.reshape(base.shape), model).ravel() - g0
     hessian = hessian[free][:, free]
-    stiffness = np.kron(built[0].toarray(), np.eye(2))[free][:, free]
+    stiffness = np.kron(built[0].toarray(), np.eye(2))
     scale = np.abs(hessian).max()
     assert np.abs(stiffness - hessian).max() <= 1e-8 * scale
     uniform = EnergyModel(pair=model.pair, f=model.f)
-    other = np.kron(edge_stiffness_laplacian(mesh, base, uniform).toarray(), np.eye(2))
-    assert np.abs(other[free][:, free] - hessian).max() > 1e-2 * scale
+    other = np.kron(
+        edge_stiffness_laplacian(mesh, base, uniform, free_vertices).toarray(), np.eye(2))
+    assert np.abs(other - hessian).max() > 1e-2 * scale
 
 
 def two_triangles():

@@ -1,4 +1,5 @@
-"""scipy loads on first use, never on import: a periodic run loads none of it.
+"""scipy loads on first use, never on import: a periodic run loads none of it,
+and no run loads scipy.optimize.
 
 Each check runs in a fresh interpreter, since the test process itself has
 imported scipy long before.
@@ -33,6 +34,15 @@ build_stochastic_mesh(spec, 0.25, 2)
 """
 
 
+STOCHASTIC_RUN = """
+from polynet.cli import main
+
+args = ["homogenize", "--config", f"{configs}/homogenize_stochastic.json",
+        "--out", f"{out}/homogenize_stochastic", "--jobs", "1"]
+assert main(args) == 0
+"""
+
+
 def scipy_modules_after(code, tmp_path):
     """Names of the scipy modules loaded by running code in a fresh interpreter."""
     script = "\n".join([
@@ -57,3 +67,12 @@ def test_periodic_runs_load_no_scipy(tmp_path):
 def test_stochastic_mesh_loads_scipy_spatial(tmp_path):
     # positive control: the check sees scipy once a run needs it
     assert "scipy.spatial" in scipy_modules_after(STOCHASTIC_MESH, tmp_path)
+
+
+def test_stochastic_run_loads_no_scipy_optimize(tmp_path):
+    # it triangulates, factorizes and line-searches; the line search is
+    # polynet's own
+    loaded = scipy_modules_after(STOCHASTIC_RUN, tmp_path)
+    assert "scipy.spatial" in loaded
+    assert "scipy.sparse.linalg" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
