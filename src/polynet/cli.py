@@ -35,6 +35,7 @@ from .homogenize import (
     frame_invariance_probe,
     isotropy_probe,
     random_rotations,
+    runs_estimator,
     solve_cells,
     summary_dict,
     sweep_estimate,
@@ -390,7 +391,7 @@ def cmd_minimize(cfg: dict, args) -> int:
 
 def _probe_settings(section) -> tuple[int, int, int]:
     """(frame rotations, isotropy rotations, seed) of homogenize.probes."""
-    if not section:
+    if section is None:
         return 0, 0, 0
     ctx = "homogenize.probes"
     _check_keys(section, {"frame_rotations", "isotropy_rotations", "seed"}, ctx)
@@ -398,51 +399,22 @@ def _probe_settings(section) -> tuple[int, int, int]:
                  for key in ("frame_rotations", "isotropy_rotations", "seed"))
 
 
-def _split(items: list, parts: int) -> list[list]:
-    """items in at most `parts` contiguous chunks of near-equal size."""
-    n = min(parts, len(items))
-    bounds = [len(items) * k // n for k in range(n + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _solve_cells(cells, model, restarts, settings, jobs: int):
-    """Solve every distinct cell (xi, source, run seed) once with solve_cells;
-    returns outcome(xi, source, run seed), its CellSolution or the exception
-    it failed with.
-
-    The run seed only perturbs the starts of restarts after the first, so
-    with one restart cells that differ in it alone are solved once.  Cells
-    are grouped by source and each group is split into at most `jobs`
-    contiguous chunks, so a chunk builds its source's mesh once; chunks run
-    in a pool of `jobs` workers, or here when there is one worker or chunk.
-    """
-    def key(xi, source, seed):
-        return xi.tobytes(), source, seed if restarts > 1 else None
-
-    seen, groups = set(), {}
-    for cell in cells:
-        if key(*cell) not in seen:
-            seen.add(key(*cell))
-            groups.setdefault(cell[1], []).append(cell)
-    chunks = [chunk for group in groups.values() for chunk in _split(group, jobs)]
-    solve = partial(solve_cells, model=model, restarts=restarts, settings=settings)
-    if jobs > 1 and len(chunks) > 1:
-        # Frozen while the workers fork, this process's objects stay out of
-        # their collections (no copy-on-write of their headers).  Freezing
-        # also restarts the collector's generation counts, so every run hands
-        # an in-process caller the same collector state: its next full
-        # collection does not fall wherever this run's allocations left it.
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-                solved = list(pool.map(solve, chunks))
-        finally:
-            gc.unfreeze()
-    else:
-        solved = [solve(chunk) for chunk in chunks]
-    outcomes = {key(*cell): result for chunk, results in zip(chunks, solved)
-                for cell, result in zip(chunk, results)}
-    return lambda xi, source, seed: outcomes[key(xi, source, seed)]
+def _run_chunks(solve, chunks, jobs: int):
+    """solve over the chunks, in a pool of at most `jobs` workers, or here
+    when there is one worker or chunk; solve_cells' `run` for --jobs."""
+    if jobs == 1 or len(chunks) <= 1:
+        return map(solve, chunks)
+    # Frozen while the workers fork, this process's objects stay out of
+    # their collections (no copy-on-write of their headers).  Freezing
+    # also restarts the collector's generation counts, so every run hands
+    # an in-process caller the same collector state: its next full
+    # collection does not fall wherever this run's allocations left it.
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            return list(pool.map(solve, chunks))
+    finally:
+        gc.unfreeze()
 
 
 def _probe_entries(xi_list, estimator, frame, iso) -> dict:
@@ -500,7 +472,8 @@ def cmd_homogenize(cfg: dict, args) -> int:
             probe_xis = [xi, *(rot @ xi for rot in frame), *(xi @ rot for rot in iso)]
             cells += [(probe_xi, cell_source, run_seed) for probe_xi in probe_xis
                       for cell_source, run_seed in probe_runs]
-    outcome = _solve_cells(cells, model, restarts, settings, args.jobs)
+    outcome = solve_cells(cells, model, restarts, settings, parts=args.jobs,
+                          run=partial(_run_chunks, jobs=args.jobs))
 
     # indexed like xi_list; a failed xi keeps its slot as None
     estimates, failures = [], []
@@ -511,17 +484,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
             estimates.append(None)
             failures.append({"xi_id": xi_id, "error": failure_reason(exc)})
 
-    def estimator(xi):
-        """Mean density over the probe cells, as cell_estimator computes it."""
-        values = []
-        for cell_source, run_seed in probe_runs:
-            solution = outcome(xi, cell_source, run_seed)
-            if isinstance(solution, Exception):
-                raise solution
-            values.append(solution.value)
-        return float(np.mean(values))
-
-    probes = _probe_entries(xi_list, estimator, frame, iso)
+    probes = _probe_entries(xi_list, runs_estimator(probe_runs, outcome), frame, iso)
     statuses = Counter(rec.status for est in estimates if est is not None
                        for s in est.per_h for rec in s.records)
     # the cells in the means: converged or stopped at max_iters

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -157,29 +158,54 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
 
 
 def solve_cells(cells, model: EnergyModel, restarts: int = 1,
-                settings: MinimizeSettings = DEFAULT_SETTINGS) -> list:
-    """Each cell (xi, cell source, run seed) solved as a CellProblem: its
-    CellSolution, or the ValueError or RuntimeError (every polynet error is
-    one) it raised, in order.
+                settings: MinimizeSettings = DEFAULT_SETTINGS, parts: int = 1, run=map):
+    """Solve every distinct cell (xi, cell source, run seed) once; returns
+    outcome(xi, cell source, run seed), the cell's CellSolution or the
+    ValueError or RuntimeError (every polynet error is one) it raised.
 
-    This is where a cell's error is caught and kept.  Consecutive cells with
-    the same source share one mesh, built for the first cell whose problem
-    is valid and dropped when the source changes; a source whose build
-    raises gives that error to each of its valid cells.
+    The run seed only perturbs the starts of restarts after the first, so
+    with one restart cells that differ in it alone are solved once.  Cells
+    are grouped by source and each group is cut into at most `parts`
+    contiguous chunks, so a chunk builds its source's mesh once.
+    run(solve, chunks) returns solve's outcome list for each chunk, in
+    order; the default solves them here, one after another.
     """
+    def key(xi, source, seed):
+        return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
+
+    seen, groups = set(), {}
+    for cell in cells:
+        if key(*cell) not in seen:
+            seen.add(key(*cell))
+            groups.setdefault(cell[1], []).append(cell)
+    chunks = []
+    for group in groups.values():
+        n = min(parts, len(group))
+        chunks += [group[len(group) * k // n:len(group) * (k + 1) // n] for k in range(n)]
+    solved = run(partial(_solve_chunk, model=model, restarts=restarts, settings=settings),
+                 chunks)
+    outcomes = {key(*cell): result for chunk, results in zip(chunks, solved)
+                for cell, result in zip(chunk, results)}
+    return lambda xi, source, seed: outcomes[key(xi, source, seed)]
+
+
+def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -> list:
+    """Each cell's CellSolution or the error it raised, in order: the one
+    place a cell's error is caught and kept.  meshes (a fresh dict by
+    default) keeps each source's mesh, built for its first valid cell, or
+    the error its build raised, which each of its valid cells then gets."""
+    meshes = {} if meshes is None else meshes
     outcomes = []
-    source = mesh = None
-    for xi, cell_source, seed in cells:
-        if cell_source != source:
-            source, mesh = cell_source, None
+    for xi, source, seed in cells:
         try:
             problem = CellProblem(xi=xi, source=source, model=model,
                                   restarts=restarts, seed=seed, settings=settings)
-            if mesh is None:
+            if source not in meshes:
                 try:
-                    mesh = build_cell_mesh(source)
+                    meshes[source] = build_cell_mesh(source)
                 except (ValueError, RuntimeError) as exc:
-                    mesh = exc  # kept for the source's later cells
+                    meshes[source] = exc
+            mesh = meshes[source]
             outcomes.append(mesh if isinstance(mesh, Exception)
                             else solve_cell_problem(problem, mesh))
         except (ValueError, RuntimeError) as exc:
@@ -330,6 +356,8 @@ def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[l
     """
     if isinstance(source, PeriodicCell):
         n_realizations = 1
+    elif n_realizations < 1:
+        raise ValueError("n_realizations must be at least 1")
     runs = []
     for s_idx, scale in enumerate(scales):
         seeds = [_realization_seed(seed, s_idx, r) for r in range(n_realizations)]
@@ -375,15 +403,11 @@ def estimate_whom(
     scales = list(scales)
     if len(scales) < 2:
         raise ValueError("need at least 2 scales for a convergence sweep")
-    if n_realizations < 1 and not isinstance(source, PeriodicCell):
-        raise ValueError("n_realizations must be at least 1")
 
     runs = sweep_runs(source, scales, n_realizations, seed)
     cells = [(xi, cell_source, run_seed) for scale_runs in runs
              for cell_source, run_seed in scale_runs]
-    solved = solve_cells(cells, model, restarts, settings)
-    outcome = {(s, r): sol for (_, s, r), sol in zip(cells, solved)}
-    return sweep_estimate(xi, scales, runs, lambda _, s, r: outcome[(s, r)])
+    return sweep_estimate(xi, scales, runs, solve_cells(cells, model, restarts, settings))
 
 
 def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
@@ -607,17 +631,26 @@ def cell_estimator(
     deviations between xi reflect anisotropy rather than sampling noise.
     Each mesh is built once, on first use, and kept by the estimator.
     """
-    runs = estimator_runs(source, n_realizations, seed)
     meshes = {}
 
+    def outcome(xi, cell_source, run_seed):
+        return _solve_chunk([(xi, cell_source, run_seed)], model, restarts, settings,
+                            meshes)[0]
+
+    return runs_estimator(estimator_runs(source, n_realizations, seed), outcome)
+
+
+def runs_estimator(runs, outcome):
+    """Estimator xi -> mean density over the cells of runs, a list of (cell
+    source, run seed), read from outcome(xi, cell source, run seed) as
+    solve_cells returns it; the first failed cell raises its error."""
     def estimator(xi):
         values = []
         for cell_source, run_seed in runs:
-            problem = CellProblem(xi=xi, source=cell_source, model=model,
-                                  restarts=restarts, seed=run_seed, settings=settings)
-            if cell_source not in meshes:
-                meshes[cell_source] = build_cell_mesh(cell_source)
-            values.append(solve_cell_problem(problem, meshes[cell_source]).value)
+            solution = outcome(xi, cell_source, run_seed)
+            if isinstance(solution, Exception):
+                raise solution
+            values.append(solution.value)
         return float(np.mean(values))
 
     return estimator

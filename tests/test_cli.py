@@ -607,6 +607,11 @@ BAD_PROBES = {
     "non-integer seed": {"frame_rotations": 2, "seed": "x"},
     "negative rotations": {"frame_rotations": -3},
     "fractional rotations": {"isotropy_rotations": 2.5},
+    # only an absent or null section means no probes
+    "zero": 0,
+    "false": False,
+    "empty list": [],
+    "empty string": "",
 }
 
 
@@ -695,6 +700,44 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
     assert sorted(probes) == ["0", "1"]
     assert all(set(entry) == {"frame_invariance_deviation", "isotropy_deviation"}
                for entry in probes.values())
+
+
+STOCHASTIC_PROBES = {**STOCHASTIC_TWO_XI, "solver": {"restarts": 2}, "homogenize": {
+    **STOCHASTIC_TWO_XI["homogenize"],
+    "probes": {"frame_rotations": 2, "isotropy_rotations": 1, "seed": 4}}}
+
+
+@pytest.mark.parametrize("payload", [PERIODIC_PROBES, STOCHASTIC_PROBES],
+                         ids=["periodic", "stochastic"])
+def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
+    # every probe deviation is the library's on cell_estimator at the finest scale
+    from polynet import EnergyModel, PairPotential, PeriodicCell, StochasticCell
+    from polynet.homogenize import (at_scale, cell_estimator, frame_invariance_probe,
+                                    isotropy_probe, random_rotations)
+    from polynet.meshing import StochasticLatticeSpec
+
+    mesh, section = payload["mesh"], payload["homogenize"]
+    if mesh["kind"] == "periodic":
+        source, finest = PeriodicCell(m=mesh["m"], dim=mesh["dim"]), section["m_list"][-1]
+    else:
+        source = StochasticCell(StochasticLatticeSpec(**mesh["lattice"]), h=mesh["h"],
+                                dim=mesh["dim"])
+        finest = section["h_list"][-1]
+    spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
+    estimator = cell_estimator(at_scale(source, finest), spring,
+                               section.get("n_realizations", 1), payload["seed"],
+                               payload.get("solver", {}).get("restarts", 1))
+    probes = section["probes"]
+    frame = random_rotations(mesh["dim"], probes["frame_rotations"], probes["seed"])
+    iso = random_rotations(mesh["dim"], probes["isotropy_rotations"], probes["seed"])
+    expected = {str(xi_id): {
+        "frame_invariance_deviation": frame_invariance_probe(estimator, xi, frame),
+        "isotropy_deviation": isotropy_probe(estimator, xi, iso),
+    } for xi_id, xi in enumerate(np.array(section["xi_list"], dtype=float))}
+    codes, _, outs = run_both_jobs(tmp_path, payload, capsys)
+    assert codes == [0, 0]
+    for out in outs:
+        assert json.loads((out / "summary.json").read_text())["probes"] == expected
 
 
 def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(

@@ -6,6 +6,7 @@ from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, PairPotential, chain_energy
 from polynet.homogenize import (
     CellProblem,
+    CellSolution,
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
@@ -21,6 +22,7 @@ from polynet.homogenize import (
     solve_cell_problem,
     solve_cells,
     summary_dict,
+    sweep_runs,
     write_estimates_csv,
 )
 from polynet.meshing import StochasticLatticeSpec
@@ -160,6 +162,20 @@ def test_estimate_whom_needs_two_scales():
         estimate_whom(np.eye(2), [4], SPRING, PeriodicCell(m=0))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_no_realizations_rejected_by_estimator_and_sweep(count):
+    # the estimator used to build and then return NaN, the mean of no cells
+    source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    with pytest.raises(ValueError, match="n_realizations"):
+        cell_estimator(source, SPRING, n_realizations=count)
+    with pytest.raises(ValueError, match="n_realizations"):
+        estimate_whom(np.eye(2), [0.3, 0.25], SPRING, source, n_realizations=count)
+    # a periodic source always has one realization
+    periodic = PeriodicCell(m=2)
+    one = cell_estimator(periodic, SPRING)(np.eye(2))
+    assert cell_estimator(periodic, SPRING, n_realizations=count)(np.eye(2)) == one
+
+
 def test_estimate_whom_stochastic_stats_and_determinism():
     xi = np.array([[1.2, 0.0], [0.0, 1.0]])
     src = StochasticCell(lattice=LATTICE_2D, h=1.0, dim=2)
@@ -215,14 +231,54 @@ def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
         return build(source)
 
     monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
-    cells = [(np.diag([np.nan, 1.0]), m4, 0), (xi, m4, 0), (xi, m4, 1),
-             (xi, bad_dim, 0), (xi, bad_dim, 1)]
-    outcomes = solve_cells(cells, SPRING)
-    assert isinstance(outcomes[0], ValueError) and "finite" in str(outcomes[0])
-    assert outcomes[1].value == outcomes[2].value == expected.value
+    nan_xi, xi2 = np.diag([np.nan, 1.0]), np.diag([1.2, 0.8])
+    cells = [(nan_xi, m4, 0), (xi, m4, 0), (xi, m4, 1), (xi, bad_dim, 0), (xi2, bad_dim, 1)]
+    outcome = solve_cells(cells, SPRING)
+    failed = outcome(nan_xi, m4, 0)
+    assert isinstance(failed, ValueError) and "finite" in str(failed)
+    assert outcome(xi, m4, 0).value == outcome(xi, m4, 1).value == expected.value
     # a failed build is kept for the source's later cells, not retried
-    assert outcomes[3] is outcomes[4] and isinstance(outcomes[3], ValueError)
+    assert outcome(xi, bad_dim, 0) is outcome(xi2, bad_dim, 1)
+    assert isinstance(outcome(xi, bad_dim, 0), ValueError)
     assert built == [m4, bad_dim]
+
+
+def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
+    from polynet import homogenize
+
+    solved = []
+    solve = homogenize.solve_cell_problem
+
+    def counting_solve(problem, mesh=None):
+        solved.append(problem)
+        return solve(problem, mesh)
+
+    monkeypatch.setattr(homogenize, "solve_cell_problem", counting_solve)
+    runs = [run for scale_runs in sweep_runs(StochasticCell(LATTICE_2D, h=0.3, dim=2),
+                                             [0.3, 0.25], 2, seed=5)
+            for run in scale_runs]
+    xis = [np.diag([1.1, 0.9]), np.array([[1.0, 0.1], [0.0, 1.0]])]
+    distinct = [(xi, source, seed) for xi in xis for source, seed in runs]
+    cells = [*distinct, distinct[3]]
+    outcomes = []
+    for parts in (1, 2, 3):
+        chunks = []
+
+        def spy(solve_chunk, given):
+            chunks.extend(given)
+            return map(solve_chunk, given)
+
+        solved.clear()
+        outcome = solve_cells(cells, SPRING, parts=parts, run=spy)
+        outcomes.append([outcome(*cell) for cell in distinct])
+        assert len(solved) == len(distinct)  # the duplicate is solved once
+        for source, _ in runs:
+            mine = [chunk for chunk in chunks if chunk[0][1] == source]
+            assert len(mine) == min(parts, len(xis))  # at most parts, none empty
+        assert all(len({cell[1] for cell in chunk}) == 1 for chunk in chunks)
+        assert sum(len(chunk) for chunk in chunks) == len(distinct)
+    assert all(isinstance(sol, CellSolution) for sol in outcomes[0])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------
