@@ -19,7 +19,7 @@ import numpy as np
 
 from .chains import PairPotential
 from .meshing import Mesh, cofactors, determinants, edge_columns
-from .volumetric import VolumetricParams, w_vol_eta_j
+from .volumetric import VolumetricParams, w_vol_eta_dj, w_vol_eta_j
 
 UNIFORM_WEIGHTS = "uniform-h"
 VOLUME_WEIGHTS = "element-volume"
@@ -232,11 +232,7 @@ def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
     coef = model.f * _edge_weights(mesh, model) * dW / (geometry["rest"] * state["dist"])
     moments = []
     if model.vol is not None:
-        vol, jac = model.vol, state["jac"]
-        active = jac > vol.eta  # all elements at eta = 0, inverted ones raised
-        safe = np.where(active, jac, 1.0)
-        scale = np.where(active, 0.25 * vol.K * (2.0 * safe - 1.0 / safe), 0.0)
-        scale /= math.factorial(mesh.dim)
+        scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
         moments = [[scale * c for c in column] for column in state["cof"]]
     index = geometry["index"] if moments else geometry["index"][: 2 * coef.size]
     grad = np.empty((mesh.num_vertices, mesh.dim))

@@ -170,6 +170,9 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     run(solve, chunks) returns solve's outcome list for each chunk, in
     order; the default solves them here, one after another.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+
     def key(xi, source, seed):
         return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
 
@@ -400,6 +403,8 @@ def estimate_whom(
     affine state is critical at every m, so every scale gives the same density.
     """
     xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise ValueError("xi must be finite")
     scales = list(scales)
     if len(scales) < 2:
         raise ValueError("need at least 2 scales for a convergence sweep")
@@ -631,6 +636,8 @@ def cell_estimator(
     deviations between xi reflect anisotropy rather than sampling noise.
     Each mesh is built once, on first use, and kept by the estimator.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     meshes = {}
 
     def outcome(xi, cell_source, run_seed):

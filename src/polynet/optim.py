@@ -1,19 +1,18 @@
 """Smooth unconstrained minimization of the network energy over free dofs.
 
-A limited-memory quasi-Newton loop with a strong Wolfe line search drives
+A limited-memory quasi-Newton loop with a backtracking line search drives
 every cell problem and boundary-value problem.  Its initial inverse Hessian
 is the inverse of the edge-stiffness Laplacian at the starting state,
-factorized once per minimize call on first use.  The line search is written
-here (Nocedal & Wright, Alg. 3.5 and 3.6) and evaluates energy and gradient
-together, once per trial step; scipy.optimize is never imported, and
-scipy.sparse only at the first factorization.  Energy is monotone
-nonincreasing across accepted iterations; the run is deterministic for
-fixed inputs.
+factorized once per minimize call on first use, so the unit step is
+almost always taken.  The line search halves the step until the energy
+decreases sufficiently and evaluates energy and gradient together, once
+per trial step; scipy.optimize is never imported, and scipy.sparse only
+at the first factorization.  Energy is monotone nonincreasing across
+accepted iterations; the run is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,10 +24,9 @@ from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_b
 from .meshing import Mesh
 
 
-# L-BFGS history length and the strong Wolfe constants of the line search
+# L-BFGS history length and the sufficient-decrease constant of the line search
 MEMORY = 10
 ARMIJO_C1 = 1e-4
-WOLFE_C2 = 0.9
 
 
 class OptimizationError(RuntimeError):
@@ -85,106 +83,35 @@ def _two_loop(grad, history, precondition):
 
 
 class _Trial(NamedTuple):
-    """A trial step: its length, point, energy, gradient and the slope of the
-    energy along the search direction."""
+    """A trial point with its energy and gradient."""
 
-    alpha: float
     x: np.ndarray
     f: float
     g: np.ndarray
-    slope: float
 
 
 def _trial(fg, x, direction, alpha: float) -> _Trial:
     x_new = x + alpha * direction
     f, g = fg(x_new)
-    return _Trial(alpha, x_new, float(f), g, float(g @ direction))
+    return _Trial(x_new, float(f), g)
 
 
-def _cubicmin(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
-    fpa at a, or None."""
-    db, dc = b - a, c - a
-    rb, rc = fb - fa - fpa * db, fc - fa - fpa * dc
-    try:
-        denom = (db * dc) ** 2 * (db - dc)
-        A = (dc ** 2 * rb - db ** 2 * rc) / denom
-        B = (db ** 3 * rc - dc ** 3 * rb) / denom
-        xmin = a + (-B + math.sqrt(B * B - 3.0 * A * fpa)) / (3.0 * A)
-    except (ArithmeticError, ValueError):  # a zero division or a negative radical
-        return None
-    return xmin if math.isfinite(xmin) else None
+def _armijo_search(fg, x, f, g, direction):
+    """The first of the steps alpha = 1, 1/2, ..., 1/512 along the descent
+    direction that moves x and decreases the energy sufficiently, as a
+    _Trial, or None.
 
-
-def _quadmin(a, fa, fpa, b, fb):
-    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa at
-    a, or None."""
-    db = b - a
-    try:
-        xmin = a - fpa / (2.0 * ((fb - fa - fpa * db) / (db * db)))
-    except ArithmeticError:
-        return None
-    return xmin if math.isfinite(xmin) else None
-
-
-def _sufficient_decrease(trial: _Trial, start: _Trial) -> bool:
-    # written with <= so that a NaN energy fails it
-    return trial.f <= start.f + ARMIJO_C1 * trial.alpha * start.slope
-
-
-def _zoom(fg, x, direction, start: _Trial, lo: _Trial, hi: _Trial):
-    """Alg. 3.6: shrink [lo, hi], which holds a strong Wolfe step, by cubic
-    interpolation, else quadratic, else bisection; at most 11 trials."""
-    rec = start  # the point dropped last, the cubic's third
-    for i in range(11):
-        dalpha = hi.alpha - lo.alpha
-        a, b = min(lo.alpha, hi.alpha), max(lo.alpha, hi.alpha)
-        # the margins keep the sign of dalpha, as in scipy's _zoom
-        alpha = None
-        if i > 0:
-            margin = 0.2 * dalpha
-            alpha = _cubicmin(lo.alpha, lo.f, lo.slope, hi.alpha, hi.f, rec.alpha, rec.f)
-            if alpha is not None and (alpha > b - margin or alpha < a + margin):
-                alpha = None
-        if alpha is None:
-            margin = 0.1 * dalpha
-            alpha = _quadmin(lo.alpha, lo.f, lo.slope, hi.alpha, hi.f)
-            if alpha is None or alpha > b - margin or alpha < a + margin:
-                alpha = lo.alpha + 0.5 * dalpha
-        trial = _trial(fg, x, direction, alpha)
-        if not _sufficient_decrease(trial, start) or trial.f >= lo.f:
-            rec, hi = hi, trial
-            continue
-        if abs(trial.slope) <= -WOLFE_C2 * start.slope:
-            return trial
-        if trial.slope * dalpha >= 0.0:
-            rec, hi = hi, lo
-        else:
-            rec = lo
-        lo = trial
-    return None
-
-
-def _wolfe_search(fg, x, f, g, direction):
-    """A step along the descent direction that meets the strong Wolfe
-    conditions with ARMIJO_C1 and WOLFE_C2, as a _Trial, or None.
-
-    Alg. 3.5 of Nocedal & Wright (Numerical Optimization, 2nd ed.), with the
-    safeguards and caps of scipy's scalar_search_wolfe2: the first trial is
-    alpha = 1, the step doubles at most 9 times, and the zoom takes at most
-    11 trials.
+    Backtracking (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    Alg. 3.1) with contraction factor 1/2; the sufficient-decrease test is
+    written with <= so that a NaN energy fails it.
     """
-    start = _Trial(0.0, x, f, g, float(g @ direction))
-    prev, alpha = start, 1.0
-    for i in range(10):
+    slope = float(g @ direction)
+    alpha = 1.0
+    for _ in range(10):
         trial = _trial(fg, x, direction, alpha)
-        if not _sufficient_decrease(trial, start) or (i > 0 and trial.f >= prev.f):
-            return _zoom(fg, x, direction, start, prev, trial)
-        if abs(trial.slope) <= -WOLFE_C2 * start.slope:
+        if trial.f <= f + ARMIJO_C1 * alpha * slope and (trial.x != x).any():
             return trial
-        if trial.slope >= 0.0:
-            return _zoom(fg, x, direction, start, trial, prev)
-        prev, alpha = trial, 2.0 * alpha
+        alpha *= 0.5
     return None
 
 
@@ -209,9 +136,9 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
     it is called once per trial point.  precondition, when given, maps a
     flat vector v to H0 v, H0 the initial inverse Hessian; it is called once
     per iteration, never at a start that meets the tolerance.  When the
-    Wolfe line search along the quasi-Newton direction fails, a step that
-    contracts the gradient without raising the energy beyond noise is
-    tried; failing that, it raises OptimizationError.
+    backtracking line search along the quasi-Newton direction fails, a
+    step that contracts the gradient without raising the energy beyond
+    noise is tried; failing that, it raises OptimizationError.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fg(x)
@@ -234,7 +161,7 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
         if direction @ g >= 0.0:
             direction = -g
         noise = 1e-12 * (1.0 + abs(f))
-        step = _wolfe_search(fg, x, f, g, direction)
+        step = _armijo_search(fg, x, f, g, direction)
         if step is None:
             step = _gradient_contraction_step(fg, x, f, g, direction, noise)
         if step is None:

@@ -64,6 +64,19 @@ def w_vol_eta_j(J, params: VolumetricParams):
     return out if out.ndim else float(out)
 
 
+def w_vol_eta_dj(J, params: VolumetricParams):
+    """dw/dJ of w_vol_eta_j: (K/4)*(2J - 1/J) for J > eta, zero on the
+    plateau J <= eta, the seam included (one-sided derivative).  With
+    eta = 0 it requires J > 0."""
+    J = np.asarray(J, dtype=float)
+    if params.eta == 0.0 and np.any(J <= 0.0):
+        raise NonPositiveJacobianError("volume-change energy undefined for J <= 0")
+    active = J > params.eta
+    safe = np.where(active, J, 1.0)
+    out = np.where(active, 0.25 * params.K * (2.0 * safe - 1.0 / safe), 0.0)
+    return out if out.ndim else float(out)
+
+
 def w_vol(F, params: VolumetricParams):
     """Volume-change energy density of a deformation gradient F (no cut-off).
 
@@ -96,20 +109,7 @@ def cofactor_matrix(F):
 
 
 def w_vol_gradient(F, params: VolumetricParams):
-    """dW/dF of the (cut-off) volumetric energy.
-
-    On the active branch det(F) > eta this is (K/4)*(2J - 1/J)*cof(F); on the
-    plateau det(F) <= eta (eta > 0) the derivative is the zero matrix.  The
-    seam itself is assigned to the plateau (one-sided derivative).
-    """
-    F = np.asarray(F, dtype=float)
-    J = float(np.linalg.det(F))
-    if params.eta > 0.0 and J <= params.eta:
-        return np.zeros_like(F)
-    if J == 0.0:
-        raise NonPositiveJacobianError("singular F on the active branch")
-    if params.eta == 0.0 and J < 0.0:
-        raise NonPositiveJacobianError(
-            f"det(F) = {J:g} <= 0: inverted configuration without cut-off"
-        )
-    return 0.25 * params.K * (2.0 * J - 1.0 / J) * cofactor_matrix(F)
+    """dW/dF of the (cut-off) volumetric energy, w_vol_eta_dj(det F) cof(F):
+    the zero matrix on the plateau det(F) <= eta (eta > 0)."""
+    J = float(np.linalg.det(np.asarray(F, dtype=float)))
+    return w_vol_eta_dj(J, params) * cofactor_matrix(F)

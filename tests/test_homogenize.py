@@ -217,6 +217,27 @@ def test_cell_problem_rejects_non_finite_xi():
             CellProblem(xi=np.diag([bad, 1.0]), source=PeriodicCell(m=2), model=SPRING)
 
 
+def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
+    # a bad argument is the caller's ValueError, raised before any cell
+    # runs, not a cell failure that reads as the solver's
+    from polynet import homogenize
+
+    def no_build(source):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", no_build)
+    xi, source = np.diag([1.1, 0.9]), PeriodicCell(m=2)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_whom(xi, [2, 4], SPRING, source, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        solve_cells([(xi, source, 0)], SPRING, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        cell_estimator(source, SPRING, restarts=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_whom(np.diag([bad, 1.0]), [2, 4], SPRING, source)
+
+
 def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
     from polynet import homogenize
 

@@ -8,6 +8,9 @@ so scipy.optimize never loads.  The package __init__ is skipped there: it
 imports only to re-export.  No module, __init__ included, imports scipy at
 top level: scipy loads inside the function that first needs it, so a run
 that never triangulates, factorizes or line-searches never pays its import.
+Every private top-level definition and every UPPER_CASE module constant
+is read somewhere in the package, so no leftover of a removed code path
+stays behind.
 """
 
 import ast
@@ -89,3 +92,35 @@ def test_scipy_imported_from_spatial_and_sparse_only(path):
     other = sorted(m for m in modules
                    if m.split(".")[0] == "scipy" and m not in SCIPY_ALLOWED)
     assert other == []
+
+
+def _top_level_names(tree):
+    """Names bound by the module's top-level defs, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _read_names(tree):
+    # a definition binds its name without reading it; an import neither
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_definition_and_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in ALL_MODULES}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = sorted(
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _top_level_names(tree)
+        if ((name.startswith("_") and not name.startswith("__")) or name.isupper())
+        and name not in read
+    )
+    assert unread == []

@@ -10,6 +10,7 @@ from polynet.volumetric import (
     cofactor_matrix,
     w_vol,
     w_vol_eta,
+    w_vol_eta_dj,
     w_vol_eta_j,
     w_vol_gradient,
     w_vol_j,
@@ -123,6 +124,29 @@ def test_gradient_matches_finite_differences():
         g = w_vol_gradient(F, params)
         fd = fd_gradient(lambda M: w_vol(M, params), F, eps=1e-7)
         assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_slope_matches_central_difference_on_both_sides_of_seam(eta):
+    params = VolumetricParams(K=1.3, eta=eta)
+    step = 1e-6
+    grid = [0.05, 0.2, 0.299, 0.301, 0.5, 1.0 / math.sqrt(2.0), 1.0, 2.5]
+    for J in grid:
+        fd = (w_vol_eta_j(J + step, params) - w_vol_eta_j(J - step, params)) / (2.0 * step)
+        assert abs(w_vol_eta_dj(J, params) - fd) <= 1e-8 * (1.0 + abs(fd))
+    np.testing.assert_array_equal(w_vol_eta_dj(np.array(grid), params),
+                                  [w_vol_eta_dj(J, params) for J in grid])
+
+
+def test_slope_seam_sits_on_plateau():
+    params = VolumetricParams(K=1.0, eta=0.3)
+    assert w_vol_eta_dj(params.eta, params) == 0.0
+    assert w_vol_eta_dj(-2.0, params) == 0.0
+    above = np.nextafter(params.eta, 1.0)
+    assert w_vol_eta_dj(above, params) == 0.25 * (2.0 * above - 1.0 / above)
+    for J in (0.0, -1.0):
+        with pytest.raises(NonPositiveJacobianError):
+            w_vol_eta_dj(J, K1)
 
 
 def test_gradient_errors():
