@@ -73,7 +73,7 @@ class BoundaryCondition:
         if not np.all(np.isfinite(self.xi)):
             raise ValueError("macroscopic gradient must be finite")
         if self.kind == "affine-layer":
-            if self.depth is None or self.depth < 0.0:
+            if self.depth is None or not self.depth >= 0.0:
                 raise ValueError("affine-layer needs a nonnegative depth")
         elif self.kind == "dirichlet-face-free-traction":
             if not self.faces:

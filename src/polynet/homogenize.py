@@ -141,7 +141,7 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
         return CellSolution(value, 0.0, 0, True, 0, mesh.h)
 
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
-    rng = np.random.default_rng(problem.seed)
+    rng = np.random.default_rng(problem.seed) if problem.restarts > 1 else None
     scale = 0.01 * mesh.h
     best = None
     for attempt in range(problem.restarts):
@@ -483,7 +483,7 @@ def _richardson(per_h: list[ScaleEstimate]) -> float | None:
         return None
     h1, h2 = per_h[-2].h, per_h[-1].h
     v1, v2 = per_h[-2].value, per_h[-1].value
-    if not (h2 < h1) or h1 == h2:
+    if not (h2 < h1):
         return None
     theta = h2 / h1
     return float(v2 + (v2 - v1) * theta / (1.0 - theta))

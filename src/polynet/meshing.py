@@ -464,6 +464,7 @@ def read_mesh(path) -> Mesh:
         [[int(c) for c in tokens[1 + n_vert + i].split()] for i in range(n_el)],
         dtype=np.int64,
     )
-    if vertices.shape != (n_vert, dim) or elements.shape != (n_el, dim + 1):
+    if (vertices.shape != (n_vert, dim) or elements.shape != (n_el, dim + 1)
+            or (elements < 0).any() or (elements >= n_vert).any()):
         raise ValueError("malformed mesh file")
     return _make_mesh(dim, vertices, elements)

@@ -204,6 +204,8 @@ def test_bc_validation():
     with pytest.raises(ValueError):
         BoundaryCondition(kind="affine-layer", xi=np.eye(2))  # no depth
     with pytest.raises(ValueError):
+        BoundaryCondition(kind="affine-layer", xi=np.eye(2), depth=float("nan"))
+    with pytest.raises(ValueError):
         BoundaryCondition(kind="dirichlet-face-free-traction", xi=np.eye(2))
     with pytest.raises(ValueError):
         BoundaryCondition(kind="affine-layer", xi=np.array([[np.inf, 0], [0, 1]]),

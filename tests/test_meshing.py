@@ -453,6 +453,20 @@ def test_mesh_io_roundtrip(tmp_path):
     path2 = tmp_path / "mesh2.txt"
     write_mesh(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # an element index outside [0, N) is rejected: -1 written for the last
+    # vertex N - 1 would wrap to it and load the same mesh, and N would
+    # escape as an IndexError
+    small = periodic_mesh_2d(2)
+    n = small.num_vertices
+    write_mesh(small, path)
+    lines = path.read_text().split("\n")
+    k = 1 + n + int(np.flatnonzero((small.elements == n - 1).any(axis=1))[0])
+    for bad in (-1, n):
+        edited = lines.copy()
+        edited[k] = " ".join(str(bad) if t == str(n - 1) else t for t in lines[k].split())
+        path2.write_text("\n".join(edited))
+        with pytest.raises(ValueError, match="malformed mesh file"):
+            read_mesh(path2)
 
 
 def test_mesh_validation_catches_bad_h():

@@ -70,13 +70,19 @@ def test_lbfgs_solves_strictly_convex_quadratic():
     c = rng.standard_normal(n)
 
     x_star = np.linalg.solve(q, -c)
+    evaluated = []
+
+    def fg(x):
+        evaluated.append(x)
+        return 0.5 * x @ q @ x + c @ x, q @ x + c
+
     x, f, gnorm, iters, converged = lbfgs(
-        lambda x: (0.5 * x @ q @ x + c @ x, q @ x + c),
-        rng.standard_normal(n),
-        MinimizeSettings(grad_tol=1e-10, max_iters=500),
-    )
+        fg, rng.standard_normal(n), MinimizeSettings(grad_tol=1e-10, max_iters=500))
     assert converged
     assert np.linalg.norm(x - x_star) <= 1e-8 * (1.0 + np.linalg.norm(x_star))
+    # the terminal iterations, where energy differences are roundoff, take
+    # the gradient rule's early step instead of exhausting the halvings
+    assert len(evaluated) <= 2 * iters
 
 
 def test_lbfgs_honest_nonconvergence_flag():
@@ -212,8 +218,8 @@ def inconsistent(x):
 
 def test_line_search_failure_raises():
     # inconsistent gradient: every claimed descent direction increases f, so
-    # neither the backtracking search nor the contraction step can decrease
-    # the energy and the solver must raise instead of looping
+    # the backtracking search finds no step and the solver must raise
+    # instead of looping
     with pytest.raises(OptimizationError):
         lbfgs(inconsistent, np.zeros(2), MinimizeSettings(grad_tol=1e-12, max_iters=10))
 
@@ -225,7 +231,7 @@ def test_line_search_failure_lets_no_warning_escape():
     f0, g0 = inconsistent(x0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert optim._armijo_search(inconsistent, x0, f0, g0, -g0) is None
+        assert optim._line_search(inconsistent, x0, f0, g0, -g0) is None
         with pytest.raises(OptimizationError):
             lbfgs(inconsistent, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
 
@@ -249,7 +255,7 @@ HALVINGS = {"one-halving": 1, "far-minimum": 0, "more-thuente": 0, "two-halvings
 
 
 def counted_search(fg, t0, d):
-    """_armijo_search from t0 along d, with every point fg was called at."""
+    """_line_search from t0 along d, with every point fg was called at."""
     calls = []
 
     def counted(x):
@@ -258,7 +264,7 @@ def counted_search(fg, t0, d):
 
     x0, direction = np.array([t0]), np.array([d])
     f0, g0 = fg(x0)
-    return optim._armijo_search(counted, x0, f0, g0, direction), calls
+    return optim._line_search(counted, x0, f0, g0, direction), calls
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
@@ -297,6 +303,26 @@ def test_armijo_search_nan_energy_fails_sufficient_decrease():
     assert step.x[0] == 3.0 and step.f == 0.0
     step, calls = counted_search(one_dimensional(lambda t: math.nan if t else 9.0, slope),
                                  0.0, 6.0)
+    assert step is None and len(calls) == 10
+
+
+def test_line_search_accepts_contracting_gradient_within_energy_noise():
+    # the energy rises by 1e-13 along the direction, below the noise level
+    # 1e-12 * (1 + |f|), so no trial decreases it sufficiently; the gradient
+    # vanishes at the unit step, which is taken
+    fun, slope = (lambda t: 1.0 - 1e-13 * t), (lambda t: t)
+    alphas = [0.5 ** k for k in range(10)]
+    assert not any(fun(1.0 - a) <= fun(1.0) - ARMIJO_C1 * a for a in alphas)
+    step, calls = counted_search(one_dimensional(fun, slope), 1.0, -1.0)
+    assert [c[0] for c in calls] == [0.0]
+    assert step.x[0] == 0.0 and step.f == 1.0 and step.g[0] == 0.0
+
+
+def test_line_search_rejects_contracting_gradient_when_energy_rises():
+    # the same gradient, but the energy rises by at least 1e-6 / 512, beyond
+    # noise, at every trial
+    fun, slope = (lambda t: 1.0 - 1e-6 * t), (lambda t: t)
+    step, calls = counted_search(one_dimensional(fun, slope), 1.0, -1.0)
     assert step is None and len(calls) == 10
 
 
