@@ -400,10 +400,23 @@ def _probe_settings(section) -> tuple[int, int, int]:
 
 
 def _run_chunks(solve, chunks, jobs: int):
-    """solve over the chunks, in a pool of at most `jobs` workers, or here
-    when there is one worker or chunk; solve_cells' `run` for --jobs."""
-    if jobs == 1 or len(chunks) <= 1:
+    """solve over the chunks in min(jobs, len(chunks)) processes, this one
+    included; solve_cells' `run` for --jobs.
+
+    The chunks are dealt into one share per process, longest first, each to
+    the share with the fewest cells so far (ties to the earlier share), so
+    every run deals them alike.  Each share but the first is one task of a
+    forked worker, and this process solves the first meanwhile.  A chunk's
+    outcomes never depend on the process that solves it.
+    """
+    n = min(jobs, len(chunks))
+    if n <= 1:
         return map(solve, chunks)
+    shares, sizes = [[] for _ in range(n)], [0] * n
+    for k in sorted(range(len(chunks)), key=lambda k: -len(chunks[k])):
+        share = sizes.index(min(sizes))
+        shares[share].append(k)
+        sizes[share] += len(chunks[k])
     # Frozen while the workers fork, this process's objects stay out of
     # their collections (no copy-on-write of their headers).  Freezing
     # also restarts the collector's generation counts, so every run hands
@@ -411,10 +424,21 @@ def _run_chunks(solve, chunks, jobs: int):
     # collection does not fall wherever this run's allocations left it.
     gc.freeze()
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            return list(pool.map(solve, chunks))
+        with ProcessPoolExecutor(max_workers=n - 1) as pool:
+            tasks = [pool.submit(_solve_each, solve, [chunks[k] for k in share])
+                     for share in shares[1:]]
+            here = [chunks[k] for k in shares[0]]
+            solved = dict(zip(shares[0], _solve_each(solve, here)))
+            for share, task in zip(shares[1:], tasks):
+                solved.update(zip(share, task.result()))
     finally:
         gc.unfreeze()
+    return [solved[k] for k in range(len(chunks))]
+
+
+def _solve_each(solve, chunks) -> list:
+    """solve's outcome list for each chunk: one share of _run_chunks."""
+    return [solve(chunk) for chunk in chunks]
 
 
 def _probe_entries(xi_list, estimator, frame, iso) -> dict:

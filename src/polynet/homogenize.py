@@ -33,7 +33,7 @@ from .meshing import (
     periodic_mesh_2d,
     periodic_mesh_3d,
 )
-from .optim import DEFAULT_SETTINGS, MinimizeSettings, minimize
+from .optim import DEFAULT_SETTINGS, MinimizeSettings, check_count, minimize
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class CellProblem:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         if not np.isfinite(self.xi).all():
             raise ValueError("xi must be finite")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        check_count(self.restarts, "restarts")
         if self.model.vol is not None:
             det = float(np.linalg.det(self.xi))
             if det <= self.model.vol.eta:
@@ -165,13 +164,14 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
 
     The run seed only perturbs the starts of restarts after the first, so
     with one restart cells that differ in it alone are solved once.  Cells
-    are grouped by source and each group is cut into at most `parts`
-    contiguous chunks, so a chunk builds its source's mesh once.
-    run(solve, chunks) returns solve's outcome list for each chunk, in
-    order; the default solves them here, one after another.
+    are grouped by source, and a source with c of the C distinct cells is
+    cut into min(c, ceil(parts * c / C)) contiguous chunks: only a source
+    holding more than 1/parts of the cells is split, and each chunk builds
+    its source's mesh once.  run(solve, chunks) returns solve's outcome
+    list for each chunk, in order; the default solves them here, one after
+    another.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    check_count(restarts, "restarts")
 
     def key(xi, source, seed):
         return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
@@ -183,7 +183,7 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
             groups.setdefault(cell[1], []).append(cell)
     chunks = []
     for group in groups.values():
-        n = min(parts, len(group))
+        n = min(len(group), -(-parts * len(group) // len(seen)))
         chunks += [group[len(group) * k // n:len(group) * (k + 1) // n] for k in range(n)]
     solved = run(partial(_solve_chunk, model=model, restarts=restarts, settings=settings),
                  chunks)
@@ -359,8 +359,8 @@ def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[l
     """
     if isinstance(source, PeriodicCell):
         n_realizations = 1
-    elif n_realizations < 1:
-        raise ValueError("n_realizations must be at least 1")
+    else:
+        check_count(n_realizations, "n_realizations")
     runs = []
     for s_idx, scale in enumerate(scales):
         seeds = [_realization_seed(seed, s_idx, r) for r in range(n_realizations)]
@@ -636,8 +636,7 @@ def cell_estimator(
     deviations between xi reflect anisotropy rather than sampling noise.
     Each mesh is built once, on first use, and kept by the estimator.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    check_count(restarts, "restarts")
     meshes = {}
 
     def outcome(xi, cell_source, run_seed):

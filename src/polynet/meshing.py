@@ -436,7 +436,7 @@ def element_gradient(mesh: Mesh, element_index: int, nodal_values: np.ndarray) -
 
 def boundary_layer(mesh: Mesh, depth: float) -> np.ndarray:
     """Indices of vertices within `depth` of the unit-box boundary (closed)."""
-    if depth < 0.0:
+    if not depth >= 0.0:
         raise ValueError("depth must be nonnegative")
     return np.flatnonzero(mesh.boundary_flags <= depth)
 

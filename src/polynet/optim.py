@@ -15,6 +15,8 @@ deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,10 +49,16 @@ class MinimizeSettings:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.grad_tol is not None and not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.grad_tol is not None and not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        check_count(self.max_iters, "max_iters")
+
+
+def check_count(value, name: str) -> None:
+    """ValueError unless value is an integer of at least 1 (a count of runs,
+    iterations or realizations; 2.5 would end in range's TypeError)."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 DEFAULT_SETTINGS = MinimizeSettings()

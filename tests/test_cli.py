@@ -1,6 +1,9 @@
 import csv
 import gc
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -207,24 +210,15 @@ def test_homogenize_stochastic_rows(tmp_path):
     assert all(entry["stderr"] > 0 for entry in per_h)
 
 
-def test_homogenize_jobs_flag_equivalence(tmp_path):
+def test_homogenize_jobs_flag_equivalence(tmp_path, capsys):
     payload = dict(HOMOGENIZE_PERIODIC)
     payload["homogenize"] = {
         "xi_list": [[[1.0, 0.0], [0.0, 1.0]], [[1.1, 0.0], [0.0, 0.9]]],
         "m_list": [2, 4],
     }
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    assert main(["homogenize", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["homogenize", "--config", cfg, "--out", str(out2),
-                 "--jobs", "2"]) == 0
-    assert gc.get_freeze_count() == 0  # frozen only while the workers fork
-    assert (out1 / "homogenize.csv").read_bytes() == (
-        out2 / "homogenize.csv"
-    ).read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (
-        out2 / "summary.json"
-    ).read_bytes()
+    code, _, out = run_every_jobs(tmp_path, payload, capsys)
+    assert code == 0
+    assert sorted(path.name for path in out.iterdir()) == ["homogenize.csv", "summary.json"]
 
 
 def test_homogenize_all_cells_fail_exit_4(tmp_path):
@@ -307,29 +301,70 @@ FAILING_FIRST = {
 DET_REASON = "det(xi) must exceed the volumetric cut-off"
 
 
-def run_both_jobs(tmp_path, payload, capsys):
-    """Run homogenize at --jobs 1 and 2: (exit codes, stdouts, output dirs)."""
+def assert_no_pool_left():
+    # the collector is thawed and every pool worker has exited
+    assert gc.get_freeze_count() == 0
+    assert not multiprocessing.active_children()
+
+
+def run_every_jobs(tmp_path, payload, capsys):
+    """Run homogenize at --jobs 1, 2 and 3, check that the exit codes,
+    stdouts and output files agree byte for byte, and return those of
+    --jobs 1: (exit code, stdout, output dir)."""
     cfg = write_config(tmp_path, payload)
-    codes, stdouts, outs = [], [], []
-    for jobs in ("1", "2"):
+    runs = []
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
-        codes.append(main(["homogenize", "--config", cfg, "--out", str(out),
-                           "--jobs", jobs]))
-        stdouts.append(capsys.readouterr().out)
-        outs.append(out)
-    return codes, stdouts, outs
+        code = main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs])
+        assert_no_pool_left()
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        runs.append((code, capsys.readouterr().out, files))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    return runs[0][0], runs[0][1], tmp_path / "jobs1"
+
+
+def _pid_and_sum(chunk):
+    return os.getpid(), sum(chunk)
+
+
+# chunks of 3, 1, 2, 4 and 1 cells, dealt longest first to the share with
+# the fewest cells; the first share is solved in this process
+CHUNKS = [[1, 2, 3], [4], [5, 6], [7, 8, 9, 10], [11]]
+DEALS = {2: ([[7, 8, 9, 10], [4], [11]], [[[1, 2, 3], [5, 6]]]),
+         3: ([[7, 8, 9, 10]], [[[1, 2, 3], [11]], [[5, 6], [4]]])}
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_run_chunks_parent_solves_a_share(monkeypatch, jobs):
+    from polynet import cli
+
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, solve, chunks):
+            submitted.append(chunks)
+            return super().submit(fn, solve, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for _ in range(2):  # every run deals the chunks alike
+        submitted.clear()
+        results = cli._run_chunks(_pid_and_sum, CHUNKS, jobs)
+        assert_no_pool_left()
+        assert [total for _, total in results] == [sum(chunk) for chunk in CHUNKS]
+        pids = [pid for pid, _ in results]
+        assert len(set(pids)) <= jobs
+        here = [chunk for chunk, pid in zip(CHUNKS, pids) if pid == os.getpid()]
+        assert (sorted(here), submitted) == (sorted(DEALS[jobs][0]), DEALS[jobs][1])
 
 
 def test_homogenize_failing_xi_same_outputs_for_every_jobs(tmp_path, capsys):
-    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, FAILING_FIRST, capsys)
-    assert codes == [0, 0]
-    assert stdouts[0] == stdouts[1]
-    for name in ("homogenize.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    code, _, _ = run_every_jobs(tmp_path, FAILING_FIRST, capsys)
+    assert code == 0
 
 
 def test_homogenize_failing_xi_keeps_indices(tmp_path, capsys):
-    _, _, (out, _) = run_both_jobs(tmp_path, FAILING_FIRST, capsys)
+    _, _, out = run_every_jobs(tmp_path, FAILING_FIRST, capsys)
     summary = json.loads((out / "summary.json").read_text())
     assert [est["xi_id"] for est in summary["estimates"]] == [1]
     assert [entry["xi_id"] for entry in summary["failed"]] == [0]
@@ -348,14 +383,11 @@ def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
     payload["model"] = {"pair": {"kind": "langevin-chain"},
                         "volumetric": {"K": 1.0, "eta": 0.1}}
     payload["solver"] = {"max_iters": 1}
-    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, payload, capsys)
-    assert codes == [0, 0]
-    assert stdouts[0] == stdouts[1]
+    code, stdout, out = run_every_jobs(tmp_path, payload, capsys)
+    assert code == 0
     # stdout counts the converged and the unconverged cells apart
-    assert stdouts[0] == "cells ok: 4\ncells max_iters: 4\n"
-    for name in ("homogenize.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    with open(out1 / "homogenize.csv", newline="") as fh:
+    assert stdout == "cells ok: 4\ncells max_iters: 4\n"
+    with open(out / "homogenize.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     for row in rows:
@@ -363,7 +395,7 @@ def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
         assert (row["status"], row["error"]) == (expected, "")
         assert np.isfinite(float(row["value"]))
     # an unconverged cell keeps its value in the mean
-    per_h = json.loads((out1 / "summary.json").read_text())["estimates"][0]["per_h"]
+    per_h = json.loads((out / "summary.json").read_text())["estimates"][0]["per_h"]
     assert [entry["n"] for entry in per_h] == [4, 4]
     assert [entry["n_max_iters"] for entry in per_h] == [0, 4]
     fine = [float(row["value"]) for row in rows if row["status"] == "max_iters"]
@@ -422,7 +454,7 @@ TWO_XI_PERIODIC = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
     # only polynet's own errors (ValueError, RuntimeError) become failed
     # cells; a bug in a cell solve ends the command with its traceback.  The
@@ -434,7 +466,7 @@ def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
     with pytest.raises(IndexError):
         main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
               "--jobs", jobs])
-    assert gc.get_freeze_count() == 0
+    assert_no_pool_left()
 
 
 def test_homogenize_probe_bug_propagates(tmp_path, monkeypatch):
@@ -691,12 +723,9 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
     payload = {**STOCHASTIC_TWO_XI, "homogenize": {
         **STOCHASTIC_TWO_XI["homogenize"],
         "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 3}}}
-    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, payload, capsys)
-    assert codes == [0, 0]
-    assert stdouts[0] == stdouts[1]
-    for name in ("homogenize.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    probes = json.loads((out1 / "summary.json").read_text())["probes"]
+    code, _, out = run_every_jobs(tmp_path, payload, capsys)
+    assert code == 0
+    probes = json.loads((out / "summary.json").read_text())["probes"]
     assert sorted(probes) == ["0", "1"]
     assert all(set(entry) == {"frame_invariance_deviation", "isotropy_deviation"}
                for entry in probes.values())
@@ -734,15 +763,14 @@ def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
         "frame_invariance_deviation": frame_invariance_probe(estimator, xi, frame),
         "isotropy_deviation": isotropy_probe(estimator, xi, iso),
     } for xi_id, xi in enumerate(np.array(section["xi_list"], dtype=float))}
-    codes, _, outs = run_both_jobs(tmp_path, payload, capsys)
-    assert codes == [0, 0]
-    for out in outs:
-        assert json.loads((out / "summary.json").read_text())["probes"] == expected
+    code, _, out = run_every_jobs(tmp_path, payload, capsys)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["probes"] == expected
 
 
 def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(
         tmp_path, monkeypatch, capsys):
-    # the pool's workers are forked after the patch, so --jobs 2 fails too
+    # the pool's workers are forked after the patch, so they fail it too
     from polynet import homogenize
     from polynet.meshing import InfeasibleLatticeError
 
@@ -755,12 +783,9 @@ def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(
         return build(source)
 
     monkeypatch.setattr(homogenize, "build_cell_mesh", failing_build)
-    codes, stdouts, (out1, out2) = run_both_jobs(tmp_path, STOCHASTIC_TWO_XI, capsys)
-    assert codes == [0, 0]
-    assert stdouts[0] == stdouts[1]
-    for name in ("homogenize.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    with open(out1 / "homogenize.csv", newline="") as fh:
+    code, _, out = run_every_jobs(tmp_path, STOCHASTIC_TWO_XI, capsys)
+    assert code == 0
+    with open(out / "homogenize.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     failed = [row for row in rows if row["status"] == "failed"]
     assert len(rows) == 8

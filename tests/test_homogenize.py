@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ def test_estimate_whom_needs_two_scales():
         estimate_whom(np.eye(2), [4], SPRING, PeriodicCell(m=0))
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 1.5])
 def test_no_realizations_rejected_by_estimator_and_sweep(count):
     # the estimator used to build and then return NaN, the mean of no cells
     source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
@@ -170,6 +172,8 @@ def test_no_realizations_rejected_by_estimator_and_sweep(count):
         cell_estimator(source, SPRING, n_realizations=count)
     with pytest.raises(ValueError, match="n_realizations"):
         estimate_whom(np.eye(2), [0.3, 0.25], SPRING, source, n_realizations=count)
+    with pytest.raises(ValueError, match="n_realizations"):
+        sweep_runs(source, [0.3, 0.25], count)
     # a periodic source always has one realization
     periodic = PeriodicCell(m=2)
     one = cell_estimator(periodic, SPRING)(np.eye(2))
@@ -227,12 +231,15 @@ def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
 
     monkeypatch.setattr(homogenize, "build_cell_mesh", no_build)
     xi, source = np.diag([1.1, 0.9]), PeriodicCell(m=2)
-    with pytest.raises(ValueError, match="restarts"):
-        estimate_whom(xi, [2, 4], SPRING, source, restarts=0)
-    with pytest.raises(ValueError, match="restarts"):
-        solve_cells([(xi, source, 0)], SPRING, restarts=0)
-    with pytest.raises(ValueError, match="restarts"):
-        cell_estimator(source, SPRING, restarts=0)
+    for bad in (0, 2.5):  # 2.5 used to end in range's TypeError
+        with pytest.raises(ValueError, match="restarts"):
+            estimate_whom(xi, [2, 4], SPRING, source, restarts=bad)
+        with pytest.raises(ValueError, match="restarts"):
+            solve_cells([(xi, source, 0)], SPRING, restarts=bad)
+        with pytest.raises(ValueError, match="restarts"):
+            cell_estimator(source, SPRING, restarts=bad)
+        with pytest.raises(ValueError, match="restarts"):
+            CellProblem(xi=xi, source=source, model=SPRING, restarts=bad)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             estimate_whom(np.diag([bad, 1.0]), [2, 4], SPRING, source)
@@ -282,24 +289,47 @@ def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
     distinct = [(xi, source, seed) for xi in xis for source, seed in runs]
     cells = [*distinct, distinct[3]]
     outcomes = []
-    for parts in (1, 2, 3):
-        chunks = []
-
-        def spy(solve_chunk, given):
-            chunks.extend(given)
-            return map(solve_chunk, given)
-
+    for parts in (1, 2, 3, 5):
         solved.clear()
-        outcome = solve_cells(cells, SPRING, parts=parts, run=spy)
+        chunks, outcome = spy_chunks(cells, parts)
         outcomes.append([outcome(*cell) for cell in distinct])
         assert len(solved) == len(distinct)  # the duplicate is solved once
         for source, _ in runs:
             mine = [chunk for chunk in chunks if chunk[0][1] == source]
-            assert len(mine) == min(parts, len(xis))  # at most parts, none empty
+            # each source holds 2 of the 8 cells: split only beyond 1/parts
+            assert len(mine) == min(len(xis), math.ceil(parts * len(xis) / len(distinct)))
         assert all(len({cell[1] for cell in chunk}) == 1 for chunk in chunks)
         assert sum(len(chunk) for chunk in chunks) == len(distinct)
     assert all(isinstance(sol, CellSolution) for sol in outcomes[0])
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+
+
+def spy_chunks(cells, parts):
+    """solve_cells' chunks and outcome for springs at the given parts."""
+    chunks = []
+
+    def spy(solve_chunk, given):
+        chunks.extend(given)
+        return map(solve_chunk, given)
+
+    return chunks, solve_cells(cells, SPRING, parts=parts, run=spy)
+
+
+def test_solve_cells_splits_only_a_dominant_source():
+    # m 4 holds 10 of the 14 cells, m 2 and m 3 two each
+    xis = [np.diag([1.0 + 0.05 * k, 1.0]) for k in range(10)]
+    small = [(xi, PeriodicCell(m=m), 0) for m in (2, 3) for xi in xis[:2]]
+    cells = [*small, *((xi, PeriodicCell(m=4), 0) for xi in xis)]
+    _, whole = spy_chunks(cells, 1)
+    for parts in (2, 3):
+        chunks, outcome = spy_chunks(cells, parts)
+        # the small sources stay whole (ceil(parts * 2 / 14) = 1 chunk), the
+        # dominant one is cut into ceil(parts * 10 / 14) = parts contiguous
+        # chunks in order
+        assert chunks[:2] == [small[:2], small[2:]]
+        assert len(chunks) == 2 + parts
+        assert [cell for chunk in chunks[2:] for cell in chunk] == cells[4:]
+        assert [outcome(*cell) for cell in cells] == [whole(*cell) for cell in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -433,8 +433,9 @@ def test_boundary_layer_rules():
         if min(min(v), min(1.0 - v)) <= depth
     ]
     np.testing.assert_array_equal(boundary_layer(mesh, depth), np.array(brute))
-    with pytest.raises(ValueError):
-        boundary_layer(mesh, -0.1)
+    for bad in (-0.1, np.nan):  # NaN used to give an empty layer
+        with pytest.raises(ValueError, match="depth"):
+            boundary_layer(mesh, bad)
 
 
 # ---------------------------------------------------------------------------

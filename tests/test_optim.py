@@ -205,10 +205,14 @@ def test_minimize_rejects_fully_pinned_and_bad_init():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        MinimizeSettings(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        MinimizeSettings(max_iters=0)
+    # an infinite tolerance would report any start converged at iteration 0
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="grad_tol"):
+            MinimizeSettings(grad_tol=bad)
+    for bad in (0, 2.5, 2.0):  # a non-integer would end in range's TypeError
+        with pytest.raises(ValueError, match="max_iters"):
+            MinimizeSettings(max_iters=bad)
+    assert MinimizeSettings(max_iters=np.int64(3)).max_iters == 3
 
 
 def inconsistent(x):
