@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import math
 import sys
@@ -27,10 +28,8 @@ from .homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
-    at_scale,
     build_cell_mesh,
     default_layer_depth,
-    estimator_runs,
     failure_reason,
     frame_invariance_probe,
     isotropy_probe,
@@ -484,18 +483,21 @@ def cmd_homogenize(cfg: dict, args) -> int:
                                          "homogenize: n_realizations", 1)
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
 
-    # one job list: every sweep cell, then every probe cell at the finest scale
+    # one job list: every sweep cell, then every rotated probe cell; the probes
+    # solve on the sweep's finest cells, which hold each xi's base cells
     sweep = sweep_runs(source, scales, n_real, seed)
     cells = [(xi, cell_source, run_seed) for xi in xi_list
              for scale_runs in sweep for cell_source, run_seed in scale_runs]
-    probe_runs = estimator_runs(at_scale(source, scales[-1]), n_real, seed)
     frame = random_rotations(source.dim, n_frame, probe_seed)
     iso = random_rotations(source.dim, n_iso, probe_seed)
-    if frame or iso:
-        for xi in xi_list:
-            probe_xis = [xi, *(rot @ xi for rot in frame), *(xi @ rot for rot in iso)]
-            cells += [(probe_xi, cell_source, run_seed) for probe_xi in probe_xis
-                      for cell_source, run_seed in probe_runs]
+    for xi in xi_list:
+        probe_xis = [*(rot @ xi for rot in frame), *(xi @ rot for rot in iso)]
+        cells += [(probe_xi, cell_source, run_seed) for probe_xi in probe_xis
+                  for cell_source, run_seed in sweep[-1]]
+    if not periodic and args.jobs > 1:
+        # lattice, Delaunay and factorization: imported once, not in each worker
+        for module in ("scipy.spatial", "scipy.sparse.linalg"):
+            importlib.import_module(module)
     outcome = solve_cells(cells, model, restarts, settings, parts=args.jobs,
                           run=partial(_run_chunks, jobs=args.jobs))
 
@@ -508,7 +510,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
             estimates.append(None)
             failures.append({"xi_id": xi_id, "error": failure_reason(exc)})
 
-    probes = _probe_entries(xi_list, runs_estimator(probe_runs, outcome), frame, iso)
+    probes = _probe_entries(xi_list, runs_estimator(sweep[-1], outcome), frame, iso)
     statuses = Counter(rec.status for est in estimates if est is not None
                        for s in est.per_h for rec in s.records)
     # the cells in the means: converged or stopped at max_iters

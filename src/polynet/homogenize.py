@@ -368,15 +368,6 @@ def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[l
     return runs
 
 
-def estimator_runs(source, n_realizations: int = 1, seed: int = 0) -> list[tuple]:
-    """The cells of cell_estimator as (cell source, run seed): the source
-    itself with problem seed `seed` (periodic), or n_realizations lattices
-    seeded as the first scale of a sweep (stochastic)."""
-    if isinstance(source, PeriodicCell):
-        return [(source, seed)]
-    return sweep_runs(source, [source.h], n_realizations, seed)[0]
-
-
 def estimate_whom(
     xi,
     scales,
@@ -643,7 +634,9 @@ def cell_estimator(
         return _solve_chunk([(xi, cell_source, run_seed)], model, restarts, settings,
                             meshes)[0]
 
-    return runs_estimator(estimator_runs(source, n_realizations, seed), outcome)
+    runs = ([(source, seed)] if isinstance(source, PeriodicCell)
+            else sweep_runs(source, [source.h], n_realizations, seed)[0])
+    return runs_estimator(runs, outcome)
 
 
 def runs_estimator(runs, outcome):

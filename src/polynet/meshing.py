@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,8 @@ def periodic_mesh_3d(m: int) -> Mesh:
     Every subcube receives the identical split (all 6 tets share the main
     diagonal), so the edge set is exactly translation-periodic.  N_el = 6*m^3.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise ValueError(f"m must be an integer of at least 1, not {m!r}")
     n = m + 1
     grid = np.arange(n) / m
     xx, yy, zz = np.meshgrid(grid, grid, grid, indexing="ij")
@@ -157,8 +158,8 @@ def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
     cell (direction e1 - e2); "ne" runs bottom-left to top-right (e1 + e2).
     N_el = 2*m^2.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise ValueError(f"m must be an integer of at least 1, not {m!r}")
     if diagonal not in ("nw", "ne"):
         raise ValueError("diagonal must be 'nw' or 'ne'")
     n = m + 1
@@ -195,6 +196,8 @@ class StochasticLatticeSpec:
     def __post_init__(self):
         if self.kind not in ("matern-hardcore", "jittered-grid"):
             raise ValueError(f"unknown lattice kind {self.kind!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
         if not self.intensity > 0.0:
             raise ValueError("intensity must be positive")
         if not self.r_min > 0.0:

@@ -3,6 +3,7 @@ import gc
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -688,14 +689,25 @@ STOCHASTIC_TWO_XI = {
     },
 }
 
+STOCHASTIC_WITH_PROBES = {**STOCHASTIC_TWO_XI, "homogenize": {
+    **STOCHASTIC_TWO_XI["homogenize"],
+    "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 3}}}
+STOCHASTIC_PROBES = {**STOCHASTIC_TWO_XI, "solver": {"restarts": 2}, "homogenize": {
+    **STOCHASTIC_TWO_XI["homogenize"],
+    "probes": {"frame_rotations": 2, "isotropy_rotations": 1, "seed": 4}}}
 
-# with one restart the probe base cell is the sweep's m 4 cell: it differs
-# only in its run seed, which a single run never uses
+
+# the probes solve on the sweep's finest cells, so each xi's probe base cell
+# is its finest sweep cell, solved once, and the probes build no mesh of their own
 @pytest.mark.parametrize("payload, builds, solves", [
     (PERIODIC_PROBES, 2, 2 * (2 + 4)),  # m 2 and m 4, probes on the m 4 mesh
+    ({**PERIODIC_PROBES, "solver": {"restarts": 2}}, 2, 2 * (2 + 4)),
     (IDENTITY_PROBES, 2, 2 + 2),
     (STOCHASTIC_TWO_XI, 2 * 2, 2 * 2 * 2),  # scales x realizations
-], ids=["periodic with probes", "identity xi with probes", "stochastic"])
+    # per xi: 2 scales x 2 realizations, then 4 rotated xi x 2 realizations
+    (STOCHASTIC_WITH_PROBES, 2 * 2, 2 * (2 * 2 + 4 * 2)),
+], ids=["periodic with probes", "periodic with probes and 2 restarts",
+        "identity xi with probes", "stochastic", "stochastic with probes"])
 def test_homogenize_builds_each_source_once(tmp_path, monkeypatch, payload, builds,
                                             solves):
     from polynet import homogenize
@@ -719,11 +731,64 @@ def test_homogenize_builds_each_source_once(tmp_path, monkeypatch, payload, buil
     assert len(solved) == solves
 
 
+def _logging(function, log, tag):
+    """function, appending a line `tag` to the file log at every call; forked
+    workers inherit it, so the file counts the calls of every process."""
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{tag(*args)}\n")
+        return function(*args, **kwargs)
+
+    return logged
+
+
+# builds over all processes: one per source, but at --jobs 3 each finest
+# source holds 10 of the 24 distinct cells, more than 1/3, and is cut in two
+@pytest.mark.parametrize("jobs, builds", [("1", 4), ("2", 4), ("3", 6)])
+def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatch,
+                                                            jobs, builds):
+    from polynet import homogenize
+
+    log = tmp_path / "calls.log"
+    monkeypatch.setattr(homogenize, "build_cell_mesh", _logging(
+        homogenize.build_cell_mesh, log, lambda source: f"build {source}"))
+    monkeypatch.setattr(homogenize, "solve_cell_problem", _logging(
+        homogenize.solve_cell_problem, log, lambda problem, mesh=None: "solve"))
+    cfg = write_config(tmp_path, STOCHASTIC_WITH_PROBES)
+    assert main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", jobs]) == 0
+    assert_no_pool_left()
+    calls = Counter(log.read_text().splitlines())
+    built = {line: n for line, n in calls.items() if line.startswith("build")}
+    assert len(built) == 2 * 2  # scales x realizations
+    assert sum(built.values()) == builds
+    assert calls["solve"] == 24  # every distinct cell once
+
+
+@pytest.mark.parametrize("payload", [STOCHASTIC_PROBES,
+                                     {**PERIODIC_PROBES, "solver": {"restarts": 2}}],
+                         ids=["stochastic", "periodic"])
+def test_homogenize_probe_base_is_the_finest_sweep_value(tmp_path, monkeypatch, payload):
+    from polynet import cli
+
+    bases = []
+    probe = cli.frame_invariance_probe
+
+    def recording_probe(estimator, xi, rotations):
+        bases.append(estimator(xi))
+        return probe(estimator, xi, rotations)
+
+    monkeypatch.setattr(cli, "frame_invariance_probe", recording_probe)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+    estimates = json.loads((out / "summary.json").read_text())["estimates"]
+    # 17 significant digits round-trip every double
+    assert bases == [est["per_h"][-1]["value"] for est in estimates]
+
+
 def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, capsys):
-    payload = {**STOCHASTIC_TWO_XI, "homogenize": {
-        **STOCHASTIC_TWO_XI["homogenize"],
-        "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 3}}}
-    code, _, out = run_every_jobs(tmp_path, payload, capsys)
+    code, _, out = run_every_jobs(tmp_path, STOCHASTIC_WITH_PROBES, capsys)
     assert code == 0
     probes = json.loads((out / "summary.json").read_text())["probes"]
     assert sorted(probes) == ["0", "1"]
@@ -731,31 +796,35 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
                for entry in probes.values())
 
 
-STOCHASTIC_PROBES = {**STOCHASTIC_TWO_XI, "solver": {"restarts": 2}, "homogenize": {
-    **STOCHASTIC_TWO_XI["homogenize"],
-    "probes": {"frame_rotations": 2, "isotropy_rotations": 1, "seed": 4}}}
-
-
 @pytest.mark.parametrize("payload", [PERIODIC_PROBES, STOCHASTIC_PROBES],
                          ids=["periodic", "stochastic"])
 def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
-    # every probe deviation is the library's on cell_estimator at the finest scale
+    # every probe deviation is the library's on the sweep's finest cells: for
+    # a periodic source with one restart, cell_estimator at the finest m
     from polynet import EnergyModel, PairPotential, PeriodicCell, StochasticCell
     from polynet.homogenize import (at_scale, cell_estimator, frame_invariance_probe,
-                                    isotropy_probe, random_rotations)
+                                    isotropy_probe, random_rotations, runs_estimator,
+                                    solve_cells, sweep_runs)
     from polynet.meshing import StochasticLatticeSpec
 
     mesh, section = payload["mesh"], payload["homogenize"]
+    spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
+    restarts = payload.get("solver", {}).get("restarts", 1)
     if mesh["kind"] == "periodic":
-        source, finest = PeriodicCell(m=mesh["m"], dim=mesh["dim"]), section["m_list"][-1]
+        source = PeriodicCell(m=mesh["m"], dim=mesh["dim"])
+        estimator = cell_estimator(at_scale(source, section["m_list"][-1]), spring,
+                                   seed=payload["seed"], restarts=restarts)
     else:
         source = StochasticCell(StochasticLatticeSpec(**mesh["lattice"]), h=mesh["h"],
                                 dim=mesh["dim"])
-        finest = section["h_list"][-1]
-    spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
-    estimator = cell_estimator(at_scale(source, finest), spring,
-                               section.get("n_realizations", 1), payload["seed"],
-                               payload.get("solver", {}).get("restarts", 1))
+        runs = sweep_runs(source, section["h_list"], section["n_realizations"],
+                          payload["seed"])[-1]
+
+        def outcome(xi, cell_source, run_seed):
+            cell = (xi, cell_source, run_seed)
+            return solve_cells([cell], spring, restarts)(*cell)
+
+        estimator = runs_estimator(runs, outcome)
     probes = section["probes"]
     frame = random_rotations(mesh["dim"], probes["frame_rotations"], probes["seed"])
     iso = random_rotations(mesh["dim"], probes["isotropy_rotations"], probes["seed"])

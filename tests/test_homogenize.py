@@ -249,7 +249,7 @@ def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
     from polynet import homogenize
 
     xi = np.diag([1.1, 0.9])
-    m4, bad_dim = PeriodicCell(m=4), PeriodicCell(m=2, dim=4)
+    m4, bad_dim, bad_m = PeriodicCell(m=4), PeriodicCell(m=2, dim=4), PeriodicCell(m=2.5)
     expected = solve_cell_problem(CellProblem(xi=xi, source=m4, model=SPRING))
     built = []
     build = homogenize.build_cell_mesh
@@ -260,7 +260,8 @@ def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
 
     monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
     nan_xi, xi2 = np.diag([np.nan, 1.0]), np.diag([1.2, 0.8])
-    cells = [(nan_xi, m4, 0), (xi, m4, 0), (xi, m4, 1), (xi, bad_dim, 0), (xi2, bad_dim, 1)]
+    cells = [(nan_xi, m4, 0), (xi, m4, 0), (xi, m4, 1), (xi, bad_dim, 0), (xi2, bad_dim, 1),
+             (xi, bad_m, 0)]
     outcome = solve_cells(cells, SPRING)
     failed = outcome(nan_xi, m4, 0)
     assert isinstance(failed, ValueError) and "finite" in str(failed)
@@ -268,7 +269,9 @@ def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
     # a failed build is kept for the source's later cells, not retried
     assert outcome(xi, bad_dim, 0) is outcome(xi2, bad_dim, 1)
     assert isinstance(outcome(xi, bad_dim, 0), ValueError)
-    assert built == [m4, bad_dim]
+    # the builder's ValueError, not an IndexError that would end the run
+    assert "m must be an integer" in str(outcome(xi, bad_m, 0))
+    assert built == [m4, bad_dim, bad_m]
 
 
 def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):

@@ -155,6 +155,9 @@ def test_periodic_validation():
         periodic_mesh_2d(0)
     with pytest.raises(ValueError):
         periodic_mesh_2d(2, "sw")
+    for build in (periodic_mesh_2d, periodic_mesh_3d):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,9 @@ def test_lattice_spec_validation():
         StochasticLatticeSpec("jittered-grid", -1.0, 0.1, 0.5, 0)
     with pytest.raises(ValueError):
         StochasticLatticeSpec("jittered-grid", 1.0, 0.4, 0.1, 0)  # R <= r/2
+    for seed in (2.5, -1, "3"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            StochasticLatticeSpec("jittered-grid", 1.0, 0.1, 0.5, seed)
 
 
 def test_rescale_and_clip_basics():

@@ -1,5 +1,5 @@
-"""scipy loads on first use, never on import: a periodic run loads none of it,
-and no run loads scipy.optimize.
+"""scipy loads on first use, never on import: a periodic run loads none of it
+at any --jobs, and no run loads scipy.optimize.
 
 Each check runs in a fresh interpreter, since the test process itself has
 imported scipy long before.
@@ -16,13 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PERIODIC_RUNS = """
 from polynet.cli import main
 
-for command, name in (("homogenize", "homogenize_periodic"),
-                      ("mesh", "mesh_periodic"),
-                      ("counterexample", "counterexample")):
+for command, name, jobs in (("homogenize", "homogenize_periodic", ["--jobs", "1"]),
+                            ("homogenize", "homogenize_periodic", ["--jobs", "2"]),
+                            ("mesh", "mesh_periodic", []),
+                            ("counterexample", "counterexample", [])):
     args = [command, "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}"]
-    if command == "homogenize":
-        args += ["--jobs", "1"]
-    assert main(args) == 0, command
+    assert main(args + jobs) == 0, (command, jobs)
 """
 
 STOCHASTIC_MESH = """
@@ -40,6 +39,22 @@ from polynet.cli import main
 args = ["homogenize", "--config", f"{configs}/homogenize_stochastic.json",
         "--out", f"{out}/homogenize_stochastic", "--jobs", "1"]
 assert main(args) == 0
+"""
+
+# the parent imports what a stochastic cell needs before the pool forks, so
+# the workers inherit it rather than importing it each
+STOCHASTIC_FORK = """
+from polynet import cli
+
+class CheckingPool(cli.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        assert {"scipy.spatial", "scipy.sparse.linalg"} <= set(sys.modules)
+        super().__init__(*args, **kwargs)
+
+cli.ProcessPoolExecutor = CheckingPool
+args = ["homogenize", "--config", f"{configs}/homogenize_stochastic.json",
+        "--out", f"{out}/homogenize_stochastic", "--jobs", "2"]
+assert cli.main(args) == 0
 """
 
 
@@ -76,3 +91,7 @@ def test_stochastic_run_loads_no_scipy_optimize(tmp_path):
     assert "scipy.spatial" in loaded
     assert "scipy.sparse.linalg" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
+
+
+def test_stochastic_run_loads_scipy_before_the_pool_forks(tmp_path):
+    assert "scipy.spatial" in scipy_modules_after(STOCHASTIC_FORK, tmp_path)
