@@ -32,8 +32,7 @@ source = StochasticCell(lattice=lattice, h=1.0, dim=2)
 est_s = estimate_whom(xi, [0.25, 0.15, 0.1], spring, source,
                       n_realizations=8, seed=42)
 for scale in est_s.per_h:
-    st = scale.stats
-    print(f"  h = {scale.h:.3f}: mean {st.mean:.6f} +- {st.stderr:.6f} "
-          f"over {st.n} realizations")
+    print(f"  h = {scale.h:.3f}: mean {scale.value:.6f} +- {scale.stderr:.6f} "
+          f"over {scale.n} realizations")
 print(f"  cauchy gaps: {[f'{g:.4f}' for g in est_s.cauchy_gaps]}")
 print(f"  finest-scale value: {est_s.extrapolated:.6f}")

@@ -17,7 +17,6 @@ import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -398,24 +397,14 @@ def _probe_settings(section) -> tuple[int, int, int]:
                  for key in ("frame_rotations", "isotropy_rotations", "seed"))
 
 
-def _run_chunks(solve, chunks, jobs: int):
-    """solve over the chunks in min(jobs, len(chunks)) processes, this one
-    included; solve_cells' `run` for --jobs.
-
-    The chunks are dealt into one share per process, longest first, each to
-    the share with the fewest cells so far (ties to the earlier share), so
-    every run deals them alike.  Each share but the first is one task of a
-    forked worker, and this process solves the first meanwhile.  A chunk's
-    outcomes never depend on the process that solves it.
+def _run_shares(solve, shares):
+    """solve over the shares, one process each, this one included:
+    solve_cells' `run` for --jobs.  Each share but the first is one task of
+    a forked worker, and this process solves the first meanwhile.  A
+    share's outcomes never depend on the process that solves it.
     """
-    n = min(jobs, len(chunks))
-    if n <= 1:
-        return map(solve, chunks)
-    shares, sizes = [[] for _ in range(n)], [0] * n
-    for k in sorted(range(len(chunks)), key=lambda k: -len(chunks[k])):
-        share = sizes.index(min(sizes))
-        shares[share].append(k)
-        sizes[share] += len(chunks[k])
+    if len(shares) <= 1:
+        return map(solve, shares)
     # Frozen while the workers fork, this process's objects stay out of
     # their collections (no copy-on-write of their headers).  Freezing
     # also restarts the collector's generation counts, so every run hands
@@ -423,21 +412,11 @@ def _run_chunks(solve, chunks, jobs: int):
     # collection does not fall wherever this run's allocations left it.
     gc.freeze()
     try:
-        with ProcessPoolExecutor(max_workers=n - 1) as pool:
-            tasks = [pool.submit(_solve_each, solve, [chunks[k] for k in share])
-                     for share in shares[1:]]
-            here = [chunks[k] for k in shares[0]]
-            solved = dict(zip(shares[0], _solve_each(solve, here)))
-            for share, task in zip(shares[1:], tasks):
-                solved.update(zip(share, task.result()))
+        with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
+            tasks = [pool.submit(solve, share) for share in shares[1:]]
+            return [solve(shares[0]), *(task.result() for task in tasks)]
     finally:
         gc.unfreeze()
-    return [solved[k] for k in range(len(chunks))]
-
-
-def _solve_each(solve, chunks) -> list:
-    """solve's outcome list for each chunk: one share of _run_chunks."""
-    return [solve(chunk) for chunk in chunks]
 
 
 def _probe_entries(xi_list, estimator, frame, iso) -> dict:
@@ -498,8 +477,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
         # lattice, Delaunay and factorization: imported once, not in each worker
         for module in ("scipy.spatial", "scipy.sparse.linalg"):
             importlib.import_module(module)
-    outcome = solve_cells(cells, model, restarts, settings, parts=args.jobs,
-                          run=partial(_run_chunks, jobs=args.jobs))
+    outcome = solve_cells(cells, model, restarts, settings, parts=args.jobs, run=_run_shares)
 
     # indexed like xi_list; a failed xi keeps its slot as None
     estimates, failures = [], []
@@ -566,7 +544,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for homogenize cells (probes included)")
+                        help="processes, this one included, that solve homogenize cells")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 

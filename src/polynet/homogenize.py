@@ -166,12 +166,16 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     with one restart cells that differ in it alone are solved once.  Cells
     are grouped by source, and a source with c of the C distinct cells is
     cut into min(c, ceil(parts * c / C)) contiguous chunks: only a source
-    holding more than 1/parts of the cells is split, and each chunk builds
-    its source's mesh once.  run(solve, chunks) returns solve's outcome
-    list for each chunk, in order; the default solves them here, one after
-    another.
+    holding more than 1/parts of the cells is split.  The chunks are dealt
+    into min(parts, chunks) shares, one per process, longest first, each to
+    the share with the fewest cells so far (ties to the earlier share); a
+    chunk whose source the share already holds joins that source's cells,
+    so a share builds each of its sources' meshes once.  run(solve, shares)
+    returns solve's outcome list for each share, in order; the default
+    solves them here, one after another.
     """
     check_count(restarts, "restarts")
+    check_count(parts, "parts")
 
     def key(xi, source, seed):
         return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
@@ -185,11 +189,25 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     for group in groups.values():
         n = min(len(group), -(-parts * len(group) // len(seen)))
         chunks += [group[len(group) * k // n:len(group) * (k + 1) // n] for k in range(n)]
-    solved = run(partial(_solve_chunk, model=model, restarts=restarts, settings=settings),
-                 chunks)
-    outcomes = {key(*cell): result for chunk, results in zip(chunks, solved)
-                for cell, result in zip(chunk, results)}
+    shares = [{} for _ in range(min(parts, len(chunks)))]
+    sizes = [0] * len(shares)
+    for chunk in sorted(chunks, key=len, reverse=True):
+        k = sizes.index(min(sizes))
+        shares[k].setdefault(chunk[0][1], []).extend(chunk)
+        sizes[k] += len(chunk)
+    shares = [list(share.values()) for share in shares]
+    solved = run(partial(_solve_share, model=model, restarts=restarts, settings=settings),
+                 shares)
+    outcomes = {key(*cell): result for share, results in zip(shares, solved)
+                for cell, result in zip((cell for group in share for cell in group), results)}
     return lambda xi, source, seed: outcomes[key(xi, source, seed)]
+
+
+def _solve_share(share, model, restarts, settings) -> list:
+    """The outcomes of a share's single-source cell lists, in order; each
+    list's mesh is dropped before the next is built."""
+    return [outcome for cells in share
+            for outcome in _solve_chunk(cells, model, restarts, settings)]
 
 
 def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -> list:
@@ -305,18 +323,12 @@ class CellRecord:
 
 
 @dataclass
-class RealizationStats:
-    mean: float
-    stderr: float
-    n: int
-
-
-@dataclass
 class ScaleEstimate:
     h: float
-    value: float
+    value: float  # mean over the scale's cells that did not fail
     grad_norm: float
-    stats: RealizationStats
+    stderr: float  # standard error of that mean (0 for a single cell)
+    n: int  # cells in the mean
     records: list[CellRecord] = field(default_factory=list)
 
 
@@ -452,7 +464,8 @@ def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
                 h=h_val,
                 value=mean,
                 grad_norm=grad_norm,
-                stats=RealizationStats(mean, stderr, int(values.size)),
+                stderr=stderr,
+                n=int(values.size),
                 records=records,
             )
         )
@@ -704,9 +717,9 @@ def summary_dict(estimates: list[HomogEstimate | None], probes: dict | None = No
                         "h": s.h,
                         "value": s.value,
                         "grad_norm": s.grad_norm,
-                        "mean": s.stats.mean,
-                        "stderr": s.stats.stderr,
-                        "n": s.stats.n,
+                        "mean": s.value,
+                        "stderr": s.stderr,
+                        "n": s.n,
                         "n_max_iters": sum(r.status == "max_iters" for r in s.records),
                     }
                     for s in est.per_h

@@ -459,14 +459,17 @@ def write_mesh(mesh: Mesh, path) -> None:
 def read_mesh(path) -> Mesh:
     with open(path) as fh:
         tokens = fh.read().split("\n")
-    dim, n_vert, n_el = (int(t) for t in tokens[0].split())
-    vertices = np.array(
-        [[float(c) for c in tokens[1 + i].split()] for i in range(n_vert)]
-    )
-    elements = np.array(
-        [[int(c) for c in tokens[1 + n_vert + i].split()] for i in range(n_el)],
-        dtype=np.int64,
-    )
+    try:  # a truncated file ends in a missing or short line
+        dim, n_vert, n_el = (int(t) for t in tokens[0].split())
+        vertices = np.array(
+            [[float(c) for c in tokens[1 + i].split()] for i in range(n_vert)]
+        )
+        elements = np.array(
+            [[int(c) for c in tokens[1 + n_vert + i].split()] for i in range(n_el)],
+            dtype=np.int64,
+        )
+    except (IndexError, ValueError) as exc:
+        raise ValueError("malformed mesh file") from exc
     if (vertices.shape != (n_vert, dim) or elements.shape != (n_el, dim + 1)
             or (elements < 0).any() or (elements >= n_vert).any()):
         raise ValueError("malformed mesh file")

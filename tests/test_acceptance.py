@@ -259,8 +259,7 @@ def test_criterion_09_stochastic_statistics():
         for n in ns:
             est = estimate_whom(xi, [0.25, 0.15], spring, src,
                                 n_realizations=n, seed=1000 + b)
-            st = est.per_h[-1].stats
-            variance_estimates[n].append(n * st.stderr**2)
+            variance_estimates[n].append(n * est.per_h[-1].stderr**2)
     consistent = True
     detail = []
     for n1, n2 in itertools.combinations(ns, 2):

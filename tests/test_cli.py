@@ -325,38 +325,35 @@ def run_every_jobs(tmp_path, payload, capsys):
     return runs[0][0], runs[0][1], tmp_path / "jobs1"
 
 
-def _pid_and_sum(chunk):
-    return os.getpid(), sum(chunk)
+def _pid_and_sum(share):
+    return os.getpid(), sum(share)
 
 
-# chunks of 3, 1, 2, 4 and 1 cells, dealt longest first to the share with
-# the fewest cells; the first share is solved in this process
-CHUNKS = [[1, 2, 3], [4], [5, 6], [7, 8, 9, 10], [11]]
-DEALS = {2: ([[7, 8, 9, 10], [4], [11]], [[[1, 2, 3], [5, 6]]]),
-         3: ([[7, 8, 9, 10]], [[[1, 2, 3], [11]], [[5, 6], [4]]])}
+SHARES = [[1, 2, 3], [4], [5, 6]]
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_run_chunks_parent_solves_a_share(monkeypatch, jobs):
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_run_shares_parent_solves_the_first_share(monkeypatch, processes):
     from polynet import cli
 
     submitted = []
 
     class RecordingPool(ProcessPoolExecutor):
-        def submit(self, fn, solve, chunks):
-            submitted.append(chunks)
-            return super().submit(fn, solve, chunks)
+        def submit(self, fn, share):
+            submitted.append(share)
+            return super().submit(fn, share)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    for _ in range(2):  # every run deals the chunks alike
+    shares = SHARES[:processes]
+    for _ in range(2):  # every run behaves alike
         submitted.clear()
-        results = cli._run_chunks(_pid_and_sum, CHUNKS, jobs)
+        results = list(cli._run_shares(_pid_and_sum, shares))
         assert_no_pool_left()
-        assert [total for _, total in results] == [sum(chunk) for chunk in CHUNKS]
+        # in share order; the first share here, each other one a forked task
+        assert [total for _, total in results] == [sum(share) for share in shares]
         pids = [pid for pid, _ in results]
-        assert len(set(pids)) <= jobs
-        here = [chunk for chunk, pid in zip(CHUNKS, pids) if pid == os.getpid()]
-        assert (sorted(here), submitted) == (sorted(DEALS[jobs][0]), DEALS[jobs][1])
+        assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
+        assert submitted == shares[1:]
 
 
 def test_homogenize_failing_xi_same_outputs_for_every_jobs(tmp_path, capsys):
@@ -742,27 +739,45 @@ def _logging(function, log, tag):
     return logged
 
 
-# builds over all processes: one per source, but at --jobs 3 each finest
-# source holds 10 of the 24 distinct cells, more than 1/3, and is cut in two
-@pytest.mark.parametrize("jobs, builds", [("1", 4), ("2", 4), ("3", 6)])
-def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatch,
-                                                            jobs, builds):
+# one xi on m 2, 4 and 8 with 1 frame and 1 isotropy probe: m 8 holds 3 of
+# the 5 distinct cells, so at --jobs 2 and 3 it is cut into chunks of 1 and 2
+# cells; at --jobs 2 both chunks are dealt to the first share
+PERIODIC_ONE_XI = {**HOMOGENIZE_PERIODIC, "homogenize": {
+    "xi_list": [[[1.1, 0.0], [0.0, 0.9]]],
+    "m_list": [2, 4, 8],
+    "probes": {"frame_rotations": 1, "isotropy_rotations": 1, "seed": 1}}}
+
+
+# builds over all processes: one per source, unless a source holds more than
+# 1/jobs of the distinct cells and its chunks land in different processes.
+# Stochastic: at --jobs 3 each finest source holds 10 of the 24 cells.
+@pytest.mark.parametrize("payload, jobs, sources, builds, solves", [
+    (STOCHASTIC_WITH_PROBES, "1", 2 * 2, 4, 24),  # scales x realizations
+    (STOCHASTIC_WITH_PROBES, "2", 2 * 2, 4, 24),
+    (STOCHASTIC_WITH_PROBES, "3", 2 * 2, 6, 24),
+    (PERIODIC_ONE_XI, "1", 3, 3, 5),
+    (PERIODIC_ONE_XI, "2", 3, 3, 5),
+    (PERIODIC_ONE_XI, "3", 3, 4, 5),
+], ids=["1-4", "2-4", "3-6", "periodic-1-3", "periodic-2-3", "periodic-3-4"])
+def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatch, payload,
+                                                            jobs, sources, builds, solves):
     from polynet import homogenize
 
     log = tmp_path / "calls.log"
     monkeypatch.setattr(homogenize, "build_cell_mesh", _logging(
-        homogenize.build_cell_mesh, log, lambda source: f"build {source}"))
+        homogenize.build_cell_mesh, log, lambda source: f"build {os.getpid()} {source}"))
     monkeypatch.setattr(homogenize, "solve_cell_problem", _logging(
         homogenize.solve_cell_problem, log, lambda problem, mesh=None: "solve"))
-    cfg = write_config(tmp_path, STOCHASTIC_WITH_PROBES)
+    cfg = write_config(tmp_path, payload)
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--jobs", jobs]) == 0
     assert_no_pool_left()
     calls = Counter(log.read_text().splitlines())
     built = {line: n for line, n in calls.items() if line.startswith("build")}
-    assert len(built) == 2 * 2  # scales x realizations
-    assert sum(built.values()) == builds
-    assert calls["solve"] == 24  # every distinct cell once
+    assert set(built.values()) == {1}  # no process builds a source twice
+    assert len({line.split(" ", 2)[2] for line in built}) == sources
+    assert len(built) == builds
+    assert calls["solve"] == solves  # every distinct cell once
 
 
 @pytest.mark.parametrize("payload", [STOCHASTIC_PROBES,

@@ -156,7 +156,7 @@ def test_estimate_whom_periodic_shape():
     hs = [s.h for s in est.per_h]
     assert hs == sorted(hs, reverse=True)
     for s in est.per_h:
-        assert s.stats.n == 1 and s.stats.stderr == 0.0
+        assert s.n == 1 and s.stderr == 0.0
 
 
 def test_estimate_whom_needs_two_scales():
@@ -187,9 +187,9 @@ def test_estimate_whom_stochastic_stats_and_determinism():
     est2 = estimate_whom(xi, [0.25, 0.2], SPRING, src, n_realizations=4, seed=3)
     for a, b in zip(est1.per_h, est2.per_h):
         assert a.value == b.value
-        assert a.stats.stderr == b.stats.stderr
-        assert a.stats.n == 4
-        assert a.stats.stderr > 0.0
+        assert a.stderr == b.stderr
+        assert a.n == 4
+        assert a.stderr > 0.0
         assert len(a.records) == 4
 
 
@@ -198,9 +198,9 @@ def test_estimate_whom_batches_agree_within_stderr():
     src = StochasticCell(lattice=LATTICE_2D, h=1.0, dim=2)
     a = estimate_whom(xi, [0.3, 0.2], SPRING, src, n_realizations=8, seed=101)
     b = estimate_whom(xi, [0.3, 0.2], SPRING, src, n_realizations=8, seed=202)
-    sa, sb = a.per_h[-1].stats, b.per_h[-1].stats
+    sa, sb = a.per_h[-1], b.per_h[-1]
     combined = np.hypot(sa.stderr, sb.stderr)
-    assert abs(sa.mean - sb.mean) <= 3.0 * combined
+    assert abs(sa.value - sb.value) <= 3.0 * combined
 
 
 def test_estimate_whom_records_failures():
@@ -240,6 +240,9 @@ def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
             cell_estimator(source, SPRING, restarts=bad)
         with pytest.raises(ValueError, match="restarts"):
             CellProblem(xi=xi, source=source, model=SPRING, restarts=bad)
+    for bad in (0, -1, 2.5):  # 0 and -1 used to solve nothing, then raise a KeyError
+        with pytest.raises(ValueError, match="parts"):
+            solve_cells([(xi, source, 0)], SPRING, parts=bad)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             estimate_whom(np.diag([bad, 1.0]), [2, 4], SPRING, source)
@@ -294,28 +297,36 @@ def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
     outcomes = []
     for parts in (1, 2, 3, 5):
         solved.clear()
-        chunks, outcome = spy_chunks(cells, parts)
+        shares, outcome = spy_shares(cells, parts)
         outcomes.append([outcome(*cell) for cell in distinct])
         assert len(solved) == len(distinct)  # the duplicate is solved once
+        assert len(shares) <= parts
         for source, _ in runs:
-            mine = [chunk for chunk in chunks if chunk[0][1] == source]
+            mine = [share for share in shares if source in held(share)]
             # each source holds 2 of the 8 cells: split only beyond 1/parts
-            assert len(mine) == min(len(xis), math.ceil(parts * len(xis) / len(distinct)))
-        assert all(len({cell[1] for cell in chunk}) == 1 for chunk in chunks)
-        assert sum(len(chunk) for chunk in chunks) == len(distinct)
+            assert len(mine) <= min(len(xis), math.ceil(parts * len(xis) / len(distinct)))
+        for share in shares:  # single-source cell lists, a source at most once
+            assert all(len({cell[1] for cell in group}) == 1 for group in share)
+            assert len(held(share)) == len(share)
+        assert sum(len(group) for share in shares for group in share) == len(distinct)
     assert all(isinstance(sol, CellSolution) for sol in outcomes[0])
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
 
 
-def spy_chunks(cells, parts):
-    """solve_cells' chunks and outcome for springs at the given parts."""
-    chunks = []
+def spy_shares(cells, parts):
+    """solve_cells' shares and outcome for springs at the given parts."""
+    shares = []
 
-    def spy(solve_chunk, given):
-        chunks.extend(given)
-        return map(solve_chunk, given)
+    def spy(solve_share, given):
+        shares.extend(given)
+        return map(solve_share, given)
 
-    return chunks, solve_cells(cells, SPRING, parts=parts, run=spy)
+    return shares, solve_cells(cells, SPRING, parts=parts, run=spy)
+
+
+def held(share):
+    """The sources of a share's cell lists, in order."""
+    return [group[0][1] for group in share]
 
 
 def test_solve_cells_splits_only_a_dominant_source():
@@ -323,16 +334,46 @@ def test_solve_cells_splits_only_a_dominant_source():
     xis = [np.diag([1.0 + 0.05 * k, 1.0]) for k in range(10)]
     small = [(xi, PeriodicCell(m=m), 0) for m in (2, 3) for xi in xis[:2]]
     cells = [*small, *((xi, PeriodicCell(m=4), 0) for xi in xis)]
-    _, whole = spy_chunks(cells, 1)
+    position = {id(cell): k for k, cell in enumerate(cells)}
+    _, whole = spy_shares(cells, 1)
     for parts in (2, 3):
-        chunks, outcome = spy_chunks(cells, parts)
+        shares, outcome = spy_shares(cells, parts)
+        groups = [group for share in shares for group in share]
         # the small sources stay whole (ceil(parts * 2 / 14) = 1 chunk), the
         # dominant one is cut into ceil(parts * 10 / 14) = parts contiguous
-        # chunks in order
-        assert chunks[:2] == [small[:2], small[2:]]
-        assert len(chunks) == 2 + parts
-        assert [cell for chunk in chunks[2:] for cell in chunk] == cells[4:]
+        # chunks, each dealt to its own share
+        assert small[:2] in groups and small[2:] in groups
+        dominant = [[position[id(cell)] for cell in group] for group in groups
+                    if group[0][1] == PeriodicCell(m=4)]
+        assert len(dominant) == parts
+        assert all(run == list(range(run[0], run[0] + len(run))) for run in dominant)
+        assert sorted(k for run in dominant for k in run) == list(range(4, 14))
         assert [outcome(*cell) for cell in cells] == [whole(*cell) for cell in cells]
+
+
+# each source's cell count, and the shares solve_cells deals them into at
+# the given parts, as (source index, cells) lists: chunks are dealt longest
+# first, each to the share with the fewest cells (ties to the earlier share)
+DEALS = [
+    ((3, 1, 2, 4, 1), 2, [[(3, 4), (1, 1), (4, 1)], [(0, 3), (2, 2)]]),
+    # source 3 holds 4 of the 11 cells, more than 1/3: two chunks of 2
+    ((3, 1, 2, 4, 1), 3, [[(0, 3), (4, 1)], [(2, 2), (3, 2)], [(3, 2), (1, 1)]]),
+    # source 1's two chunks of 2 both go to share 1, which holds it once
+    ((3, 4), 2, [[(0, 3)], [(1, 4)]]),
+]
+
+
+@pytest.mark.parametrize("counts, parts, expected", DEALS,
+                         ids=["whole-sources", "a-split-source", "a-merged-source"])
+def test_solve_cells_deals_shares(counts, parts, expected):
+    sources = [PeriodicCell(m=m) for m in range(2, 2 + len(counts))]
+    cells = [(np.diag([1.0 + 0.01 * k, 1.0]), source, 0)
+             for source, count in zip(sources, counts) for k in range(count)]
+    for _ in range(2):  # every run deals them alike
+        shares, outcome = spy_shares(cells, parts)
+        assert [[(sources.index(group[0][1]), len(group)) for group in share]
+                for share in shares] == expected
+        assert all(isinstance(outcome(*cell), CellSolution) for cell in cells)
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,15 @@ def test_mesh_io_roundtrip(tmp_path):
         path2.write_text("\n".join(edited))
         with pytest.raises(ValueError, match="malformed mesh file"):
             read_mesh(path2)
+    # a file with fewer lines than its header promises used to escape as
+    # an IndexError, and one cut within a line as numpy's ValueError
+    for kept in (0, 1, 1 + n, len(lines) - 2):
+        path2.write_text("\n".join(lines[:kept]) + "\n")
+        with pytest.raises(ValueError, match="malformed mesh file"):
+            read_mesh(path2)
+    path2.write_text(path.read_text()[:-3])
+    with pytest.raises(ValueError, match="malformed mesh file"):
+        read_mesh(path2)
 
 
 def test_mesh_validation_catches_bad_h():
