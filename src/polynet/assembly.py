@@ -2,11 +2,11 @@
 
 The total energy sums, per element, the pair potential over every distinct
 vertex pair of the element (an edge shared by k elements is counted k
-times, as the model prescribes), weighted either by h^dim or by the element
-volume, plus the exact per-element volumetric contribution of the
-piecewise-affine deformation.  It is evaluated in one pass over the unique
-edges, each with the summed weight of its elements, and one over the
-elements, with closed-form determinants and cofactors.
+times, as the model prescribes), weighted by h^dim, plus the exact
+per-element volumetric contribution of the piecewise-affine deformation.
+It is evaluated in one pass over the unique edges, each with the summed
+weight of its elements, and one over the elements, with closed-form
+determinants and cofactors.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ import numpy as np
 from .chains import PairPotential
 from .meshing import Mesh, cofactors, determinants, edge_columns
 from .volumetric import VolumetricParams, w_vol_eta_dj, w_vol_eta_j
-
-UNIFORM_WEIGHTS = "uniform-h"
-VOLUME_WEIGHTS = "element-volume"
 
 
 class InvertedElementError(ValueError):
@@ -39,19 +36,15 @@ class FullyConstrainedError(ValueError):
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Pair potential, chains-per-volume factor f, optional volumetric term,
-    and the element weighting convention for the pair sum."""
+    """Pair potential, chains-per-volume factor f and optional volumetric term."""
 
     pair: PairPotential
     f: float = 1.0
     vol: VolumetricParams | None = None
-    weight_mode: str = UNIFORM_WEIGHTS
 
     def __post_init__(self):
         if not self.f > 0.0:
             raise ValueError("chains-per-volume factor f must be positive")
-        if self.weight_mode not in (UNIFORM_WEIGHTS, VOLUME_WEIGHTS):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ class BoundaryCondition:
 def _geometry(mesh: Mesh) -> dict:
     """Per-mesh cache: unique edges with their rest lengths, the element ->
     edge map, the bincount index of every gradient term, the reference
-    determinants, and the edge weights summed per weight mode."""
+    determinants, and the pair weights of each edge's elements, summed."""
     cache = mesh._cache
     if "geometry" in cache:
         return cache["geometry"]
@@ -100,37 +93,24 @@ def _geometry(mesh: Mesh) -> dict:
     rest = np.linalg.norm(mesh.vertices[edge_i] - mesh.vertices[edge_j], axis=1)
     if np.any(rest == 0.0):
         raise ValueError("mesh contains zero-length reference edges")
+    elem_edge = elem_edge.reshape(len(combos), mesh.num_elements)
     geometry = {
-        "edge_i": edge_i, "edge_j": edge_j, "rest": rest,
-        "elem_edge": elem_edge.reshape(len(combos), mesh.num_elements),
+        "edge_i": edge_i, "edge_j": edge_j, "rest": rest, "elem_edge": elem_edge,
         # pair terms at i and at j, then volumetric moments at corners 1..d and 0
         "index": np.concatenate([edge_i, edge_j, *corners[1:], corners[0]]),
         "det_x": math.factorial(mesh.dim) * mesh.element_volumes(),
-        "edge_weights": {},
+        "edge_weights": np.bincount(elem_edge.ravel(),
+                                    np.full(elem_edge.size, _pair_weight(mesh)),
+                                    minlength=rest.size),
     }
     cache["geometry"] = geometry
     return geometry
 
 
-def _element_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
-    if model.weight_mode == UNIFORM_WEIGHTS:
-        # h^dim = 1/N_el of the mesh h was defined on; rounding recovers that
-        # count exactly, so a sub-mesh keeps its parent's weight
-        return np.full(mesh.num_elements, 1.0 / round(mesh.h ** -mesh.dim))
-    return mesh.element_volumes()
-
-
-def _edge_weights(mesh: Mesh, model: EnergyModel) -> np.ndarray:
-    """Weights of the elements that share each unique edge, summed."""
-    geometry = _geometry(mesh)
-    summed = geometry["edge_weights"]
-    if model.weight_mode not in summed:
-        elem_edge = geometry["elem_edge"]
-        summed[model.weight_mode] = np.bincount(
-            elem_edge.ravel(), np.tile(_element_weights(mesh, model), elem_edge.shape[0]),
-            minlength=geometry["rest"].size,
-        )
-    return summed[model.weight_mode]
+def _pair_weight(mesh: Mesh) -> float:
+    """h^dim = 1/N_el of the mesh h was defined on; rounding recovers that
+    count exactly, so a sub-mesh keeps its parent's weight."""
+    return 1.0 / round(mesh.h ** -mesh.dim)
 
 
 def _edges(mesh: Mesh, positions: np.ndarray):
@@ -189,7 +169,7 @@ def _volumetric_energies(mesh: Mesh, model: EnergyModel, state: dict):
 
 def _energy(mesh: Mesh, model: EnergyModel, state: dict, pair) -> float:
     """Total energy from the per-edge pair energies `pair` of the state."""
-    total = model.f * float(_edge_weights(mesh, model) @ np.asarray(pair, dtype=float))
+    total = model.f * float(_geometry(mesh)["edge_weights"] @ np.asarray(pair, dtype=float))
     return total + float(np.sum(_volumetric_energies(mesh, model, state)))
 
 
@@ -198,7 +178,7 @@ def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> n
     state = _point_state(mesh, positions, model, gradient=False)
     pair = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
     per_elem = pair[_geometry(mesh)["elem_edge"]].sum(axis=0)
-    return (_element_weights(mesh, model) * model.f * per_elem
+    return (_pair_weight(mesh) * model.f * per_elem
             + _volumetric_energies(mesh, model, state))
 
 
@@ -229,7 +209,7 @@ def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
     per component."""
     geometry = _geometry(mesh)
     dW = np.asarray(dW, dtype=float)
-    coef = model.f * _edge_weights(mesh, model) * dW / (geometry["rest"] * state["dist"])
+    coef = model.f * geometry["edge_weights"] * dW / (geometry["rest"] * state["dist"])
     moments = []
     if model.vol is not None:
         scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
@@ -268,7 +248,7 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
         - np.asarray(model.pair.derivative(stretch - step), dtype=float)
     ) / (2.0 * step)
     d2w = np.maximum(d2w, 1e-8 * d2w.max())
-    w = _edge_weights(mesh, model) * model.f * d2w / rest**2
+    w = geometry["edge_weights"] * model.f * d2w / rest**2
     n = mesh.num_vertices
     free = np.ones(n, dtype=bool) if free is None else free
     block = np.cumsum(free) - 1  # index of each free vertex in the block

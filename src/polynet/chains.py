@@ -94,16 +94,14 @@ class ChainParams:
 
     k and beta play the role of a Boltzmann-like constant and an inverse
     temperature, c is an additive constant and n the number of segments per
-    chain.  The segment length l does not enter the energy as implemented;
-    it is stored for documentation only (the chain is interpreted at
-    end-to-end length sqrt(n)*l).
+    chain.  The energy depends on the stretch ratio only, so the segment
+    length does not enter it.
     """
 
     k: float = 1.0
     beta: float = 1.0
     c: float = 0.0
     n: float = 8.0
-    l: float = 1.0
 
     def __post_init__(self):
         if not (self.k > 0.0 and self.beta > 0.0 and self.n > 0.0):

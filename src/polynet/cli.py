@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import BoundaryCondition, EnergyModel, FullyConstrainedError
+from .assembly import (
+    BoundaryCondition,
+    CoincidentVerticesError,
+    EnergyModel,
+    FullyConstrainedError,
+    InvertedElementError,
+)
 from .chains import ChainParams, PairPotential
 from .homogenize import (
     PeriodicCell,
@@ -41,13 +47,14 @@ from .homogenize import (
     write_estimates_csv,
 )
 from .meshing import (
+    DegenerateGeometryError,
     InfeasibleLatticeError,
     StochasticLatticeSpec,
     check_admissibility,
     stochastic_lattice,
     write_mesh,
 )
-from .optim import MinimizeSettings, OptimizationError, minimize
+from .optim import MinimizeSettings, minimize
 from .volumetric import VolumetricParams
 
 
@@ -177,12 +184,12 @@ def load_config(path) -> dict:
 
 def build_model(cfg: dict) -> EnergyModel:
     section = _need(cfg, "model")
-    _check_keys(section, {"pair", "f", "weight_mode", "volumetric"}, "model")
+    _check_keys(section, {"pair", "f", "volumetric"}, "model")
     pair_cfg = _need(section, "pair", "model")
     kind = _need(pair_cfg, "kind", "model.pair")
     if kind == "langevin-chain":
-        _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n", "l"}, "model.pair")
-        defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0, "l": 1.0}
+        _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n"}, "model.pair")
+        defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0}
         params = ChainParams(**{
             key: _number(pair_cfg.get(key, default), f"model.pair: {key}")
             for key, default in defaults.items()
@@ -204,12 +211,7 @@ def build_model(cfg: dict) -> EnergyModel:
         )
     f = _number(section.get("f", 1.0), "model: f")
     try:
-        return EnergyModel(
-            pair=pair,
-            f=f,
-            vol=vol,
-            weight_mode=section.get("weight_mode", "uniform-h"),
-        )
+        return EnergyModel(pair=pair, f=f, vol=vol)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -507,14 +509,15 @@ def cmd_homogenize(cfg: dict, args) -> int:
 
 def cmd_counterexample(cfg: dict, args) -> int:
     section = cfg.get("counterexample", {})
-    _check_keys(section, {"stiffness", "f", "m", "diagonal", "step"}, "counterexample")
-    result = anisotropy_counterexample(
-        stiffness=_number(section.get("stiffness", 1.0), "counterexample: stiffness"),
-        f=_number(section.get("f", 1.0), "counterexample: f"),
-        m=_scale(section.get("m", 1), True, "counterexample"),
-        diagonal=_diagonal(section.get("diagonal", "nw"), "counterexample"),
-        step=_number(section.get("step", 1e-3), "counterexample: step"),
-    )
+    _check_keys(section, {"stiffness", "f", "m", "diagonal"}, "counterexample")
+    stiffness = _number(section.get("stiffness", 1.0), "counterexample: stiffness")
+    f = _number(section.get("f", 1.0), "counterexample: f")
+    m = _scale(section.get("m", 1), True, "counterexample")
+    diagonal = _diagonal(section.get("diagonal", "nw"), "counterexample")
+    try:
+        result = anisotropy_counterexample(stiffness, f, m, diagonal)
+    except ValueError as exc:
+        raise ConfigError(f"counterexample: {exc}") from exc
     payload = {
         "stiffness_diag": result.stiffness_diag,
         "stiffness_antidiag": result.stiffness_antidiag,
@@ -553,13 +556,14 @@ def main(argv=None) -> int:
             raise ConfigError("--jobs must be at least 1")
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, FullyConstrainedError) as exc:
+    except (ConfigError, FullyConstrainedError, DegenerateGeometryError) as exc:
+        # a degenerate mesh or lattice: the scale h is too coarse for it
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleLatticeError as exc:
         print(f"infeasible lattice spec: {exc}", file=sys.stderr)
         return 3
-    except (OptimizationError, RuntimeError) as exc:
+    except (RuntimeError, InvertedElementError, CoincidentVerticesError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
 

@@ -273,6 +273,9 @@ def single_cell_oracle_2d(
     solve.  This is the reference value the finite-size affine-layer
     estimates must approach.
     """
+    check_count(m, "m")
+    if not (stiffness > 0.0 and f > 0.0):
+        raise ValueError("spring stiffness and chains-per-volume factor f must be positive")
     xi = np.asarray(xi, dtype=float)
     edges = _torus_cell_edges(m, diagonal)
     index = {}
@@ -595,28 +598,18 @@ def anisotropy_counterexample(
     f: float = 1.0,
     m: int = 1,
     diagonal: str = "nw",
-    step: float = 1e-3,
 ) -> CounterexampleResult:
     """Directional stiffnesses of the quadratic-spring lattice at identity.
 
-    The stiffness along a unit direction d is the three-point second
-    difference of t -> single_cell_oracle_2d(I + t * d ox d) at t = 0.  With
-    the 'nw' cell diagonal the lattice is stiffer along e2 - e1 than along
-    e1 + e2; swapping the diagonal to 'ne' swaps the two values.
+    The stiffness along a unit direction d is the second derivative of
+    t -> W(I + t * d ox d) at t = 0, W = single_cell_oracle_2d.  W is a
+    homogeneous quadratic form, so that derivative is exactly 2 W(d ox d).
+    With the 'nw' cell diagonal the lattice is stiffer along e2 - e1 than
+    along e1 + e2; swapping the diagonal to 'ne' swaps the two values.
     """
-    eye = np.eye(2)
-
-    def density(mat):
-        return single_cell_oracle_2d(mat, stiffness, f, m=m, diagonal=diagonal)
-
-    w0 = density(eye)
-    out = []
-    for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION):
-        dd = np.outer(d, d)
-        out.append(
-            (density(eye + step * dd) - 2.0 * w0 + density(eye - step * dd)) / step**2
-        )
-    return CounterexampleResult(out[0], out[1], out[0] / out[1])
+    diag, antidiag = (2.0 * single_cell_oracle_2d(np.outer(d, d), stiffness, f, m, diagonal)
+                      for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION))
+    return CounterexampleResult(diag, antidiag, diag / antidiag)
 
 
 # ---------------------------------------------------------------------------

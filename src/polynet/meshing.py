@@ -375,7 +375,7 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     """
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
-        raise ValueError("admissibility check needs at least 2 points")
+        raise DegenerateGeometryError("admissibility check needs at least 2 points")
     if not (r_claim > 0.0 and R_claim > 0.0):
         raise ValueError("claimed radii must be positive")
     from scipy.spatial import cKDTree

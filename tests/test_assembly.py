@@ -51,18 +51,6 @@ def test_f_scales_pair_term():
     assert abs(total_energy(mesh, mesh.vertices, model) - 2.5 * 3.0) <= 1e-12
 
 
-def test_weight_modes_agree_on_uniform_mesh():
-    # every periodic element has volume 1/N_el = h^dim, so both modes match
-    mesh = periodic_mesh_3d(2)
-    rng = np.random.default_rng(0)
-    state = mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape)
-    paper = total_energy(mesh, state, CHAIN)
-    volume = total_energy(
-        mesh, state, EnergyModel(pair=CHAIN.pair, weight_mode="element-volume")
-    )
-    assert abs(paper - volume) <= 1e-12 * abs(paper)
-
-
 def test_frame_indifference_of_energy():
     rng = np.random.default_rng(42)
     for dim, mesh in ((2, periodic_mesh_2d(2)), (3, periodic_mesh_3d(2))):
@@ -123,8 +111,7 @@ def test_energy_additivity_against_single_element_meshes():
     mesh = periodic_mesh_2d(2)
     rng = np.random.default_rng(5)
     state = mesh.vertices + 0.05 * rng.standard_normal(mesh.vertices.shape)
-    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
-                        weight_mode="element-volume")
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
     per_element = element_energies(mesh, state, model)
     total = total_energy(mesh, state, model)
     assert abs(total - per_element.sum()) <= 1e-12 * abs(total)
@@ -134,7 +121,7 @@ def test_energy_additivity_against_single_element_meshes():
             dim=2,
             vertices=mesh.vertices[tri],
             elements=np.array([[0, 1, 2]]),
-            h=1.0,
+            h=mesh.h,  # keeps the parent's pair weight h^dim
             boundary_flags=np.zeros(3),
         )
         e_sub = total_energy(sub, state[tri], model)
@@ -217,8 +204,6 @@ def test_bc_validation():
 def test_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=0.0)
-    with pytest.raises(ValueError):
-        EnergyModel(pair=PairPotential.quadratic_spring(1.0), weight_mode="odd")
 
 
 # --- agreement with the per-pair np.add.at kernel ----------------------
@@ -241,10 +226,8 @@ def _pairs(mesh):
     return len(combos), i, j
 
 
-def _weights(mesh, model):
-    if model.weight_mode == "uniform-h":
-        return np.full(mesh.num_elements, 1.0 / mesh.num_elements)
-    return mesh.element_volumes()
+def _weights(mesh):
+    return np.full(mesh.num_elements, 1.0 / mesh.num_elements)
 
 
 def _jacobians(mesh, positions):
@@ -263,7 +246,7 @@ def oracle_element_energies(mesh, positions, model):
     stretch = np.linalg.norm(positions[i] - positions[j], axis=1) / rest
     pair_w = np.asarray(model.pair.energy(stretch), dtype=float)
     per_elem = model.f * pair_w.reshape(n_pairs, mesh.num_elements).sum(axis=0)
-    energies = _weights(mesh, model) * per_elem
+    energies = _weights(mesh) * per_elem
     if model.vol is not None:
         jac, _, _ = _jacobians(mesh, positions)
         energies = energies + mesh.element_volumes() * w_vol_eta_j(jac, model.vol)
@@ -278,7 +261,7 @@ def oracle_gradient(mesh, positions, model):
     delta = positions[i] - positions[j]
     dist = np.linalg.norm(delta, axis=1)
     dW = np.asarray(model.pair.derivative(dist / rest), dtype=float)
-    weights = np.tile(_weights(mesh, model), n_pairs)
+    weights = np.tile(_weights(mesh), n_pairs)
     contrib = (weights * model.f * dW / (rest * dist))[:, None] * delta
     np.add.at(grad, i, contrib)
     np.add.at(grad, j, -contrib)

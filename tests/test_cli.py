@@ -238,6 +238,22 @@ def test_homogenize_all_cells_fail_exit_4(tmp_path):
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("volumetric, xi, message", [
+    ({"K": 1.0}, [[-1.0, 0.0], [0.0, 1.0]], "is inverted"),  # InvertedElementError
+    (None, [[0.0, 0.0], [0.0, 0.0]], "coincident deformed vertices"),  # CoincidentVerticesError
+], ids=["inverted", "coincident"])
+def test_minimize_degenerate_xi_is_solver_failure(tmp_path, capsys, volumetric, xi, message):
+    # each was a traceback (exit 1); homogenize gives the same xi exit 4
+    model = {"pair": {"kind": "quadratic-spring"}}
+    if volumetric is not None:
+        model["volumetric"] = volumetric
+    bc = {"kind": "dirichlet-face-free-traction", "xi": xi, "faces": ["x-", "x+"]}
+    cfg = write_config(tmp_path, {**MINIMIZE_CALIBRATED, "model": model, "bc": bc})
+    assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and message in err
+
+
 def test_homogenize_probes_in_summary(tmp_path):
     payload = dict(HOMOGENIZE_PERIODIC)
     payload["homogenize"] = {
@@ -581,13 +597,44 @@ def test_homogenize_bad_value_is_config_error(tmp_path, capsys, case, jobs):
     assert capsys.readouterr().err.startswith(f"config error: {ctx}")
 
 
+# a scale too coarse for the lattice: too few points to triangulate or to
+# check (each was a traceback, exit 1)
+COARSE_3D = {**STOCHASTIC_MESH["mesh"], "h": 5.0}
+COARSE_2D = {**STOCHASTIC_2D, "h": 5.0}
+COARSE_MINIMIZE = {**MINIMIZE_CALIBRATED, "mesh": COARSE_2D}
+TRIANGULATE = "need at least dim+1 points to triangulate"
+COUNTEREXAMPLE_POSITIVE = "counterexample: spring stiffness and chains-per-volume factor f"
+
+
 @pytest.mark.parametrize("command, payload, ctx", [
     ("mesh", {"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "diagonal": "sw"}},
      "mesh: diagonal"),
     ("mesh", {"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 0}}, "mesh: m"),
     ("counterexample", {"counterexample": {"diagonal": "sw"}},
      "counterexample: diagonal"),
-], ids=["mesh diagonal", "mesh m", "counterexample diagonal"])
+    ("mesh", {"mesh": COARSE_3D}, TRIANGULATE),
+    ("mesh", {"mesh": COARSE_2D}, TRIANGULATE),
+    ("lattice-check", {"mesh": COARSE_2D}, "admissibility check needs at least 2 points"),
+    ("minimize", COARSE_MINIMIZE, TRIANGULATE),
+    # a zero ended in ZeroDivisionError; a negative value printed negative
+    # stiffnesses with exit 0
+    ("counterexample", {"counterexample": {"stiffness": 0}}, COUNTEREXAMPLE_POSITIVE),
+    ("counterexample", {"counterexample": {"stiffness": -1}}, COUNTEREXAMPLE_POSITIVE),
+    ("counterexample", {"counterexample": {"f": 0}}, COUNTEREXAMPLE_POSITIVE),
+    ("counterexample", {"counterexample": {"f": -2}}, COUNTEREXAMPLE_POSITIVE),
+    # settings that meant nothing are unknown keys
+    ("counterexample", {"counterexample": {"step": 1e-3}}, "counterexample: unknown keys"),
+    ("minimize", {**MINIMIZE_CALIBRATED,
+                  "model": {**MINIMIZE_CALIBRATED["model"], "weight_mode": "uniform-h"}},
+     "model: unknown keys"),
+    ("minimize", {**MINIMIZE_CALIBRATED, "model": {
+        **MINIMIZE_CALIBRATED["model"],
+        "pair": {**MINIMIZE_CALIBRATED["model"]["pair"], "l": 1.0}}},
+     "model.pair: unknown keys"),
+], ids=["mesh diagonal", "mesh m", "counterexample diagonal", "mesh coarse 3d",
+        "mesh coarse 2d", "lattice-check coarse 2d", "minimize coarse 2d",
+        "counterexample stiffness 0", "counterexample stiffness -1", "counterexample f 0",
+        "counterexample f -2", "counterexample step", "model weight_mode", "chain l"])
 def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,0 +1,25 @@
+"""Every shipped config in configs/ runs to exit 0.
+
+The command is the file-name prefix: minimize_stretch.json runs
+`polynet minimize`.  Outputs go to a temporary directory.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from polynet.cli import COMMANDS, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def test_configs_exist():
+    assert len(CONFIGS) >= 6
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.name)
+def test_config_runs(config, tmp_path):
+    command = config.stem.split("_")[0]
+    assert command in COMMANDS
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0

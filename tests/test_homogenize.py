@@ -117,6 +117,18 @@ def test_oracle_replication_invariance():
     assert abs(v1 - v3) <= 1e-9 * abs(v1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"m": 0}, {"m": 2.5}, {"stiffness": 0.0}, {"stiffness": -1.0}, {"f": 0.0}, {"f": -2.0},
+], ids=["m 0", "m 2.5", "stiffness 0", "stiffness -1", "f 0", "f -2"])
+def test_oracle_rejects_bad_inputs(kwargs):
+    # m = 0 divided by zero, m = 2.5 raised TypeError, and a zero stiffness
+    # or f divided by zero in the counterexample's ratio
+    with pytest.raises(ValueError):
+        single_cell_oracle_2d(np.eye(2), **kwargs)
+    with pytest.raises(ValueError):
+        anisotropy_counterexample(**kwargs)
+
+
 def test_oracle_is_quadratic_in_xi():
     xi = np.array([[1.1, 0.3], [0.0, 0.8]])
     base = single_cell_oracle_2d(xi)
@@ -437,26 +449,43 @@ def test_random_rotation_is_orthogonal():
 
 
 def test_counterexample_direction_and_frozen_ratio():
-    res = anisotropy_counterexample(stiffness=1.0, f=1.0, m=1)
-    assert res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
     # frozen pre-build oracle: stiffnesses 4 f K and 2 f K, ratio exactly 2
-    assert abs(res.stiffness_diag - 4.0) <= 1e-6
-    assert abs(res.stiffness_antidiag - 2.0) <= 1e-6
-    assert abs(res.ratio - 2.0) <= 1e-6
+    for m in (1, 3):
+        res = anisotropy_counterexample(stiffness=1.0, f=1.0, m=m)
+        assert res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
+        assert abs(res.stiffness_diag - 4.0) <= 1e-12 * 4.0
+        assert abs(res.stiffness_antidiag - 2.0) <= 1e-12 * 2.0
+        assert abs(res.ratio - 2.0) <= 1e-12
 
 
 def test_counterexample_scales_with_constants():
     res = anisotropy_counterexample(stiffness=2.0, f=3.0, m=1)
-    assert abs(res.stiffness_diag - 6.0 * 4.0) <= 1e-5
-    assert abs(res.ratio - 2.0) <= 1e-6
+    assert abs(res.stiffness_diag - 6.0 * 4.0) <= 1e-12 * 24.0
+    assert abs(res.stiffness_antidiag - 6.0 * 2.0) <= 1e-12 * 12.0
+    assert abs(res.ratio - 2.0) <= 1e-12
 
 
 def test_counterexample_mirror_swap():
-    nw = anisotropy_counterexample(diagonal="nw")
-    ne = anisotropy_counterexample(diagonal="ne")
-    assert abs(nw.stiffness_diag - ne.stiffness_antidiag) <= 1e-9
-    assert abs(nw.stiffness_antidiag - ne.stiffness_diag) <= 1e-9
-    assert abs(nw.ratio * ne.ratio - 1.0) <= 1e-9
+    # the stiffness along d is d^2/dt^2 W(I + t d ox d) = 2 W(d ox d) exactly;
+    # W is quadratic, so a second difference with unit step gives it too
+    eye = np.eye(2)
+    for m in (1, 3):
+        results = {}
+        for diagonal, ratio in (("nw", 2.0), ("ne", 0.5)):
+            res = anisotropy_counterexample(m=m, diagonal=diagonal)
+            for got, d in ((res.stiffness_diag, [-1.0, 1.0]),
+                           (res.stiffness_antidiag, [1.0, 1.0])):
+                dd = np.outer(d, d) / 2.0
+                w = [single_cell_oracle_2d(eye + t * dd, m=m, diagonal=diagonal)
+                     for t in (-1.0, 0.0, 1.0)]
+                assert abs(got - 2.0 * single_cell_oracle_2d(dd, m=m, diagonal=diagonal)) \
+                    <= 1e-12 * got
+                assert abs(got - (w[0] - 2.0 * w[1] + w[2])) <= 1e-12 * got
+            assert abs(res.ratio - ratio) <= 1e-12
+            results[diagonal] = res
+        nw, ne = results["nw"], results["ne"]
+        assert abs(nw.stiffness_diag - ne.stiffness_antidiag) <= 1e-12
+        assert abs(nw.stiffness_antidiag - ne.stiffness_diag) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
