@@ -24,7 +24,7 @@ from polynet import (
 
 print("Directional stiffness of the 2D periodic lattice (quadratic springs)")
 for diagonal in ("nw", "ne"):
-    res = anisotropy_counterexample(stiffness=1.0, f=1.0, m=1, diagonal=diagonal)
+    res = anisotropy_counterexample(stiffness=1.0, f=1.0, diagonal=diagonal)
     print(f"  diagonal {diagonal}: stiffness along e2-e1 = {res.stiffness_diag:.6f}, "
           f"along e1+e2 = {res.stiffness_antidiag:.6f}, ratio {res.ratio:.6f}")
 

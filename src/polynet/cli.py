@@ -259,6 +259,8 @@ def parse_mesh_section(cfg: dict, seed_override: int | None) -> PeriodicCell | S
     if dim not in (2, 3):
         raise ConfigError("mesh: dim must be 2 or 3")
     if kind == "periodic":
+        if dim == 3 and "diagonal" in section:
+            raise ConfigError("mesh: diagonal is for 2D meshes only")
         return PeriodicCell(m=_scale(_need(section, "m", "mesh"), True, "mesh"), dim=dim,
                             diagonal=_diagonal(section.get("diagonal", "nw"), "mesh"))
     h = _scale(_need(section, "h", "mesh"), False, "mesh")
@@ -460,6 +462,8 @@ def cmd_homogenize(cfg: dict, args) -> int:
     scales = [_scale(value, periodic, "homogenize")
               for value in _list(_need(section, scale_key, "homogenize"),
                                  f"homogenize: {scale_key}", 2)]
+    if periodic and "n_realizations" in section:
+        raise ConfigError("homogenize: n_realizations is for stochastic meshes only")
     n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
                                          "homogenize: n_realizations", 1)
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
@@ -509,13 +513,12 @@ def cmd_homogenize(cfg: dict, args) -> int:
 
 def cmd_counterexample(cfg: dict, args) -> int:
     section = cfg.get("counterexample", {})
-    _check_keys(section, {"stiffness", "f", "m", "diagonal"}, "counterexample")
+    _check_keys(section, {"stiffness", "f", "diagonal"}, "counterexample")
     stiffness = _number(section.get("stiffness", 1.0), "counterexample: stiffness")
     f = _number(section.get("f", 1.0), "counterexample: f")
-    m = _scale(section.get("m", 1), True, "counterexample")
     diagonal = _diagonal(section.get("diagonal", "nw"), "counterexample")
     try:
-        result = anisotropy_counterexample(stiffness, f, m, diagonal)
+        result = anisotropy_counterexample(stiffness, f, diagonal)
     except ValueError as exc:
         raise ConfigError(f"counterexample: {exc}") from exc
     payload = {

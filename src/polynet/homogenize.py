@@ -30,10 +30,11 @@ from .meshing import (
     StochasticLatticeSpec,
     boundary_layer,
     build_stochastic_mesh,
+    check_count,
     periodic_mesh_2d,
     periodic_mesh_3d,
 )
-from .optim import DEFAULT_SETTINGS, MinimizeSettings, check_count, minimize
+from .optim import DEFAULT_SETTINGS, MinimizeSettings, minimize
 
 
 @dataclass(frozen=True)
@@ -235,78 +236,39 @@ def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Single-cell convex oracle for quadratic springs (periodic fluctuations)
-
-
-def _torus_cell_edges(m: int, diagonal: str):
-    """Pairs (orbit_a, orbit_b, reference edge vector) of the periodic cell mesh."""
-    s = 1.0 / m
-    if diagonal == "nw":
-        tris = [((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1))]
-    elif diagonal == "ne":
-        tris = [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]
-    else:
-        raise ValueError("diagonal must be 'nw' or 'ne'")
-    edges = []
-    for ci in range(m):
-        for cj in range(m):
-            for tri in tris:
-                corners = [((ci + dx) * s, (cj + dy) * s) for dx, dy in tri]
-                orbits = [((ci + dx) % m, (cj + dy) % m) for dx, dy in tri]
-                for a, b in ((0, 1), (0, 2), (1, 2)):
-                    vec = np.subtract(corners[a], corners[b])
-                    edges.append((orbits[a], orbits[b], vec))
-    return edges
+# One-cell oracle for quadratic springs (periodic fluctuations)
 
 
 def single_cell_oracle_2d(
     xi,
     stiffness: float = 1.0,
     f: float = 1.0,
-    m: int = 1,
     diagonal: str = "nw",
 ) -> float:
     """Homogenized density of the quadratic-spring lattice by one periodic cell.
 
-    For linear springs the density is a quadratic form, so the cell problem
-    with periodic fluctuations and mean gradient xi reduces to a small linear
-    solve.  This is the reference value the finite-size affine-layer
-    estimates must approach.
+    The lattice has one vertex per cell, so the one-cell problem with
+    periodic fluctuations has none to minimize over: the density is the
+    affine energy of the unit cell's two triangles, each of its edges v
+    adding f k |xi v|^2 / (2 |v|^2) (pair weight h^2 = 1/2).  This is the
+    reference value the finite-size affine-layer estimates must approach.
     """
-    check_count(m, "m")
     if not (stiffness > 0.0 and f > 0.0):
         raise ValueError("spring stiffness and chains-per-volume factor f must be positive")
+    if diagonal == "nw":
+        tris = [((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1))]
+    elif diagonal == "ne":
+        tris = [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]
+    else:
+        raise ValueError("diagonal must be 'nw' or 'ne'")
     xi = np.asarray(xi, dtype=float)
-    edges = _torus_cell_edges(m, diagonal)
-    index = {}
-    for a, b, _ in edges:
-        for orbit in (a, b):
-            if orbit not in index:
-                index[orbit] = len(index)
-    n_dof = 2 * len(index)
-    weight = 1.0 / (2 * m * m)  # h^2 for N_el = 2 m^2
-
-    amat = np.zeros((n_dof, n_dof))
-    bvec = np.zeros(n_dof)
-    const = 0.0
-    for a, b, vec in edges:
-        kappa = weight * f * stiffness / (vec @ vec)
-        c = xi @ vec
-        const += kappa * (c @ c)
-        ia, ib = 2 * index[a], 2 * index[b]
-        if ia == ib:
-            continue
-        # energy kappa * |c + w_a - w_b|^2
-        for comp in range(2):
-            pa, pb = ia + comp, ib + comp
-            amat[pa, pa] += 2.0 * kappa
-            amat[pb, pb] += 2.0 * kappa
-            amat[pa, pb] -= 2.0 * kappa
-            amat[pb, pa] -= 2.0 * kappa
-            bvec[pa] += 2.0 * kappa * c[comp]
-            bvec[pb] -= 2.0 * kappa * c[comp]
-    w, *_ = np.linalg.lstsq(amat, -bvec, rcond=None)
-    return float(const + bvec @ w + 0.5 * w @ amat @ w)
+    value = 0.0
+    for tri in tris:
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            vec = np.subtract(tri[a], tri[b])
+            c = xi @ vec
+            value += 0.5 * f * stiffness / (vec @ vec) * (c @ c)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +558,18 @@ class CounterexampleResult:
 def anisotropy_counterexample(
     stiffness: float = 1.0,
     f: float = 1.0,
-    m: int = 1,
     diagonal: str = "nw",
 ) -> CounterexampleResult:
     """Directional stiffnesses of the quadratic-spring lattice at identity.
 
     The stiffness along a unit direction d is the second derivative of
-    t -> W(I + t * d ox d) at t = 0, W = single_cell_oracle_2d.  W is a
-    homogeneous quadratic form, so that derivative is exactly 2 W(d ox d).
-    With the 'nw' cell diagonal the lattice is stiffer along e2 - e1 than
-    along e1 + e2; swapping the diagonal to 'ne' swaps the two values.
+    t -> W(I + t * d ox d) at t = 0, W = single_cell_oracle_2d.  The
+    one-cell sum W is a homogeneous quadratic form, so that derivative is
+    exactly 2 W(d ox d).  With the 'nw' cell diagonal the lattice is stiffer
+    along e2 - e1 than along e1 + e2; swapping the diagonal to 'ne' swaps
+    the two values.
     """
-    diag, antidiag = (2.0 * single_cell_oracle_2d(np.outer(d, d), stiffness, f, m, diagonal)
+    diag, antidiag = (2.0 * single_cell_oracle_2d(np.outer(d, d), stiffness, f, diagonal)
                       for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION))
     return CounterexampleResult(diag, antidiag, diag / antidiag)
 

@@ -27,6 +27,13 @@ class InfeasibleLatticeError(ValueError):
     """Raised when a lattice spec cannot deliver its separation at its intensity."""
 
 
+def check_count(value, name: str) -> None:
+    """ValueError unless value is an integer of at least 1 (a count of cells,
+    runs, iterations or realizations; 2.5 would end in range's TypeError)."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
+
+
 def _unit_boundary_distance(points: np.ndarray) -> np.ndarray:
     """Distance of each point to the boundary of the closed unit box."""
     return np.minimum(points, 1.0 - points).min(axis=1)
@@ -132,8 +139,7 @@ def periodic_mesh_3d(m: int) -> Mesh:
     Every subcube receives the identical split (all 6 tets share the main
     diagonal), so the edge set is exactly translation-periodic.  N_el = 6*m^3.
     """
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise ValueError(f"m must be an integer of at least 1, not {m!r}")
+    check_count(m, "m")
     n = m + 1
     grid = np.arange(n) / m
     xx, yy, zz = np.meshgrid(grid, grid, grid, indexing="ij")
@@ -158,8 +164,7 @@ def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
     cell (direction e1 - e2); "ne" runs bottom-left to top-right (e1 + e2).
     N_el = 2*m^2.
     """
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise ValueError(f"m must be an integer of at least 1, not {m!r}")
+    check_count(m, "m")
     if diagonal not in ("nw", "ne"):
         raise ValueError("diagonal must be 'nw' or 'ne'")
     n = m + 1
@@ -369,7 +374,8 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     """Measure hardcore separation and covering radius against claimed bounds.
 
     The separation is the exact minimum pairwise distance; the covering
-    radius is probed on a grid of spacing <= r_claim/4 over the box.  The
+    radius is probed on a grid of spacing <= r_claim/4 over the box, one
+    slab of the first axis at a time, so memory grows with a slab.  The
     Delaunay quality of the point set is reported alongside (NaN when the
     set cannot be triangulated).
     """
@@ -390,9 +396,11 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     for a in range(lo.size):
         n = max(2, int(math.ceil((hi[a] - lo[a]) / spacing)) + 1)
         axes.append(np.linspace(lo[a], hi[a], n))
-    probes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    probe_dists, _ = tree.query(probes, k=1)
-    measured_R = float(probe_dists.max())
+    measured_R = 0.0
+    for x in axes[0]:
+        slab = np.meshgrid([x], *axes[1:], indexing="ij")
+        dists, _ = tree.query(np.stack([g.ravel() for g in slab], axis=1), k=1)
+        measured_R = max(measured_R, float(dists.max()))
 
     try:
         quality = _min_quality(points, _delaunay_simplices(points)[0])

@@ -16,7 +16,6 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +24,7 @@ import numpy as np
 
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
                        edge_stiffness_laplacian, energy_and_gradient, split_pinned)
-from .meshing import Mesh
+from .meshing import Mesh, check_count
 
 
 # L-BFGS history length and the sufficient-decrease constant of the line search
@@ -52,13 +51,6 @@ class MinimizeSettings:
         if self.grad_tol is not None and not 0.0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
         check_count(self.max_iters, "max_iters")
-
-
-def check_count(value, name: str) -> None:
-    """ValueError unless value is an integer of at least 1 (a count of runs,
-    iterations or realizations; 2.5 would end in range's TypeError)."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 DEFAULT_SETTINGS = MinimizeSettings()

@@ -197,7 +197,7 @@ def test_criterion_06_single_cell_oracle_agreement():
 
 
 def test_criterion_07_anisotropy_counterexample():
-    res = anisotropy_counterexample(stiffness=1.0, f=1.0, m=1)
+    res = anisotropy_counterexample(stiffness=1.0, f=1.0)
     margin_ok = res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
     ratio_ok = abs(res.ratio - 2.0) <= 1e-6  # frozen pre-build oracle value
     ok = margin_ok and ratio_ok

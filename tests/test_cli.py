@@ -272,7 +272,7 @@ def test_homogenize_probes_in_summary(tmp_path):
 
 def test_counterexample_cli(tmp_path, capsys):
     cfg = write_config(tmp_path, {"counterexample": {"stiffness": 1.0, "f": 1.0,
-                                                     "m": 1, "diagonal": "nw"}})
+                                                     "diagonal": "nw"}})
     out = tmp_path / "out"
     assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "counterexample.json").read_text())
@@ -537,6 +537,12 @@ BAD_VALUES = {
     "mesh diagonal": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "diagonal": "sw"}},
                       "mesh: diagonal"),
     "mesh m": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 0}}, "mesh: m"),
+    # settings that meant nothing: both ran as if absent (exit 0)
+    "3d mesh diagonal": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "dim": 3}},
+                         "mesh: diagonal is for 2D meshes only"),
+    "periodic n_realizations": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                                "n_realizations": 7}},
+                                "homogenize: n_realizations is for stochastic meshes only"),
     "m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
                                      "m_list": [2, 0]}}, "homogenize: m"),
     "h_list entry": ({"mesh": STOCHASTIC_2D,
@@ -624,6 +630,9 @@ COUNTEREXAMPLE_POSITIVE = "counterexample: spring stiffness and chains-per-volum
     ("counterexample", {"counterexample": {"f": -2}}, COUNTEREXAMPLE_POSITIVE),
     # settings that meant nothing are unknown keys
     ("counterexample", {"counterexample": {"step": 1e-3}}, "counterexample: unknown keys"),
+    ("counterexample", {"counterexample": {"m": 1}}, "counterexample: unknown keys"),
+    ("mesh", {"mesh": {**PERIODIC_MESH["mesh"], "diagonal": "ne"}},
+     "mesh: diagonal is for 2D meshes only"),
     ("minimize", {**MINIMIZE_CALIBRATED,
                   "model": {**MINIMIZE_CALIBRATED["model"], "weight_mode": "uniform-h"}},
      "model: unknown keys"),
@@ -634,7 +643,8 @@ COUNTEREXAMPLE_POSITIVE = "counterexample: spring stiffness and chains-per-volum
 ], ids=["mesh diagonal", "mesh m", "counterexample diagonal", "mesh coarse 3d",
         "mesh coarse 2d", "lattice-check coarse 2d", "minimize coarse 2d",
         "counterexample stiffness 0", "counterexample stiffness -1", "counterexample f 0",
-        "counterexample f -2", "counterexample step", "model weight_mode", "chain l"])
+        "counterexample f -2", "counterexample step", "counterexample m",
+        "mesh 3d diagonal", "model weight_mode", "chain l"])
 def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rotation_2d
+from helpers import rotation_2d, spring_oracle
 from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, PairPotential, chain_energy
 from polynet.homogenize import (
@@ -27,7 +27,7 @@ from polynet.homogenize import (
     sweep_runs,
     write_estimates_csv,
 )
-from polynet.meshing import StochasticLatticeSpec
+from polynet.meshing import StochasticLatticeSpec, periodic_mesh_2d
 from polynet.volumetric import VolumetricParams
 
 SPRING = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
@@ -110,19 +110,27 @@ def test_oracle_matches_closed_form():
         assert abs(got - quadratic_density(xi)) <= 1e-12 * max(1.0, abs(got))
 
 
-def test_oracle_replication_invariance():
-    xi = np.array([[1.2, 0.1], [0.0, 0.9]])
-    v1 = single_cell_oracle_2d(xi, m=1)
-    v3 = single_cell_oracle_2d(xi, m=3)
-    assert abs(v1 - v3) <= 1e-9 * abs(v1)
+@pytest.mark.parametrize("diagonal", ["nw", "ne"])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_oracle_matches_exact_mesh_solve(m, diagonal):
+    # an independent reference: the exact sparse solve on the m x m periodic
+    # mesh with the 2h layer pinned; for m <= 3 the layer is the whole mesh,
+    # so the reference is the mesh's affine energy
+    mesh = periodic_mesh_2d(m, diagonal)
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        xi = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
+        stiffness, f = rng.uniform(0.5, 2.0, 2)
+        exact = spring_oracle(mesh, xi, 2.0 * mesh.h, stiffness, f)
+        got = single_cell_oracle_2d(xi, stiffness, f, diagonal)
+        assert abs(got - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"m": 0}, {"m": 2.5}, {"stiffness": 0.0}, {"stiffness": -1.0}, {"f": 0.0}, {"f": -2.0},
-], ids=["m 0", "m 2.5", "stiffness 0", "stiffness -1", "f 0", "f -2"])
+    {"stiffness": 0.0}, {"stiffness": -1.0}, {"f": 0.0}, {"f": -2.0}, {"diagonal": "sw"},
+], ids=["stiffness 0", "stiffness -1", "f 0", "f -2", "diagonal sw"])
 def test_oracle_rejects_bad_inputs(kwargs):
-    # m = 0 divided by zero, m = 2.5 raised TypeError, and a zero stiffness
-    # or f divided by zero in the counterexample's ratio
+    # a zero stiffness or f divided by zero in the counterexample's ratio
     with pytest.raises(ValueError):
         single_cell_oracle_2d(np.eye(2), **kwargs)
     with pytest.raises(ValueError):
@@ -450,16 +458,15 @@ def test_random_rotation_is_orthogonal():
 
 def test_counterexample_direction_and_frozen_ratio():
     # frozen pre-build oracle: stiffnesses 4 f K and 2 f K, ratio exactly 2
-    for m in (1, 3):
-        res = anisotropy_counterexample(stiffness=1.0, f=1.0, m=m)
-        assert res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
-        assert abs(res.stiffness_diag - 4.0) <= 1e-12 * 4.0
-        assert abs(res.stiffness_antidiag - 2.0) <= 1e-12 * 2.0
-        assert abs(res.ratio - 2.0) <= 1e-12
+    res = anisotropy_counterexample(stiffness=1.0, f=1.0)
+    assert res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
+    assert abs(res.stiffness_diag - 4.0) <= 1e-12 * 4.0
+    assert abs(res.stiffness_antidiag - 2.0) <= 1e-12 * 2.0
+    assert abs(res.ratio - 2.0) <= 1e-12
 
 
 def test_counterexample_scales_with_constants():
-    res = anisotropy_counterexample(stiffness=2.0, f=3.0, m=1)
+    res = anisotropy_counterexample(stiffness=2.0, f=3.0)
     assert abs(res.stiffness_diag - 6.0 * 4.0) <= 1e-12 * 24.0
     assert abs(res.stiffness_antidiag - 6.0 * 2.0) <= 1e-12 * 12.0
     assert abs(res.ratio - 2.0) <= 1e-12
@@ -469,23 +476,21 @@ def test_counterexample_mirror_swap():
     # the stiffness along d is d^2/dt^2 W(I + t d ox d) = 2 W(d ox d) exactly;
     # W is quadratic, so a second difference with unit step gives it too
     eye = np.eye(2)
-    for m in (1, 3):
-        results = {}
-        for diagonal, ratio in (("nw", 2.0), ("ne", 0.5)):
-            res = anisotropy_counterexample(m=m, diagonal=diagonal)
-            for got, d in ((res.stiffness_diag, [-1.0, 1.0]),
-                           (res.stiffness_antidiag, [1.0, 1.0])):
-                dd = np.outer(d, d) / 2.0
-                w = [single_cell_oracle_2d(eye + t * dd, m=m, diagonal=diagonal)
-                     for t in (-1.0, 0.0, 1.0)]
-                assert abs(got - 2.0 * single_cell_oracle_2d(dd, m=m, diagonal=diagonal)) \
-                    <= 1e-12 * got
-                assert abs(got - (w[0] - 2.0 * w[1] + w[2])) <= 1e-12 * got
-            assert abs(res.ratio - ratio) <= 1e-12
-            results[diagonal] = res
-        nw, ne = results["nw"], results["ne"]
-        assert abs(nw.stiffness_diag - ne.stiffness_antidiag) <= 1e-12
-        assert abs(nw.stiffness_antidiag - ne.stiffness_diag) <= 1e-12
+    results = {}
+    for diagonal, ratio in (("nw", 2.0), ("ne", 0.5)):
+        res = anisotropy_counterexample(diagonal=diagonal)
+        for got, d in ((res.stiffness_diag, [-1.0, 1.0]),
+                       (res.stiffness_antidiag, [1.0, 1.0])):
+            dd = np.outer(d, d) / 2.0
+            w = [single_cell_oracle_2d(eye + t * dd, diagonal=diagonal)
+                 for t in (-1.0, 0.0, 1.0)]
+            assert abs(got - 2.0 * single_cell_oracle_2d(dd, diagonal=diagonal)) <= 1e-12 * got
+            assert abs(got - (w[0] - 2.0 * w[1] + w[2])) <= 1e-12 * got
+        assert abs(res.ratio - ratio) <= 1e-12
+        results[diagonal] = res
+    nw, ne = results["nw"], results["ne"]
+    assert abs(nw.stiffness_diag - ne.stiffness_antidiag) <= 1e-12
+    assert abs(nw.stiffness_antidiag - ne.stiffness_diag) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
