@@ -14,9 +14,11 @@ import gc
 import importlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +403,12 @@ def _probe_settings(section) -> tuple[int, int, int]:
                  for key in ("frame_rotations", "isotropy_rotations", "seed"))
 
 
+def _on_cpu(cpu, solve, share):
+    """solve(share) in this process, pinned to the one CPU `cpu`."""
+    os.sched_setaffinity(0, {cpu})
+    return solve(share)
+
+
 def _run_shares(solve, shares):
     """solve over the shares, one process each, this one included:
     solve_cells' `run` for --jobs.  Each share but the first is one task of
@@ -409,6 +417,17 @@ def _run_shares(solve, shares):
     """
     if len(shares) <= 1:
         return map(solve, shares)
+    # Share k runs on the k-th allowed CPU (cyclically), this process's
+    # share on the first.  Unpinned, a forked worker can stay on its parent's
+    # CPU for about a second and the two time-share it; and the scheduler
+    # leaves an unpinned parent wherever it is, so the parent is pinned too.
+    # The caller's mask comes back when the pool closes.
+    if hasattr(os, "sched_setaffinity"):
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        placed = [partial(_on_cpu, cpus[k % len(cpus)], solve) for k in range(len(shares))]
+    else:
+        mask, placed = None, [solve] * len(shares)
     # Frozen while the workers fork, this process's objects stay out of
     # their collections (no copy-on-write of their headers).  Freezing
     # also restarts the collector's generation counts, so every run hands
@@ -417,9 +436,11 @@ def _run_shares(solve, shares):
     gc.freeze()
     try:
         with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
-            tasks = [pool.submit(solve, share) for share in shares[1:]]
-            return [solve(shares[0]), *(task.result() for task in tasks)]
+            tasks = [pool.submit(fn, share) for fn, share in zip(placed[1:], shares[1:])]
+            return [placed[0](shares[0]), *(task.result() for task in tasks)]
     finally:
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
         gc.unfreeze()
 
 
@@ -457,13 +478,16 @@ def cmd_homogenize(cfg: dict, args) -> int:
     seed = _integer(cfg.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
 
     periodic = isinstance(source, PeriodicCell)
+    # the other mesh kind's keys would be ignored
+    for key in ("h_list", "n_realizations") if periodic else ("m_list",):
+        if key in section:
+            kind = "stochastic" if periodic else "periodic"
+            raise ConfigError(f"homogenize: {key} is for {kind} meshes only")
     scale_key = "m_list" if periodic else "h_list"
     # a sweep needs at least 2 scales
     scales = [_scale(value, periodic, "homogenize")
               for value in _list(_need(section, scale_key, "homogenize"),
                                  f"homogenize: {scale_key}", 2)]
-    if periodic and "n_realizations" in section:
-        raise ConfigError("homogenize: n_realizations is for stochastic meshes only")
     n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
                                          "homogenize: n_realizations", 1)
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
@@ -550,7 +574,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="processes, this one included, that solve homogenize cells")
+                        help="processes, this one included, that solve homogenize cells, "
+                             "each on its own allowed CPU; this process's CPU mask is "
+                             "restored afterwards")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 

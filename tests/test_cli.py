@@ -5,6 +5,7 @@ import multiprocessing
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -318,10 +319,16 @@ FAILING_FIRST = {
 DET_REASON = "det(xi) must exceed the volumetric cut-off"
 
 
+CALLER_MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 def assert_no_pool_left():
-    # the collector is thawed and every pool worker has exited
+    # the collector is thawed, every pool worker has exited and this
+    # process runs on the CPUs it was given again
     assert gc.get_freeze_count() == 0
     assert not multiprocessing.active_children()
+    if CALLER_MASK is not None:
+        assert os.sched_getaffinity(0) == CALLER_MASK
 
 
 def run_every_jobs(tmp_path, payload, capsys):
@@ -370,6 +377,59 @@ def test_run_shares_parent_solves_the_first_share(monkeypatch, processes):
         pids = [pid for pid, _ in results]
         assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
         assert submitted == shares[1:]
+
+
+PLACEMENT = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least 2 allowed CPUs")
+
+
+def _mask_and_sum(share):
+    return os.sched_getaffinity(0), sum(share)
+
+
+def _sum_unless(failing, share):
+    if sum(share) == failing:
+        raise IndexError(share)
+    return sum(share)
+
+
+@PLACEMENT
+@pytest.mark.parametrize("processes", [2, 3])
+def test_run_shares_runs_each_share_on_its_own_cpu(processes):
+    from polynet import cli
+
+    cpus = sorted(os.sched_getaffinity(0))
+    shares = SHARES[:processes]
+    for _ in range(2):  # every run behaves alike
+        results = list(cli._run_shares(_mask_and_sum, shares))
+        assert_no_pool_left()
+        assert [total for _, total in results] == [sum(share) for share in shares]
+        # share k on the k-th allowed CPU, the first share on this process's
+        assert [mask for mask, _ in results] == [
+            {cpus[k % len(cpus)]} for k in range(processes)]
+
+
+@PLACEMENT
+@pytest.mark.parametrize("failing", [0, 1])
+def test_run_shares_restores_the_mask_when_a_share_raises(failing):
+    from polynet import cli
+
+    with pytest.raises(IndexError):
+        cli._run_shares(partial(_sum_unless, sum(SHARES[failing])), SHARES)
+    assert_no_pool_left()
+
+
+def test_run_shares_without_affinity_leaves_every_mask(monkeypatch):
+    # a platform without sched_setaffinity: no process is pinned
+    from polynet import cli
+
+    if CALLER_MASK is None:
+        pytest.skip("needs os.sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    results = list(cli._run_shares(_mask_and_sum, SHARES))
+    assert_no_pool_left()
+    assert results == [(CALLER_MASK, sum(share)) for share in SHARES]
 
 
 def test_homogenize_failing_xi_same_outputs_for_every_jobs(tmp_path, capsys):
@@ -531,6 +591,8 @@ STOCHASTIC_2D = {
     "lattice": {"kind": "matern-hardcore", "intensity": 1.0,
                 "r_min": 0.3, "R_cov": 1.0, "seed": 0},
 }
+# the xi of HOMOGENIZE_PERIODIC without its m_list
+STOCHASTIC_HOMOGENIZE = {"xi_list": HOMOGENIZE_PERIODIC["homogenize"]["xi_list"]}
 # (config edit, context of the message): each was a traceback (exit 1) or a
 # sweep failure (exit 4) before it became a config error
 BAD_VALUES = {
@@ -546,7 +608,7 @@ BAD_VALUES = {
     "m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
                                      "m_list": [2, 0]}}, "homogenize: m"),
     "h_list entry": ({"mesh": STOCHASTIC_2D,
-                      "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                      "homogenize": {**STOCHASTIC_HOMOGENIZE,
                                      "h_list": [0.2, -0.1]}}, "homogenize: h"),
     "non-integral mesh m": ({"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "m": 2.7}},
                             "mesh: m"),
@@ -555,10 +617,10 @@ BAD_VALUES = {
     "non-numeric m_list entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
                                                  "m_list": [2, "x"]}}, "homogenize: m"),
     "non-numeric h_list entry": ({"mesh": STOCHASTIC_2D,
-                                  "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                  "homogenize": {**STOCHASTIC_HOMOGENIZE,
                                                  "h_list": [0.3, "x"]}}, "homogenize: h"),
     "non-numeric n_realizations": ({"mesh": STOCHASTIC_2D,
-                                    "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                    "homogenize": {**STOCHASTIC_HOMOGENIZE,
                                                    "h_list": [0.3, 0.25],
                                                    "n_realizations": "x"}},
                                    "homogenize: n_realizations"),
@@ -587,8 +649,16 @@ BAD_VALUES = {
     "m_list number": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "m_list": 4}},
                       "homogenize: m_list"),
     "h_list number": ({"mesh": STOCHASTIC_2D,
-                       "homogenize": {**HOMOGENIZE_PERIODIC["homogenize"], "h_list": 0.3}},
+                       "homogenize": {**STOCHASTIC_HOMOGENIZE, "h_list": 0.3}},
                       "homogenize: h_list"),
+    # the other mesh kind's scale list: both ran as if absent (exit 0)
+    "periodic h_list": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                        "h_list": [0.5, 0.25]}},
+                        "homogenize: h_list is for stochastic meshes only"),
+    "stochastic m_list": ({"mesh": STOCHASTIC_2D,
+                           "homogenize": {**STOCHASTIC_HOMOGENIZE, "h_list": [0.3, 0.25],
+                                          "m_list": [2, 4]}},
+                          "homogenize: m_list is for periodic meshes only"),
 }
 
 
