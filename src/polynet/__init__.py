@@ -12,12 +12,10 @@ from .chains import (
     quadratic_spring_energy,
 )
 from .volumetric import (
-    NonPositiveJacobianError,
     VolumetricParams,
     w_vol,
-    w_vol_eta,
+    w_vol_eta_j,
     w_vol_gradient,
-    w_vol_j,
 )
 from .meshing import (
     AdmissibilityReport,

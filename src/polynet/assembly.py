@@ -5,8 +5,9 @@ vertex pair of the element (an edge shared by k elements is counted k
 times, as the model prescribes), weighted by h^dim, plus the exact
 per-element volumetric contribution of the piecewise-affine deformation.
 It is evaluated in one pass over the unique edges, each with the summed
-weight of its elements, and one over the elements, with closed-form
-determinants and cofactors.
+weight of its elements, and one over the elements, whose Jacobians and
+cofactors come from one closed-form routine, meshing.cofactors.  An
+inverted element without a cut-off raises volumetric's InvertedElementError.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import PairPotential
-from .meshing import Mesh, cofactors, determinants, edge_columns
-from .volumetric import VolumetricParams, w_vol_eta_dj, w_vol_eta_j
-
-
-class InvertedElementError(ValueError):
-    """An element has non-positive deformed volume and no cut-off is active."""
+from .meshing import Mesh, cofactors, edge_columns
+from .volumetric import InvertedElementError, VolumetricParams, w_vol_eta_dj, w_vol_eta_j
 
 
 class CoincidentVerticesError(ValueError):
@@ -124,10 +121,10 @@ def _edges(mesh: Mesh, positions: np.ndarray):
 
 def _point_state(mesh: Mesh, positions, model: EnergyModel, gradient: bool) -> dict:
     """Per-edge differences, lengths and stretches and, with a volumetric
-    term, per-element Jacobians of the deformed edge matrix, checked.
+    term, the cofactors and Jacobians of each element's deformed edge
+    matrix, from one meshing.cofactors call, checked for inversion.
 
-    For the gradient the state also holds the cofactors, and coincident
-    vertices are checked before inverted elements.
+    For the gradient, coincident vertices are checked first.
     """
     positions = np.asarray(positions, dtype=float)
     delta, dist, stretch = _edges(mesh, positions)
@@ -135,11 +132,7 @@ def _point_state(mesh: Mesh, positions, model: EnergyModel, gradient: bool) -> d
     if gradient:
         _check_not_coincident(state)
     if model.vol is not None:
-        cols = edge_columns(positions, mesh.elements)
-        if gradient:
-            state["cof"], det = cofactors(cols)
-        else:
-            det = determinants(cols)
+        state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
         state["jac"] = det / _geometry(mesh)["det_x"]
         _check_not_inverted(mesh, state, model.vol)
     return state
@@ -273,7 +266,7 @@ def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: Ene
     The active sub-mesh holds the elements that touch a free vertex and keeps
     the vertex numbering; the other elements' energy stays constant.  They
     are checked once per call for what total_energy and energy_gradient of
-    the whole mesh raise on them, from one state without cofactors.  Both
+    the whole mesh raise on them, from one energy-only point state.  Both
     sub-meshes, and with them their geometry, stay on mesh for the last free
     mask, so restarts and further xi on the same mesh split it once.
     """

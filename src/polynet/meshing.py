@@ -99,15 +99,12 @@ def cofactors(cols: list):
     return cof, sum(x * y for x, y in zip(cols[0], cof[0]))
 
 
-def determinants(cols: list):
-    """det(A) alone, with the products of cofactors: column 0 of cof(A) only."""
-    first = (cols[1][1], -cols[1][0]) if len(cols) == 2 else _cross(cols[1], cols[2])
-    return sum(x * y for x, y in zip(cols[0], first))
-
-
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed simplex volumes det(edge matrix) / dim! for a batch of elements."""
-    return determinants(edge_columns(vertices, elements)) / math.factorial(vertices.shape[1])
+    dim = vertices.shape[1]
+    if dim not in (2, 3):
+        raise ValueError(f"meshes are 2D or 3D, not {dim}D")
+    return cofactors(edge_columns(vertices, elements))[1] / math.factorial(dim)
 
 
 def _make_mesh(dim: int, vertices: np.ndarray, elements: np.ndarray,
@@ -387,6 +384,11 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     from scipy.spatial import cKDTree
 
     lo, hi = _box_arrays(box)
+    try:  # first, so a point set of another dimension is rejected before the probes
+        quality = _min_quality(points, _delaunay_simplices(points)[0])
+    except DegenerateGeometryError:
+        quality = float("nan")
+
     tree = cKDTree(points)
     dists, _ = tree.query(points, k=2)
     measured_r = float(dists[:, 1].min())
@@ -401,11 +403,6 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
         slab = np.meshgrid([x], *axes[1:], indexing="ij")
         dists, _ = tree.query(np.stack([g.ravel() for g in slab], axis=1), k=1)
         measured_R = max(measured_R, float(dists.max()))
-
-    try:
-        quality = _min_quality(points, _delaunay_simplices(points)[0])
-    except DegenerateGeometryError:
-        quality = float("nan")
 
     return AdmissibilityReport(
         covering_ok=measured_R <= R_claim,
@@ -478,7 +475,8 @@ def read_mesh(path) -> Mesh:
         )
     except (IndexError, ValueError) as exc:
         raise ValueError("malformed mesh file") from exc
-    if (vertices.shape != (n_vert, dim) or elements.shape != (n_el, dim + 1)
+    if (dim not in (2, 3) or vertices.shape != (n_vert, dim)
+            or elements.shape != (n_el, dim + 1)
             or (elements < 0).any() or (elements >= n_vert).any()):
         raise ValueError("malformed mesh file")
     return _make_mesh(dim, vertices, elements)

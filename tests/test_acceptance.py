@@ -41,7 +41,7 @@ from polynet.meshing import (
     periodic_mesh_3d,
     stochastic_lattice,
 )
-from polynet.volumetric import VolumetricParams, w_vol_eta
+from polynet.volumetric import VolumetricParams, w_vol
 
 UNIT_CHAIN = ChainParams(k=1.0, beta=1.0, c=0.0, n=1.0)
 
@@ -100,10 +100,10 @@ def test_criterion_03_growth_conditions():
         a = rng.standard_normal((3, 3))
         a /= np.linalg.norm(a)
         f_mat = 10.0 ** rng.uniform(-3, 1) * a
-        ratio = w_vol_eta(f_mat, params) / (np.linalg.norm(f_mat) ** 8 + 1.0)
+        ratio = w_vol(f_mat, params) / (np.linalg.norm(f_mat) ** 8 + 1.0)
         worst = max(worst, ratio)
     for t in np.linspace(1e-3, 10.0 / math.sqrt(3.0), 500):
-        ratio = w_vol_eta(t * np.eye(3), params) / (np.linalg.norm(t * np.eye(3)) ** 8 + 1.0)
+        ratio = w_vol(t * np.eye(3), params) / (np.linalg.norm(t * np.eye(3)) ** 8 + 1.0)
         worst = max(worst, ratio)
     vol_ok = worst <= c_eta
     ok = rep.holds and vol_ok

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
+from polynet.homogenize import StochasticCell, build_cell_mesh
 from polynet.meshing import (
     DegenerateGeometryError,
     InfeasibleLatticeError,
@@ -483,6 +484,36 @@ def test_mesh_io_roundtrip(tmp_path):
     path2.write_text(path.read_text()[:-3])
     with pytest.raises(ValueError, match="malformed mesh file"):
         read_mesh(path2)
+
+
+def test_mesh_file_of_other_dimension_rejected(tmp_path):
+    # a 1D file used to escape as an IndexError, and a 4D file to load
+    path = tmp_path / "mesh.txt"
+    for dim in (1, 4):
+        vertices = np.vstack([np.zeros(dim), np.eye(dim)])
+        lines = [f"{dim} {dim + 1} 1", *(" ".join(map(str, v)) for v in vertices),
+                 " ".join(map(str, range(dim + 1)))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="malformed mesh file"):
+            read_mesh(path)
+
+
+def test_point_sets_of_other_dimension_rejected():
+    # a 4D jittered grid used to give 113 elements whose volumes, formed from
+    # 3 of the 4 edge components, summed to 0.238
+    spec = StochasticLatticeSpec("jittered-grid", 1.0, 0.3, 1.0, 3)
+    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
+        build_stochastic_mesh(spec, 0.5, 4)
+    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
+        build_cell_mesh(StochasticCell(spec, 0.5, dim=4))
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
+        delaunay_triangulate(rng.random((40, 4)))
+    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
+        check_admissibility(rng.random((40, 4)), (np.zeros(4), np.ones(4)), 0.3, 0.5)
+    for dim in (1, 4):
+        with pytest.raises(ValueError, match=f"2D or 3D, not {dim}D"):
+            signed_volumes(np.vstack([np.zeros(dim), np.eye(dim)]), np.arange(dim + 1)[None])
 
 
 def test_mesh_validation_catches_bad_h():

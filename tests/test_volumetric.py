@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient, random_rotation
+from polynet.meshing import cofactors
 from polynet.volumetric import (
-    NonPositiveJacobianError,
+    InvertedElementError,
     VolumetricParams,
-    cofactor_matrix,
     w_vol,
-    w_vol_eta,
     w_vol_eta_dj,
     w_vol_eta_j,
     w_vol_gradient,
-    w_vol_j,
 )
 
 K1 = VolumetricParams(K=1.0, eta=0.0)
@@ -32,17 +30,17 @@ def test_uniform_doubling_value():
 
 
 def test_blow_up_as_j_to_zero():
-    vals = [w_vol_j(j, K1) for j in (1e-1, 1e-2, 1e-3)]
+    vals = [w_vol_eta_j(j, K1) for j in (1e-1, 1e-2, 1e-3)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 1.0
 
 
 def test_inverted_without_cutoff_raises():
     F = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(NonPositiveJacobianError):
+    with pytest.raises(InvertedElementError):
         w_vol(F, K1)
-    with pytest.raises(NonPositiveJacobianError):
-        w_vol_j(0.0, K1)
+    with pytest.raises(InvertedElementError):
+        w_vol_eta_j(0.0, K1)
 
 
 def test_scalar_form_matches_matrix_form():
@@ -51,14 +49,14 @@ def test_scalar_form_matches_matrix_form():
         F = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
         if np.linalg.det(F) <= 0:
             continue
-        assert abs(w_vol(F, K1) - w_vol_j(np.linalg.det(F), K1)) <= 1e-12
+        assert abs(w_vol(F, K1) - w_vol_eta_j(np.linalg.det(F), K1)) <= 1e-12
 
 
 def test_scalar_map_minimum():
     # g(J) = J^2 - 1 - log J attains its minimum -1/2 + log(2)/2 at J = 1/sqrt(2)
     params = VolumetricParams(K=4.0, eta=0.0)  # K/4 = 1 isolates g
     grid = np.linspace(0.01, 3.0, 20001)
-    vals = w_vol_j(grid, params)
+    vals = w_vol_eta_j(grid, params)
     expected_min = -0.5 + 0.5 * math.log(2.0)
     assert abs(vals.min() - expected_min) <= 1e-6
     assert abs(grid[np.argmin(vals)] - 1.0 / math.sqrt(2.0)) <= 1e-3
@@ -67,7 +65,7 @@ def test_scalar_map_minimum():
 def test_cutoff_constant_branch_value():
     params = VolumetricParams(K=1.0, eta=0.1)
     F = np.diag([1.0, 1.0, -1.0])  # det = -1, constant branch
-    val = w_vol_eta(F, params)
+    val = w_vol(F, params)
     assert abs(val - (0.01 - 1.0 - math.log(0.1)) / 4.0) <= 1e-12
     assert abs(val - 0.3282) <= 1e-4
 
@@ -83,9 +81,7 @@ def test_cutoff_is_continuous_at_seam():
 
 def test_cutoff_identity_zero_and_validation():
     params = VolumetricParams(K=2.5, eta=0.7)
-    assert w_vol_eta(np.eye(3), params) == 0.0
-    with pytest.raises(ValueError):
-        w_vol_eta(np.eye(3), K1)  # needs eta > 0
+    assert w_vol(np.eye(3), params) == 0.0
     with pytest.raises(ValueError):
         VolumetricParams(K=0.0)
     with pytest.raises(ValueError):
@@ -145,14 +141,14 @@ def test_slope_seam_sits_on_plateau():
     above = np.nextafter(params.eta, 1.0)
     assert w_vol_eta_dj(above, params) == 0.25 * (2.0 * above - 1.0 / above)
     for J in (0.0, -1.0):
-        with pytest.raises(NonPositiveJacobianError):
+        with pytest.raises(InvertedElementError):
             w_vol_eta_dj(J, K1)
 
 
 def test_gradient_errors():
-    with pytest.raises(NonPositiveJacobianError):
+    with pytest.raises(InvertedElementError):
         w_vol_gradient(np.zeros((3, 3)), K1)
-    with pytest.raises(NonPositiveJacobianError):
+    with pytest.raises(InvertedElementError):
         w_vol_gradient(np.diag([1.0, 1.0, -1.0]), K1)
 
 
@@ -161,7 +157,7 @@ def test_cofactor_matches_det_times_inverse_transpose():
     for dim in (2, 3):
         F = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
         expected = np.linalg.det(F) * np.linalg.inv(F).T
-        np.testing.assert_allclose(cofactor_matrix(F), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.array(cofactors(list(F.T))[0]).T, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_upper_growth_bound_with_cutoff():
@@ -175,7 +171,106 @@ def test_upper_growth_bound_with_cutoff():
         A /= np.linalg.norm(A)
         F = 10.0 ** rng.uniform(-3, 1) * A
         norm = np.linalg.norm(F)
-        assert w_vol_eta(F, params) <= c_eta * (norm**8 + 1.0)
+        assert w_vol(F, params) <= c_eta * (norm**8 + 1.0)
     for t in np.linspace(1e-3, 10.0 / math.sqrt(3.0), 500):
         F = t * np.eye(3)
-        assert w_vol_eta(F, params) <= c_eta * (np.linalg.norm(F) ** 8 + 1.0)
+        assert w_vol(F, params) <= c_eta * (np.linalg.norm(F) ** 8 + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one density family: the clamped form against the separate branches it folds
+
+
+def _two_branch_energy(J, params):
+    """The density as two branches: the raw form above eta, and below it a
+    plateau constant from math.log."""
+    J = np.asarray(J, dtype=float)
+    K, eta = params.K, params.eta
+    if eta == 0.0:
+        return 0.25 * K * (J * J - 1.0 - np.log(J))
+    plateau = 0.25 * K * (eta * eta - 1.0 - math.log(eta))
+    safe = np.where(J > eta, J, 1.0)
+    return np.where(J > eta, 0.25 * K * (safe * safe - 1.0 - np.log(safe)), plateau)
+
+
+def _two_branch_slope(J, params):
+    J = np.asarray(J, dtype=float)
+    active = J > params.eta
+    safe = np.where(active, J, 1.0)
+    return np.where(active, 0.25 * params.K * (2.0 * safe - 1.0 / safe), 0.0)
+
+
+ETAS = [0.0, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 0.999,
+        *np.random.default_rng(7).uniform(0.0, 1.0, 40)]
+
+
+@pytest.mark.parametrize("eta", ETAS)
+@pytest.mark.parametrize("K", [1.0, 1.3, 2.5])
+def test_clamped_form_matches_two_branch_form(eta, K):
+    params = VolumetricParams(K=K, eta=eta)
+    seam = [eta, np.nextafter(eta, 2.0), np.nextafter(np.nextafter(eta, 2.0), 2.0),
+            np.nextafter(eta, -1.0)]
+    J = np.concatenate([np.linspace(-2.0, 4.0, 1201), np.geomspace(1e-8, 50.0, 400), seam,
+                        [1.0, np.nextafter(1.0, 0.0), 1.0 / math.sqrt(2.0)]])
+    if eta == 0.0:  # 1/J overflows at subnormal J in either form
+        J = J[J >= np.finfo(float).tiny]
+    got, want = w_vol_eta_j(J, params), _two_branch_energy(J, params)
+    active = J > eta
+    np.testing.assert_array_equal(got[active], want[active])
+    # the plateau is the raw form at s = eta, whose numpy log may differ from
+    # math.log(eta) in the last bit; where the two logs agree so do the values
+    plateau = got[~active]
+    if eta:
+        np.testing.assert_array_equal(plateau, w_vol_eta_j(eta, params))
+    if eta and np.log(eta) == math.log(eta):
+        np.testing.assert_array_equal(plateau, want[~active])
+    np.testing.assert_allclose(plateau, want[~active], rtol=0.0, atol=1e-15 * K)
+    np.testing.assert_array_equal(w_vol_eta_dj(J, params), _two_branch_slope(J, params))
+    for x in (seam[1] if eta else 1e-8, 1.0):  # scalar calls
+        assert w_vol_eta_j(x, params) == float(_two_branch_energy(x, params))
+        assert w_vol_eta_dj(x, params) == float(_two_branch_slope(x, params))
+
+
+def test_matrix_density_is_scalar_density_of_det():
+    rng = np.random.default_rng(17)
+    params = VolumetricParams(K=1.3, eta=0.2)
+    for dim in (2, 3):
+        for det in (2.0, 1.0, 0.5, 0.2, 0.05, 0.0, -0.7):  # the last four on the plateau
+            F = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+            F[:, 0] *= det / np.linalg.det(F)
+            assert w_vol(F, params) == w_vol_eta_j(np.linalg.det(F), params)
+    plateau = 0.25 * 1.3 * (0.04 - 1.0 - math.log(0.2))
+    assert w_vol(np.diag([0.1, 1.0, 1.0]), params) == pytest.approx(plateau)
+    assert w_vol(-np.eye(3), params) == pytest.approx(plateau)
+
+
+def test_frame_indifference_with_cutoff():
+    rng = np.random.default_rng(23)
+    params = VolumetricParams(K=0.8, eta=0.3)
+    for dim in (2, 3):
+        for scale in (1.0, 0.5, 0.2):  # det about 1, 0.5^dim, 0.2^dim
+            F = scale * (np.eye(dim) + 0.1 * rng.standard_normal((dim, dim)))
+            R = random_rotation(dim, rng)
+            assert abs(w_vol(R @ F, params) - w_vol(F, params)) <= 1e-12
+            np.testing.assert_allclose(w_vol_gradient(R @ F, params),
+                                       R @ w_vol_gradient(F, params), atol=1e-12)
+
+
+def test_every_function_raises_inverted_element_error_without_cutoff():
+    F = np.diag([1.0, 1.0, -1.0])
+    for J in (0.0, -0.5, np.array([1.0, 0.0]), np.array([2.0, -1.0])):
+        for fn in (w_vol_eta_j, w_vol_eta_dj):
+            with pytest.raises(InvertedElementError):
+                fn(J, K1)
+    for fn in (w_vol, w_vol_gradient):
+        for bad in (F, np.zeros((3, 3)), np.diag([-1.0, 1.0])):
+            with pytest.raises(InvertedElementError):
+                fn(bad, K1)
+
+
+def test_one_inverted_element_error():
+    import polynet
+
+    assert polynet.InvertedElementError is polynet.volumetric.InvertedElementError
+    assert polynet.assembly.InvertedElementError is polynet.volumetric.InvertedElementError
+    assert issubclass(InvertedElementError, ValueError)
