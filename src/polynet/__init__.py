@@ -70,6 +70,7 @@ from .homogenize import (
     rank_one_convexity_sample,
     single_cell_oracle_2d,
     solve_cell_problem,
+    sweep,
 )
 
 __version__ = "0.1.0"

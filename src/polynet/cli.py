@@ -37,15 +37,9 @@ from .homogenize import (
     anisotropy_counterexample,
     build_cell_mesh,
     default_layer_depth,
-    failure_reason,
-    frame_invariance_probe,
-    isotropy_probe,
     random_rotations,
-    runs_estimator,
-    solve_cells,
     summary_dict,
-    sweep_estimate,
-    sweep_runs,
+    sweep,
     write_estimates_csv,
 )
 from .meshing import (
@@ -189,31 +183,32 @@ def build_model(cfg: dict) -> EnergyModel:
     _check_keys(section, {"pair", "f", "volumetric"}, "model")
     pair_cfg = _need(section, "pair", "model")
     kind = _need(pair_cfg, "kind", "model.pair")
-    if kind == "langevin-chain":
-        _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n"}, "model.pair")
-        defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0}
-        params = ChainParams(**{
-            key: _number(pair_cfg.get(key, default), f"model.pair: {key}")
-            for key, default in defaults.items()
-        })
-        pair = PairPotential.langevin_chain(params)
-    elif kind == "quadratic-spring":
-        _check_keys(pair_cfg, {"kind", "stiffness"}, "model.pair")
-        pair = PairPotential.quadratic_spring(
-            _number(pair_cfg.get("stiffness", 1.0), "model.pair: stiffness"))
-    else:
-        raise ConfigError(f"model.pair: unknown kind {kind!r}")
-    vol_cfg = section.get("volumetric")
-    vol = None
-    if vol_cfg is not None:
-        _check_keys(vol_cfg, {"K", "eta"}, "model.volumetric")
-        vol = VolumetricParams(
-            K=_number(vol_cfg.get("K", 1.0), "model.volumetric: K"),
-            eta=_number(vol_cfg.get("eta", 0.0), "model.volumetric: eta"),
-        )
-    f = _number(section.get("f", 1.0), "model: f")
-    try:
-        return EnergyModel(pair=pair, f=f, vol=vol)
+    try:  # the parameter checks of the pair, volumetric term and model
+        if kind == "langevin-chain":
+            _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n"}, "model.pair")
+            defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0}
+            params = ChainParams(**{
+                key: _number(pair_cfg.get(key, default), f"model.pair: {key}")
+                for key, default in defaults.items()
+            })
+            pair = PairPotential.langevin_chain(params)
+        elif kind == "quadratic-spring":
+            _check_keys(pair_cfg, {"kind", "stiffness"}, "model.pair")
+            pair = PairPotential.quadratic_spring(
+                _number(pair_cfg.get("stiffness", 1.0), "model.pair: stiffness"))
+        else:
+            raise ConfigError(f"model.pair: unknown kind {kind!r}")
+        vol_cfg = section.get("volumetric")
+        vol = None
+        if vol_cfg is not None:
+            _check_keys(vol_cfg, {"K", "eta"}, "model.volumetric")
+            vol = VolumetricParams(
+                K=_number(vol_cfg.get("K", 1.0), "model.volumetric: K"),
+                eta=_number(vol_cfg.get("eta", 0.0), "model.volumetric: eta"),
+            )
+        return EnergyModel(pair=pair, f=_number(section.get("f", 1.0), "model: f"), vol=vol)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -444,25 +439,6 @@ def _run_shares(solve, shares):
         gc.unfreeze()
 
 
-def _probe_entries(xi_list, estimator, frame, iso) -> dict:
-    """Probe entries by xi index for the given frame and isotropy rotations;
-    an xi whose estimator fails gets {"error": reason} instead."""
-    probes = {}
-    for xi_id, xi in enumerate(xi_list):
-        entry = {}
-        try:
-            if frame:
-                entry["frame_invariance_deviation"] = frame_invariance_probe(
-                    estimator, xi, frame)
-            if iso:
-                entry["isotropy_deviation"] = isotropy_probe(estimator, xi, iso)
-        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
-            entry = {"error": failure_reason(exc)}
-        if entry:
-            probes[str(xi_id)] = entry
-    return probes
-
-
 def cmd_homogenize(cfg: dict, args) -> int:
     model = build_model(cfg)
     source = parse_mesh_section(cfg, args.seed)
@@ -491,45 +467,24 @@ def cmd_homogenize(cfg: dict, args) -> int:
     n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
                                          "homogenize: n_realizations", 1)
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
-
-    # one job list: every sweep cell, then every rotated probe cell; the probes
-    # solve on the sweep's finest cells, which hold each xi's base cells
-    sweep = sweep_runs(source, scales, n_real, seed)
-    cells = [(xi, cell_source, run_seed) for xi in xi_list
-             for scale_runs in sweep for cell_source, run_seed in scale_runs]
-    frame = random_rotations(source.dim, n_frame, probe_seed)
-    iso = random_rotations(source.dim, n_iso, probe_seed)
-    for xi in xi_list:
-        probe_xis = [*(rot @ xi for rot in frame), *(xi @ rot for rot in iso)]
-        cells += [(probe_xi, cell_source, run_seed) for probe_xi in probe_xis
-                  for cell_source, run_seed in sweep[-1]]
     if not periodic and args.jobs > 1:
         # lattice, Delaunay and factorization: imported once, not in each worker
         for module in ("scipy.spatial", "scipy.sparse.linalg"):
             importlib.import_module(module)
-    outcome = solve_cells(cells, model, restarts, settings, parts=args.jobs, run=_run_shares)
+    estimates, probes = sweep(
+        xi_list, scales, model, source, n_real, seed, restarts, settings,
+        frame=random_rotations(source.dim, n_frame, probe_seed),
+        iso=random_rotations(source.dim, n_iso, probe_seed),
+        parts=args.jobs, run=_run_shares)
 
-    # indexed like xi_list; a failed xi keeps its slot as None
-    estimates, failures = [], []
-    for xi_id, xi in enumerate(xi_list):
-        try:
-            estimates.append(sweep_estimate(xi, scales, sweep, outcome))
-        except RuntimeError as exc:  # a scale without a successful cell
-            estimates.append(None)
-            failures.append({"xi_id": xi_id, "error": failure_reason(exc)})
-
-    probes = _probe_entries(xi_list, runs_estimator(sweep[-1], outcome), frame, iso)
-    statuses = Counter(rec.status for est in estimates if est is not None
+    statuses = Counter(rec.status for est in estimates if not isinstance(est, Exception)
                        for s in est.per_h for rec in s.records)
     # the cells in the means: converged or stopped at max_iters
     kept = statuses["ok"] + statuses["max_iters"]
     out = _out_dir(cfg, args)
     if kept:
         write_estimates_csv(out / "homogenize.csv", estimates)
-    summary = summary_dict(estimates, probes)
-    if failures:
-        summary["failed"] = failures
-    write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary_dict(estimates, probes))
     print(f"cells ok: {statuses['ok']}")
     print(f"cells max_iters: {statuses['max_iters']}")
     return 0 if kept >= 1 else 4

@@ -345,42 +345,74 @@ def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[l
     return runs
 
 
-def estimate_whom(
-    xi,
-    scales,
-    model: EnergyModel,
-    source,
-    n_realizations: int = 1,
-    seed: int = 0,
-    restarts: int = 1,
-    settings: MinimizeSettings = DEFAULT_SETTINGS,
-) -> HomogEstimate:
-    """Sweep cell problems over mesh scales (and realizations, if stochastic).
+def sweep(xi_list, scales, model: EnergyModel, source, n_realizations: int = 1,
+          seed: int = 0, restarts: int = 1, settings: MinimizeSettings = DEFAULT_SETTINGS,
+          frame=(), iso=(), parts: int = 1, run=map) -> tuple[list, dict]:
+    """Sweep cell problems over mesh scales (and realizations, if
+    stochastic) for every xi, then probe each xi on the finest cells.
 
     source is a PeriodicCell or StochasticCell template; scales replaces its
     m (periodic) or h (stochastic) entry.  Periodic runs force one
     realization.  The expectation over lattice realizations is taken as a
     sample mean with its standard error.  A cell's ValueError or
     RuntimeError (every polynet error is one) is recorded as its
-    failure_reason; a scale with no successful cell raises a RuntimeError
-    naming the first cell's reason.
+    failure_reason.  Every cell, probe cells included, is solved by one
+    solve_cells call with `parts` and `run`.
 
-    The Cauchy diagnostic cauchy_gaps holds |v_{k+1} - v_k| over successive
-    scales.  It should tend to zero as h shrinks, but need not decrease
-    monotonically.  For periodic sources it is zero up to roundoff: the
-    affine state is critical at every m, so every scale gives the same density.
+    Returns (estimates, probes).  estimates[k] is xi k's HomogEstimate, or
+    the RuntimeError, naming the first cell's reason, of a scale with no
+    successful cell.  probes[str(k)] holds xi k's frame_invariance_deviation
+    over the rotations `frame` and isotropy_deviation over `iso`, read from
+    runs_estimator on the finest scale's cells, or {"error": reason} when a
+    probe fails; an xi without rotations has no entry.
     """
-    xi = np.asarray(xi, dtype=float)
-    if not np.isfinite(xi).all():
+    xi_list = [np.asarray(xi, dtype=float) for xi in xi_list]
+    if not all(np.isfinite(xi).all() for xi in xi_list):
         raise ValueError("xi must be finite")
     scales = list(scales)
     if len(scales) < 2:
         raise ValueError("need at least 2 scales for a convergence sweep")
 
+    # every sweep cell, then every rotated probe cell; the probes solve on
+    # the finest runs, which hold each xi's base cells
     runs = sweep_runs(source, scales, n_realizations, seed)
-    cells = [(xi, cell_source, run_seed) for scale_runs in runs
-             for cell_source, run_seed in scale_runs]
-    return sweep_estimate(xi, scales, runs, solve_cells(cells, model, restarts, settings))
+    cells = [(xi, cell_source, run_seed) for xi in xi_list
+             for scale_runs in runs for cell_source, run_seed in scale_runs]
+    cells += [(_rotated(xi, rot, side), cell_source, run_seed) for xi in xi_list
+              for rotations, side in ((frame, "left"), (iso, "right")) for rot in rotations
+              for cell_source, run_seed in runs[-1]]
+    outcome = solve_cells(cells, model, restarts, settings, parts, run)
+
+    estimates, probes = [], {}
+    estimator = runs_estimator(runs[-1], outcome)
+    for xi_id, xi in enumerate(xi_list):
+        try:
+            estimates.append(sweep_estimate(xi, scales, runs, outcome))
+        except RuntimeError as exc:  # a scale without a successful cell
+            estimates.append(exc)
+        entry = {}
+        try:
+            if frame:
+                entry["frame_invariance_deviation"] = frame_invariance_probe(
+                    estimator, xi, frame)
+            if iso:
+                entry["isotropy_deviation"] = isotropy_probe(estimator, xi, iso)
+        except (ValueError, RuntimeError) as exc:  # polynet errors; bugs surface
+            entry = {"error": failure_reason(exc)}
+        if entry:
+            probes[str(xi_id)] = entry
+    return estimates, probes
+
+
+def estimate_whom(xi, scales, model: EnergyModel, source, n_realizations: int = 1,
+                  seed: int = 0, restarts: int = 1,
+                  settings: MinimizeSettings = DEFAULT_SETTINGS) -> HomogEstimate:
+    """sweep's one-xi case: its HomogEstimate, or its RuntimeError raised."""
+    (estimate,), _ = sweep([xi], scales, model, source, n_realizations, seed,
+                           restarts, settings)
+    if isinstance(estimate, RuntimeError):
+        raise estimate
+    return estimate
 
 
 def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
@@ -484,14 +516,19 @@ def random_rotations(dim: int, count: int, seed: int) -> list[np.ndarray]:
     return [random_rotation(dim, rng) for _ in range(count)]
 
 
+def _rotated(xi, rot, side: str) -> np.ndarray:
+    """rot @ xi on the "left" side (frame), xi @ rot on the "right"
+    (isotropy): the one expression for every probe cell's xi."""
+    return rot @ xi if side == "left" else xi @ rot
+
+
 def _probe(estimator, xi, rotations, side: str) -> float:
     xi = np.asarray(xi, dtype=float)
     base = float(estimator(xi))
     denom = max(abs(base), np.finfo(float).tiny)
     worst = 0.0
     for rot in rotations:
-        probe_xi = rot @ xi if side == "left" else xi @ rot
-        worst = max(worst, abs(float(estimator(probe_xi)) - base) / denom)
+        worst = max(worst, abs(float(estimator(_rotated(xi, rot, side))) - base) / denom)
     return worst
 
 
@@ -623,13 +660,14 @@ def runs_estimator(runs, outcome):
     return estimator
 
 
-def write_estimates_csv(path, estimates: list[HomogEstimate | None]) -> None:
+def write_estimates_csv(path, estimates: list[HomogEstimate | Exception]) -> None:
     """One row per (xi index, scale, realization); floats with 17 digits.
 
-    xi_id is the index in `estimates`; None entries (failed sweeps) write no
-    rows but keep their index.
+    xi_id is the index in `estimates`; failed sweeps (their exceptions, as
+    sweep returns them) write no rows but keep their index.
     """
-    present = [(xi_id, est) for xi_id, est in enumerate(estimates) if est is not None]
+    present = [(xi_id, est) for xi_id, est in enumerate(estimates)
+               if not isinstance(est, Exception)]
     if not present:
         raise ValueError("nothing to write")
     dim = present[0][1].xi.shape[0]
@@ -654,14 +692,18 @@ def write_estimates_csv(path, estimates: list[HomogEstimate | None]) -> None:
                     )
 
 
-def summary_dict(estimates: list[HomogEstimate | None], probes: dict | None = None) -> dict:
+def summary_dict(estimates: list[HomogEstimate | Exception], probes: dict | None = None) -> dict:
     """JSON-ready summary: per-xi extrapolated values, gaps, realization stats.
 
-    None entries (failed sweeps) are skipped; xi_id keeps the list index.
+    xi_id keeps the list index.  A failed sweep (its exception, as sweep
+    returns it) is listed under "failed" with its reason instead; without
+    one there is no "failed" entry.
     """
     out = {"estimates": [], "probes": probes or {}}
     for xi_id, est in enumerate(estimates):
-        if est is None:
+        if isinstance(est, Exception):
+            out.setdefault("failed", []).append(
+                {"xi_id": xi_id, "error": failure_reason(est)})
             continue
         out["estimates"].append(
             {

@@ -99,11 +99,15 @@ def cofactors(cols: list):
     return cof, sum(x * y for x, y in zip(cols[0], cof[0]))
 
 
+def _check_dim(dim: int) -> None:
+    if dim not in (2, 3):
+        raise ValueError(f"meshes are 2D or 3D, not {dim}D")
+
+
 def signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed simplex volumes det(edge matrix) / dim! for a batch of elements."""
     dim = vertices.shape[1]
-    if dim not in (2, 3):
-        raise ValueError(f"meshes are 2D or 3D, not {dim}D")
+    _check_dim(dim)
     return cofactors(edge_columns(vertices, elements))[1] / math.factorial(dim)
 
 
@@ -315,6 +319,7 @@ def _delaunay_simplices(points: np.ndarray):
     signed volumes."""
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
+    _check_dim(dim)  # before qhull, which has its own message for 1D
     if n < dim + 1:
         raise DegenerateGeometryError("need at least dim+1 points to triangulate")
     from scipy.spatial import Delaunay, QhullError

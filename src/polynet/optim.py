@@ -25,6 +25,7 @@ import numpy as np
 from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
                        edge_stiffness_laplacian, energy_and_gradient, split_pinned)
 from .meshing import Mesh, check_count
+from .volumetric import InvertedElementError
 
 
 # L-BFGS history length and the sufficient-decrease constant of the line search
@@ -94,23 +95,31 @@ class _Trial(NamedTuple):
 
 
 def _line_search(fg, x, f, g, direction):
-    """The first of the steps alpha = 1, 1/2, ..., 1/512 along the descent
+    """The first of the steps alpha = 1, 1/2, ... along the descent
     direction that moves x and either decreases the energy sufficiently or,
     once energy differences drop below machine precision, contracts the
     gradient norm without raising the energy beyond noise; as a _Trial, or
-    None.
+    None after 10 trials fail.
 
     Backtracking (Nocedal & Wright, Numerical Optimization, 2nd ed.,
     Alg. 3.1) with contraction factor 1/2; both energy tests are written
-    with <= so that a NaN energy fails them.
+    with <= so that a NaN energy fails them.  A trial point where fg raises
+    InvertedElementError (an element past the volumetric log barrier at
+    eta = 0) is a step too long: it is halved and not counted.  Every
+    element of x itself has J > 0, so short enough steps do not invert.
     """
     slope = float(g @ direction)
     noise = 1e-12 * (1.0 + abs(f))
     contracted = 0.9 * np.linalg.norm(g)
-    alpha = 1.0
-    for _ in range(10):
+    alpha, trials = 1.0, 0
+    while trials < 10:
         x_t = x + alpha * direction
-        f_t, g_t = fg(x_t)
+        try:
+            f_t, g_t = fg(x_t)
+        except InvertedElementError:
+            alpha *= 0.5
+            continue
+        trials += 1
         f_t = float(f_t)
         if (x_t != x).any() and (
                 f_t <= f + ARMIJO_C1 * alpha * slope

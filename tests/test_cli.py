@@ -544,9 +544,9 @@ def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
 
 
 def test_homogenize_probe_bug_propagates(tmp_path, monkeypatch):
-    from polynet import cli
+    from polynet import homogenize
 
-    monkeypatch.setattr(cli, "isotropy_probe", _raise_index_error)
+    monkeypatch.setattr(homogenize, "isotropy_probe", _raise_index_error)
     payload = {**TWO_XI_PERIODIC, "homogenize": {
         **TWO_XI_PERIODIC["homogenize"], "probes": {"isotropy_rotations": 2}}}
     cfg = write_config(tmp_path, payload)
@@ -659,6 +659,20 @@ BAD_VALUES = {
                            "homogenize": {**STOCHASTIC_HOMOGENIZE, "h_list": [0.3, 0.25],
                                           "m_list": [2, 4]}},
                           "homogenize: m_list is for periodic meshes only"),
+    # the model's parameter checks: each raised ValueError out of main (exit 1)
+    "chain k": ({"model": {"pair": {"kind": "langevin-chain", "k": -1}}},
+                "model: ChainParams requires"),
+    "chain beta": ({"model": {"pair": {"kind": "langevin-chain", "beta": 0}}},
+                   "model: ChainParams requires"),
+    "chain n": ({"model": {"pair": {"kind": "langevin-chain", "n": 0}}},
+                "model: ChainParams requires"),
+    "zero stiffness": ({"model": {"pair": {"kind": "quadratic-spring", "stiffness": 0}}},
+                       "model: spring stiffness must be positive"),
+    "volumetric K": ({"model": {**HOMOGENIZE_PERIODIC["model"], "volumetric": {"K": -1}}},
+                     "model: bulk modulus K must be positive"),
+    "volumetric eta": ({"model": {**HOMOGENIZE_PERIODIC["model"],
+                                  "volumetric": {"eta": 1.5}}},
+                       "model: cut-off eta must lie in [0, 1)"),
 }
 
 
@@ -911,16 +925,16 @@ def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatc
                                      {**PERIODIC_PROBES, "solver": {"restarts": 2}}],
                          ids=["stochastic", "periodic"])
 def test_homogenize_probe_base_is_the_finest_sweep_value(tmp_path, monkeypatch, payload):
-    from polynet import cli
+    from polynet import homogenize
 
     bases = []
-    probe = cli.frame_invariance_probe
+    probe = homogenize.frame_invariance_probe
 
     def recording_probe(estimator, xi, rotations):
         bases.append(estimator(xi))
         return probe(estimator, xi, rotations)
 
-    monkeypatch.setattr(cli, "frame_invariance_probe", recording_probe)
+    monkeypatch.setattr(homogenize, "frame_invariance_probe", recording_probe)
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0

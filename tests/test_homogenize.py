@@ -24,6 +24,7 @@ from polynet.homogenize import (
     solve_cell_problem,
     solve_cells,
     summary_dict,
+    sweep,
     sweep_runs,
     write_estimates_csv,
 )
@@ -232,6 +233,25 @@ def test_estimate_whom_records_failures():
     xi = np.diag([-1.0, 1.0])
     with pytest.raises(RuntimeError):
         estimate_whom(xi, [2, 4], model, PeriodicCell(m=0))
+
+
+def test_sweep_same_estimates_probes_and_failures_for_every_parts():
+    # every cell of the first xi is rejected (det 0.05 <= eta), so its sweep
+    # and its probes fail; dealing the cells into 1 or 3 shares changes nothing
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                        vol=VolumetricParams(K=1.0, eta=0.1))
+    xis = [np.diag([0.05, 1.0]), np.diag([1.1, 0.9])]
+    frame, iso = random_rotations(2, 2, 1), random_rotations(2, 2, 2)
+    results = [sweep(xis, [2, 4], model, PeriodicCell(m=0), frame=frame, iso=iso,
+                     parts=parts, run=map) for parts in (1, 3)]
+    for estimates, probes in results:
+        assert isinstance(estimates[0], RuntimeError)
+        assert "det(xi) must exceed" in probes["0"]["error"]
+        assert set(probes["1"]) == {"frame_invariance_deviation", "isotropy_deviation"}
+    summaries = [summary_dict(*result) for result in results]
+    assert summaries[0] == summaries[1]
+    assert [entry["xi_id"] for entry in summaries[0]["failed"]] == [0]
+    assert [entry["xi_id"] for entry in summaries[0]["estimates"]] == [1]
 
 
 def test_cell_problem_rejects_non_finite_xi():

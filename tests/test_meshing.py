@@ -500,19 +500,21 @@ def test_mesh_file_of_other_dimension_rejected(tmp_path):
 
 def test_point_sets_of_other_dimension_rejected():
     # a 4D jittered grid used to give 113 elements whose volumes, formed from
-    # 3 of the 4 edge components, summed to 0.238
+    # 3 of the 4 edge components, summed to 0.238; a 1D point set got qhull's
+    # "Need at least 2-D data"
     spec = StochasticLatticeSpec("jittered-grid", 1.0, 0.3, 1.0, 3)
-    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
-        build_stochastic_mesh(spec, 0.5, 4)
-    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
-        build_cell_mesh(StochasticCell(spec, 0.5, dim=4))
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
-        delaunay_triangulate(rng.random((40, 4)))
-    with pytest.raises(ValueError, match="2D or 3D, not 4D"):
-        check_admissibility(rng.random((40, 4)), (np.zeros(4), np.ones(4)), 0.3, 0.5)
     for dim in (1, 4):
-        with pytest.raises(ValueError, match=f"2D or 3D, not {dim}D"):
+        message = f"2D or 3D, not {dim}D"
+        with pytest.raises(ValueError, match=message):
+            build_stochastic_mesh(spec, 0.5, dim)
+        with pytest.raises(ValueError, match=message):
+            build_cell_mesh(StochasticCell(spec, 0.5, dim=dim))
+        with pytest.raises(ValueError, match=message):
+            delaunay_triangulate(rng.random((40, dim)))
+        with pytest.raises(ValueError, match=message):
+            check_admissibility(rng.random((40, dim)), (np.zeros(dim), np.ones(dim)), 0.3, 0.5)
+        with pytest.raises(ValueError, match=message):
             signed_volumes(np.vstack([np.zeros(dim), np.eye(dim)]), np.arange(dim + 1)[None])
 
 

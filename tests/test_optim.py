@@ -329,6 +329,23 @@ def test_line_search_rejects_contracting_gradient_when_energy_rises():
     assert step is None and len(calls) == 10
 
 
+@pytest.mark.parametrize("halvings", [3, 12])
+def test_line_search_halves_inverted_trials_without_counting_them(halvings):
+    # trial points beyond alpha = 2^-halvings invert an element, as steps past
+    # the volumetric log barrier do at eta = 0; they are not among the 10
+    # trials, so even 12 halvings reach the first step that inverts nothing
+    fun, slope = SEARCHES["far-minimum"][:2]
+
+    def fg(x):
+        if x[0] > 0.5 ** halvings:
+            raise InvertedElementError("volume-change energy undefined for J <= 0")
+        return one_dimensional(fun, slope)(x)
+
+    step, calls = counted_search(fg, 0.0, 1.0)
+    assert [c[0] for c in calls] == [0.5 ** k for k in range(halvings + 1)]
+    assert step.x[0] == 0.5 ** halvings
+
+
 def test_lbfgs_exact_inverse_hessian_converges_in_one_iteration():
     rng = np.random.default_rng(2)
     n = 24
@@ -490,13 +507,21 @@ LANGEVIN_VOL = EnergyModel(pair=PairPotential.langevin_chain(),
                            vol=VolumetricParams(K=1.0, eta=0.1))
 
 
-def standard_problem(dim, h, model):
+def standard_problem(dim, h, model, seed=3):
     kind = "matern-hardcore" if dim == 2 else "jittered-grid"
     lattice = StochasticLatticeSpec(kind=kind, intensity=1.0, r_min=0.3,
-                                    R_cov=1.0, seed=3)
+                                    R_cov=1.0, seed=seed)
     return CellProblem(xi=XI_2D if dim == 2 else XI_3D,
                        source=StochasticCell(lattice=lattice, h=h, dim=dim),
                        model=model)
+
+
+def test_eta_zero_3d_cells_converge():
+    # without a cut-off, long steps push thin 3D elements past the log
+    # barrier; the line search halves them, and every cell converges
+    model = EnergyModel(pair=PairPotential.langevin_chain(), vol=VolumetricParams(K=1.0))
+    for seed in range(10):
+        assert solve_cell_problem(standard_problem(3, 0.125, model, seed)).converged
 
 
 @pytest.mark.parametrize("dim, h", [(2, 0.0125), (3, 0.0833)])
