@@ -4,10 +4,13 @@ The total energy sums, per element, the pair potential over every distinct
 vertex pair of the element (an edge shared by k elements is counted k
 times, as the model prescribes), weighted by h^dim, plus the exact
 per-element volumetric contribution of the piecewise-affine deformation.
-It is evaluated in one pass over the unique edges, each with the summed
-weight of its elements, and one over the elements, whose Jacobians and
-cofactors come from one closed-form routine, meshing.cofactors.  An
-inverted element without a cut-off raises volumetric's InvertedElementError.
+It is evaluated in one pass over the unique edges, each weighted by h^dim
+times the number of its elements, and one over the elements, whose
+Jacobians and cofactors come from one closed-form routine,
+meshing.cofactors.  At an affine state x -> xi x every element's Jacobian
+is det xi, so affine_energy and affine_energy_and_gradient need only the
+edge pass, on the reference edge vectors.  An inverted element without a
+cut-off raises volumetric's InvertedElementError.
 """
 
 from __future__ import annotations
@@ -72,33 +75,36 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary condition kind {self.kind!r}")
 
 
+def _pair_keys(mesh: Mesh) -> np.ndarray:
+    """Key min * n + max of every vertex pair of every element, n the vertex
+    count: one row per pair of corners, one column per element."""
+    corners, n = mesh.elements.T, mesh.num_vertices
+    return np.array([np.minimum(corners[p], corners[q]) * n + np.maximum(corners[p], corners[q])
+                     for p, q in itertools.combinations(range(mesh.dim + 1), 2)])
+
+
 def _geometry(mesh: Mesh) -> dict:
-    """Per-mesh cache: unique edges with their rest lengths, the element ->
-    edge map, the bincount index of every gradient term, the reference
-    determinants, and the pair weights of each edge's elements, summed."""
+    """Per-mesh cache: the sorted unique edge keys, the edges with their
+    reference vectors X_i - X_j (one array per component) and rest lengths,
+    the bincount index of every gradient term, the reference determinants,
+    and each edge's pair weight h^dim times the number of its elements."""
     cache = mesh._cache
     if "geometry" in cache:
         return cache["geometry"]
-    corners = mesh.elements.T
-    combos = list(itertools.combinations(range(mesh.dim + 1), 2))
-    a = np.concatenate([corners[p] for p, _ in combos])
-    b = np.concatenate([corners[q] for _, q in combos])
     n = mesh.num_vertices
-    edge_keys, elem_edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                     return_inverse=True)
+    edge_keys, counts = np.unique(_pair_keys(mesh), return_counts=True)
     edge_i, edge_j = edge_keys // n, edge_keys % n
-    rest = np.linalg.norm(mesh.vertices[edge_i] - mesh.vertices[edge_j], axis=1)
+    ref = np.array([x[edge_i] - x[edge_j] for x in mesh.vertices.T])
+    rest = np.linalg.norm(ref, axis=0)
     if np.any(rest == 0.0):
         raise ValueError("mesh contains zero-length reference edges")
-    elem_edge = elem_edge.reshape(len(combos), mesh.num_elements)
+    corners = mesh.elements.T
     geometry = {
-        "edge_i": edge_i, "edge_j": edge_j, "rest": rest, "elem_edge": elem_edge,
+        "keys": edge_keys, "edge_i": edge_i, "edge_j": edge_j, "ref": ref, "rest": rest,
         # pair terms at i and at j, then volumetric moments at corners 1..d and 0
         "index": np.concatenate([edge_i, edge_j, *corners[1:], corners[0]]),
         "det_x": math.factorial(mesh.dim) * mesh.element_volumes(),
-        "edge_weights": np.bincount(elem_edge.ravel(),
-                                    np.full(elem_edge.size, _pair_weight(mesh)),
-                                    minlength=rest.size),
+        "edge_weights": counts * _pair_weight(mesh),
     }
     cache["geometry"] = geometry
     return geometry
@@ -110,11 +116,13 @@ def _pair_weight(mesh: Mesh) -> float:
     return 1.0 / round(mesh.h ** -mesh.dim)
 
 
-def _edges(mesh: Mesh, positions: np.ndarray):
+def _edges(mesh: Mesh, positions=None, xi=None):
     """Per-edge deformed differences (one array per component), lengths and
-    stretches."""
+    stretches at the positions or, given xi, at the affine positions
+    xi @ x, where an edge's difference is xi v_e, v_e its reference vector."""
     geometry = _geometry(mesh)
-    delta = [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T]
+    delta = (xi @ geometry["ref"] if xi is not None else
+             [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T])
     dist = np.sqrt(sum(d * d for d in delta))
     return delta, dist, dist / geometry["rest"]
 
@@ -138,9 +146,25 @@ def _point_state(mesh: Mesh, positions, model: EnergyModel, gradient: bool) -> d
     return state
 
 
+def _affine_state(mesh: Mesh, xi: np.ndarray, model: EnergyModel) -> dict:
+    """The point state at affine_positions(mesh, xi) in closed form: every
+    element's deformation gradient is xi, so one Jacobian, det xi, serves
+    them all, and cof(xi) stands in for their cofactors.  Checked as the
+    gradient's point state is."""
+    xi = np.asarray(xi, dtype=float)
+    delta, dist, stretch = _edges(mesh, xi=xi)
+    state = {"delta": delta, "dist": dist, "stretch": stretch}
+    _check_not_coincident(state)
+    if model.vol is not None:
+        cof, det = cofactors(list(xi.T))
+        state["jac"], state["cof_xi"] = float(det), np.array(cof).T
+        _check_not_inverted(mesh, state, model.vol)
+    return state
+
+
 def _check_not_inverted(mesh: Mesh, state: dict, vol: VolumetricParams) -> None:
-    jac = state["jac"]
-    if vol.eta == 0.0 and np.any(jac <= 0.0):
+    if vol.eta == 0.0 and mesh.num_elements and np.any(state["jac"] <= 0.0):
+        jac = np.broadcast_to(state["jac"], mesh.num_elements)  # affine: det xi for all
         bad = int(np.flatnonzero(jac <= 0.0)[0])
         raise InvertedElementError(
             f"element with vertices {mesh.elements[bad].tolist()} is inverted "
@@ -156,7 +180,8 @@ def _check_not_coincident(state: dict) -> None:
 
 
 def _volumetric_energies(mesh: Mesh, model: EnergyModel, state: dict):
-    return (0.0 if model.vol is None else
+    # an affine state's one det xi is not evaluated for a mesh without elements
+    return (0.0 if model.vol is None or not mesh.num_elements else
             mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol))
 
 
@@ -170,7 +195,7 @@ def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> n
     """Per-element energies; their sum is the total energy."""
     state = _point_state(mesh, positions, model, gradient=False)
     pair = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
-    per_elem = pair[_geometry(mesh)["elem_edge"]].sum(axis=0)
+    per_elem = pair[np.searchsorted(_geometry(mesh)["keys"], _pair_keys(mesh))].sum(axis=0)
     return (_pair_weight(mesh) * model.f * per_elem
             + _volumetric_energies(mesh, model, state))
 
@@ -178,6 +203,13 @@ def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> n
 def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
     """Total network energy of the deformed positions."""
     state = _point_state(mesh, positions, model, gradient=False)
+    return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
+
+
+def affine_energy(mesh: Mesh, xi: np.ndarray, model: EnergyModel) -> float:
+    """total_energy at affine_positions(mesh, xi), from the closed-form
+    affine state; coincident vertices raise as in energy_gradient."""
+    state = _affine_state(mesh, xi, model)
     return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
 
 
@@ -190,7 +222,16 @@ def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np
 def energy_and_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
     """(total_energy, energy_gradient) from one evaluation of the point state
     and of the pair potential, with energy_gradient's checks."""
-    state = _point_state(mesh, positions, model, gradient=True)
+    return _energy_and_gradient(mesh, model, _point_state(mesh, positions, model, gradient=True))
+
+
+def affine_energy_and_gradient(mesh: Mesh, xi: np.ndarray, model: EnergyModel):
+    """energy_and_gradient at affine_positions(mesh, xi), from the
+    closed-form affine state: no element Jacobian or cofactor is formed."""
+    return _energy_and_gradient(mesh, model, _affine_state(mesh, xi, model))
+
+
+def _energy_and_gradient(mesh: Mesh, model: EnergyModel, state: dict):
     pair, dW = model.pair.energy_and_derivative(state["stretch"])
     return _energy(mesh, model, state, pair), _gradient(mesh, model, state, dW)
 
@@ -198,24 +239,51 @@ def energy_and_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
 def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
     """One term per unique edge at each endpoint, dW the per-edge pair
     derivative, and, with a volumetric term, the moment w'(J) cof(Q) / d! of
-    every element at its corners, Q the deformed edge matrix; one bincount
-    per component."""
+    every element at its corners, Q the deformed edge matrix.  At an affine
+    state cof(Q) = cof(xi) cof(X), so the moments at a vertex a sum to
+    w'(det xi) cof(xi) n_a (see _reference_moments)."""
     geometry = _geometry(mesh)
     dW = np.asarray(dW, dtype=float)
     coef = model.f * geometry["edge_weights"] * dW / (geometry["rest"] * state["dist"])
-    moments = []
-    if model.vol is not None:
-        scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
-        moments = [[scale * c for c in column] for column in state["cof"]]
-    index = geometry["index"] if moments else geometry["index"][: 2 * coef.size]
+    pair = [coef * d for d in state["delta"]]
+    if model.vol is None:
+        return _scatter(mesh, pair)
+    slope = w_vol_eta_dj(state["jac"], model.vol)
+    if "cof_xi" in state:
+        return _scatter(mesh, pair) + slope * (_reference_moments(mesh) @ state["cof_xi"].T)
+    scale = slope / math.factorial(mesh.dim)
+    return _scatter(mesh, pair, [[scale * c for c in column] for column in state["cof"]])
+
+
+def _scatter(mesh: Mesh, pair, moments=()) -> np.ndarray:
+    """Per-vertex sums, one bincount per component: each edge's term pair[c]
+    at its endpoint i and minus it at j and, when given, each element's
+    moments (columns for corners 1..d) at those corners and minus their sum
+    at corner 0."""
+    index = _geometry(mesh)["index"]
+    if not moments:
+        index = index[: 2 * len(pair[0])]
     grad = np.empty((mesh.num_vertices, mesh.dim))
     for c in range(mesh.dim):
-        term = coef * state["delta"][c]
-        values = [term, -term]
+        values = [pair[c], -pair[c]]
         if moments:
             values += [m[c] for m in moments] + [-sum(m[c] for m in moments)]
         grad[:, c] = np.bincount(index, np.concatenate(values), minlength=mesh.num_vertices)
     return grad
+
+
+def _reference_moments(mesh: Mesh) -> np.ndarray:
+    """n_a = sum over the elements T at vertex a of d|T|/dX_a, one row per
+    vertex, from one meshing.cofactors call at the reference positions;
+    cached on the mesh."""
+    cache = mesh._cache
+    if "moments" not in cache:
+        cof = cofactors(edge_columns(mesh.vertices, mesh.elements))[0]
+        scale = 1.0 / math.factorial(mesh.dim)
+        zero = np.zeros(_geometry(mesh)["rest"].size)
+        cache["moments"] = _scatter(mesh, [zero] * mesh.dim,
+                                    [[scale * c for c in column] for column in cof])
+    return cache["moments"]
 
 
 def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyModel,
@@ -260,15 +328,17 @@ def _submesh(mesh: Mesh, keep: np.ndarray) -> Mesh:
                 {"volumes": mesh.element_volumes()[keep]})
 
 
-def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: EnergyModel):
-    """(active sub-mesh, pinned energy) for moving only the `free` vertices.
+def split_pinned(mesh: Mesh, free: np.ndarray, xi: np.ndarray, model: EnergyModel):
+    """(active sub-mesh, pinned energy) for moving only the `free` vertices
+    while every other vertex sits at xi @ x.
 
     The active sub-mesh holds the elements that touch a free vertex and keeps
-    the vertex numbering; the other elements' energy stays constant.  They
-    are checked once per call for what total_energy and energy_gradient of
-    the whole mesh raise on them, from one energy-only point state.  Both
-    sub-meshes, and with them their geometry, stay on mesh for the last free
-    mask, so restarts and further xi on the same mesh split it once.
+    the vertex numbering.  The other elements have every vertex pinned, so
+    they stay in the affine state: their energy is a constant, affine_energy
+    of their sub-mesh, checked once per call for what energy_gradient of the
+    whole mesh raises on them.  Both sub-meshes, and with them their
+    geometry, stay on mesh for the last free mask, so restarts and further
+    xi on the same mesh split it once.
     """
     key = free.tobytes()
     split = mesh._cache.get("split")
@@ -277,9 +347,7 @@ def split_pinned(mesh: Mesh, free: np.ndarray, positions: np.ndarray, model: Ene
         split = (key, _submesh(mesh, touches), _submesh(mesh, ~touches))
         mesh._cache["split"] = split
     _, active, pinned = split
-    state = _point_state(pinned, positions, model, gradient=False)
-    _check_not_coincident(state)
-    return active, _energy(pinned, model, state, model.pair.energy(state["stretch"]))
+    return active, affine_energy(pinned, xi, model)
 
 
 _FACE_AXES = {"x": 0, "y": 1, "z": 2}
@@ -287,7 +355,9 @@ FACE_TOL = 1e-12  # distance within which a vertex lies on a named box face
 
 
 def apply_bc(mesh: Mesh, bc: BoundaryCondition):
-    """Resolve a boundary condition into (fixed mask, fixed target positions).
+    """Resolve a boundary condition into (fixed mask, target positions):
+    the targets are the affine positions xi @ x of every vertex, so the
+    free rows hold the affine start.
 
     Raises FullyConstrainedError when nothing is left to minimize.
     """
@@ -309,8 +379,7 @@ def apply_bc(mesh: Mesh, bc: BoundaryCondition):
             mask |= np.abs(mesh.vertices[:, axis] - value) <= FACE_TOL
     if mask.all():
         raise FullyConstrainedError("boundary condition pins every vertex")
-    values = np.where(mask[:, None], targets, 0.0)
-    return mask, values
+    return mask, targets
 
 
 def affine_positions(mesh: Mesh, xi: np.ndarray) -> np.ndarray:

@@ -467,7 +467,10 @@ def cmd_homogenize(cfg: dict, args) -> int:
     n_real = 1 if periodic else _integer(section.get("n_realizations", 1),
                                          "homogenize: n_realizations", 1)
     n_frame, n_iso, probe_seed = _probe_settings(section.get("probes"))
-    if not periodic and args.jobs > 1:
+    # a process beyond the allowed CPUs would only time-share one of them
+    jobs = (min(args.jobs, len(os.sched_getaffinity(0)))
+            if hasattr(os, "sched_getaffinity") else args.jobs)
+    if not periodic and jobs > 1:
         # lattice, Delaunay and factorization: imported once, not in each worker
         for module in ("scipy.spatial", "scipy.sparse.linalg"):
             importlib.import_module(module)
@@ -475,7 +478,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
         xi_list, scales, model, source, n_real, seed, restarts, settings,
         frame=random_rotations(source.dim, n_frame, probe_seed),
         iso=random_rotations(source.dim, n_iso, probe_seed),
-        parts=args.jobs, run=_run_shares)
+        parts=jobs, run=_run_shares)
 
     statuses = Counter(rec.status for est in estimates if not isinstance(est, Exception)
                        for s in est.per_h for rec in s.records)
@@ -530,8 +533,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
                         help="processes, this one included, that solve homogenize cells, "
-                             "each on its own allowed CPU; this process's CPU mask is "
-                             "restored afterwards")
+                             "each on its own allowed CPU (at most one per allowed CPU); "
+                             "this process's CPU mask is restored afterwards")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 

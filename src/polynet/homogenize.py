@@ -19,12 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import (
-    BoundaryCondition,
-    EnergyModel,
-    affine_positions,
-    total_energy,
-)
+from .assembly import BoundaryCondition, EnergyModel, affine_energy, affine_positions
 from .meshing import (
     Mesh,
     StochasticLatticeSpec,
@@ -129,15 +124,15 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
     solve_cells); by default it is built here.  When the layer
     swallows every vertex the admissible set is the single affine state and
     its energy is returned directly (this happens for the coarsest meshes,
-    where 2h exceeds the inradius).
+    where 2h exceeds the inradius).  The first run starts from the affine
+    state (minimize's default), later ones from perturbations of it.
     """
     if mesh is None:
         mesh = build_cell_mesh(problem.source)
     depth = default_layer_depth(problem.source, mesh)
     layer = boundary_layer(mesh, depth)
-    affine = affine_positions(mesh, problem.xi)
     if layer.size == mesh.num_vertices:
-        value = total_energy(mesh, affine, problem.model)
+        value = affine_energy(mesh, problem.xi, problem.model)
         return CellSolution(value, 0.0, 0, True, 0, mesh.h)
 
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
@@ -145,16 +140,15 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
     scale = 0.01 * mesh.h
     best = None
     for attempt in range(problem.restarts):
-        init = affine.copy()
+        init = None
         if attempt > 0:
+            init = affine_positions(mesh, problem.xi)
             init += scale * rng.standard_normal(init.shape)
         result = minimize(mesh, problem.model, bc, init=init, settings=problem.settings)
         if best is None or result.energy < best.energy:
             best = result
-    n_free = mesh.num_vertices - layer.size
-    return CellSolution(
-        best.energy, best.grad_norm, best.iterations, best.converged, n_free, mesh.h
-    )
+    return CellSolution(best.energy, best.grad_norm, best.iterations, best.converged,
+                        mesh.num_vertices - layer.size, mesh.h)
 
 
 def solve_cells(cells, model: EnergyModel, restarts: int = 1,
@@ -431,51 +425,25 @@ def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
         for real, (cell_source, run_seed) in enumerate(scale_runs):
             sol = outcome(xi, cell_source, run_seed)
             if isinstance(sol, Exception):
-                records.append(
-                    CellRecord(scale, real, run_seed, math.nan, math.nan, 0, "failed",
-                               failure_reason(sol))
-                )
-                continue
-            records.append(
-                CellRecord(
-                    sol.h if periodic else float(scale),
-                    real,
-                    run_seed,
-                    sol.value,
-                    sol.grad_norm,
-                    sol.iterations,
-                    "ok" if sol.converged else "max_iters",
-                )
-            )
+                records.append(CellRecord(scale, real, run_seed, math.nan, math.nan, 0,
+                                          "failed", failure_reason(sol)))
+            else:
+                records.append(CellRecord(sol.h if periodic else float(scale), real, run_seed,
+                                          sol.value, sol.grad_norm, sol.iterations,
+                                          "ok" if sol.converged else "max_iters"))
         values = np.array([r.value for r in records if r.status != "failed"])
         if values.size == 0:
-            raise RuntimeError(
-                f"every cell problem failed at scale {scale}: {records[0].error}"
-            )
+            raise RuntimeError(f"every cell problem failed at scale {scale}: {records[0].error}")
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         grad_norm = float(max(r.grad_norm for r in records if r.status != "failed"))
         h_val = records[0].scale if periodic else float(scale)
-        per_h.append(
-            ScaleEstimate(
-                h=h_val,
-                value=mean,
-                grad_norm=grad_norm,
-                stderr=stderr,
-                n=int(values.size),
-                records=records,
-            )
-        )
+        per_h.append(ScaleEstimate(h=h_val, value=mean, grad_norm=grad_norm, stderr=stderr,
+                                   n=int(values.size), records=records))
 
     gaps = [abs(per_h[k + 1].value - per_h[k].value) for k in range(len(per_h) - 1)]
-    richardson = _richardson(per_h)
-    return HomogEstimate(
-        xi=xi,
-        per_h=per_h,
-        cauchy_gaps=gaps,
-        extrapolated=per_h[-1].value,
-        richardson=richardson,
-    )
+    return HomogEstimate(xi=xi, per_h=per_h, cauchy_gaps=gaps,
+                         extrapolated=per_h[-1].value, richardson=_richardson(per_h))
 
 
 def _richardson(per_h: list[ScaleEstimate]) -> float | None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (BoundaryCondition, EnergyModel, affine_positions, apply_bc,
+from .assembly import (BoundaryCondition, EnergyModel, affine_energy_and_gradient, apply_bc,
                        edge_stiffness_laplacian, energy_and_gradient, split_pinned)
 from .meshing import Mesh, check_count
 from .volumetric import InvertedElementError
@@ -183,17 +183,25 @@ def minimize(
 ) -> MinimizeResult:
     """Minimize the network energy over the dofs left free by the BC.
 
-    init defaults to the affine state xi @ x; fixed dofs are overwritten with
-    their boundary targets in any case.
+    init defaults to the affine state xi @ x, whose energy and gradient come
+    in closed form (assembly.affine_energy_and_gradient); fixed dofs are
+    overwritten with their boundary targets in any case.
     """
     mask, targets = apply_bc(mesh, bc)
-    state = affine_positions(mesh, bc.xi) if init is None else np.array(init, dtype=float)
-    if state.shape != mesh.vertices.shape:
-        raise ValueError("initial state does not match the mesh")
-    state[mask] = targets[mask]
     free = ~mask
+    if init is None:
+        state = targets
+    else:
+        state = np.array(init, dtype=float)
+        if state.shape != mesh.vertices.shape:
+            raise ValueError("initial state does not match the mesh")
+        state[mask] = targets[mask]
     # f keeps the pinned elements' constant energy, so tolerance and result do too
-    active, pinned_energy = split_pinned(mesh, free, state, model)
+    active, pinned_energy = split_pinned(mesh, free, bc.xi, model)
+    start = []  # the first fg value, when it comes in closed form
+    if init is None:
+        energy, grad = affine_energy_and_gradient(active, bc.xi, model)
+        start.append((energy + pinned_energy, grad[free].ravel()))
 
     def unpack(x):
         positions = state.copy()
@@ -201,6 +209,8 @@ def minimize(
         return positions
 
     def fg(x):
+        if start:  # lbfgs evaluates x0 first, and only then
+            return start.pop()
         energy, grad = energy_and_gradient(active, unpack(x), model)
         return energy + pinned_energy, grad[free].ravel()
 

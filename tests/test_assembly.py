@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient, random_rotation, rel_err
+from polynet import assembly
 from polynet.assembly import (
     BoundaryCondition,
     CoincidentVerticesError,
     EnergyModel,
     FullyConstrainedError,
     InvertedElementError,
+    affine_energy,
+    affine_energy_and_gradient,
+    affine_positions,
     apply_bc,
     element_energies,
     energy_and_gradient,
     energy_gradient,
+    split_pinned,
     total_energy,
 )
 from polynet.chains import ChainParams, PairPotential, chain_energy
@@ -398,3 +403,79 @@ def test_coincident_checked_before_inverted():
     # a call at the same positions checks them again
     with pytest.raises(InvertedElementError):
         total_energy(mesh, state, model)
+
+
+AFFINE_MESHES = {
+    "periodic-2d": lambda: periodic_mesh_2d(4),
+    "periodic-3d": lambda: periodic_mesh_3d(3),
+    "matern-2d": lambda: _stochastic_mesh("matern-hardcore", 2, 0.1),
+    "jittered-3d": lambda: _stochastic_mesh("jittered-grid", 3, 0.25),
+}
+AFFINE_MODELS = {
+    "spring": SPRING,
+    "langevin": CHAIN,
+    "langevin+vol": LANGEVIN_VOL,
+    "langevin+vol-eta0": EnergyModel(pair=PairPotential.langevin_chain(),
+                                     vol=VolumetricParams(K=1.0, eta=0.0)),
+}
+
+
+def affine_xis(dim, rng):
+    """A strain with det xi near 1 and one with det xi below the cut-off 0.1."""
+    rot = random_rotation(dim, rng)
+    return [np.eye(dim) + 0.2 * rng.uniform(-1.0, 1.0, (dim, dim)),
+            rot @ np.diag([0.3, 0.25, 0.6][:dim])]
+
+
+def assert_affine_matches_kernel(mesh, xi, model):
+    energy, grad = energy_and_gradient(mesh, affine_positions(mesh, xi), model)
+    closed_energy, closed_grad = affine_energy_and_gradient(mesh, xi, model)
+    assert abs(closed_energy - energy) <= 1e-13 * abs(energy)
+    assert np.abs(closed_grad - grad).max() <= 1e-13 * np.abs(grad).max()
+    assert affine_energy(mesh, xi, model) == closed_energy
+
+
+@pytest.mark.parametrize("model", AFFINE_MODELS.values(), ids=AFFINE_MODELS.keys())
+@pytest.mark.parametrize("mesh_name", AFFINE_MESHES)
+def test_affine_state_matches_kernel(mesh_name, model):
+    mesh = AFFINE_MESHES[mesh_name]()
+    rng = np.random.default_rng(21)
+    dets = []
+    for xi in affine_xis(mesh.dim, rng):
+        dets.append(np.linalg.det(xi))
+        assert_affine_matches_kernel(mesh, xi, model)
+    # det xi on both sides of the cut-off: the plateau is covered
+    assert min(dets) < 0.1 < max(dets)
+
+
+@pytest.mark.parametrize("model", AFFINE_MODELS.values(), ids=AFFINE_MODELS.keys())
+@pytest.mark.parametrize("dim", [2, 3])
+def test_affine_state_on_free_traction_split(dim, model):
+    # the vertices off the faces x- and x+ are free, boundary ones included,
+    # so the active sub-mesh has reference moments n_a != 0 at free vertices
+    mesh = periodic_mesh_2d(4) if dim == 2 else periodic_mesh_3d(3)
+    rng = np.random.default_rng(22)
+    bc_faces = ("x-", "x+")
+    for xi in affine_xis(dim, rng):
+        bc = BoundaryCondition(kind="dirichlet-face-free-traction", xi=xi, faces=bc_faces)
+        free = ~apply_bc(mesh, bc)[0]
+        active, pinned_energy = split_pinned(mesh, free, xi, model)
+        pinned = mesh._cache["split"][2]
+        positions = affine_positions(mesh, xi)
+        expected = total_energy(pinned, positions, model)
+        assert abs(pinned_energy - expected) <= 1e-13 * abs(expected)
+        assert_affine_matches_kernel(active, xi, model)
+        moments = assembly._reference_moments(active)
+        assert np.abs(moments[free & (mesh.boundary_flags == 0.0)]).max() > 1e-6
+
+
+def test_affine_state_checks_coincident_then_inverted():
+    mesh = periodic_mesh_2d(2)
+    model = AFFINE_MODELS["langevin+vol-eta0"]
+    # a singular xi collapses edges (coincident) and every element (det 0)
+    with pytest.raises(CoincidentVerticesError):
+        affine_energy(mesh, np.array([[1.0, 0.0], [0.0, 0.0]]), model)
+    with pytest.raises(InvertedElementError, match=r"is inverted \(det = -1\)"):
+        affine_energy_and_gradient(mesh, np.diag([-1.0, 1.0]), model)
+    # with a cut-off the reflection is on the plateau and evaluates
+    assert np.isfinite(affine_energy(mesh, np.diag([-1.0, 1.0]), LANGEVIN_VOL))

@@ -892,17 +892,23 @@ PERIODIC_ONE_XI = {**HOMOGENIZE_PERIODIC, "homogenize": {
 # builds over all processes: one per source, unless a source holds more than
 # 1/jobs of the distinct cells and its chunks land in different processes.
 # Stochastic: at --jobs 3 each finest source holds 10 of the 24 cells.
+# --jobs counts at most the allowed CPUs, so `builds` is given for 1, 2 and
+# 3 processes and the run's count picks one.
 @pytest.mark.parametrize("payload, jobs, sources, builds, solves", [
-    (STOCHASTIC_WITH_PROBES, "1", 2 * 2, 4, 24),  # scales x realizations
-    (STOCHASTIC_WITH_PROBES, "2", 2 * 2, 4, 24),
-    (STOCHASTIC_WITH_PROBES, "3", 2 * 2, 6, 24),
-    (PERIODIC_ONE_XI, "1", 3, 3, 5),
-    (PERIODIC_ONE_XI, "2", 3, 3, 5),
-    (PERIODIC_ONE_XI, "3", 3, 4, 5),
+    (STOCHASTIC_WITH_PROBES, "1", 2 * 2, (4, 4, 6), 24),  # scales x realizations
+    (STOCHASTIC_WITH_PROBES, "2", 2 * 2, (4, 4, 6), 24),
+    (STOCHASTIC_WITH_PROBES, "3", 2 * 2, (4, 4, 6), 24),
+    (PERIODIC_ONE_XI, "1", 3, (3, 3, 4), 5),
+    (PERIODIC_ONE_XI, "2", 3, (3, 3, 4), 5),
+    (PERIODIC_ONE_XI, "3", 3, (3, 3, 4), 5),
 ], ids=["1-4", "2-4", "3-6", "periodic-1-3", "periodic-2-3", "periodic-3-4"])
 def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatch, payload,
                                                             jobs, sources, builds, solves):
     from polynet import homogenize
+
+    processes = int(jobs)
+    if CALLER_MASK is not None:
+        processes = min(processes, len(CALLER_MASK))
 
     log = tmp_path / "calls.log"
     monkeypatch.setattr(homogenize, "build_cell_mesh", _logging(
@@ -917,7 +923,7 @@ def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatc
     built = {line: n for line, n in calls.items() if line.startswith("build")}
     assert set(built.values()) == {1}  # no process builds a source twice
     assert len({line.split(" ", 2)[2] for line in built}) == sources
-    assert len(built) == builds
+    assert len(built) == builds[processes - 1]
     assert calls["solve"] == solves  # every distinct cell once
 
 
@@ -1018,3 +1024,31 @@ def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(
         ("0", str(bad_seed)), ("1", str(bad_seed))}
     assert all(row["error"] == "InfeasibleLatticeError: no admissible lattice"
                for row in failed)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_homogenize_jobs_capped_at_allowed_cpus(tmp_path, capsys, monkeypatch):
+    # --jobs 64 runs at most one process per allowed CPU, and its outputs
+    # are those of --jobs 1
+    from polynet import cli
+
+    workers = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, FAILING_FIRST)
+    runs = []
+    for jobs in ("1", "64"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs])
+        assert_no_pool_left()
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        runs.append((code, capsys.readouterr().out, files))
+    assert runs[1] == runs[0]
+    allowed = len(os.sched_getaffinity(0))
+    assert len(workers) == (allowed > 1)
+    assert all(count <= allowed - 1 for count in workers)

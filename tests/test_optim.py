@@ -26,6 +26,7 @@ from polynet.homogenize import (
     StochasticCell,
     build_cell_mesh,
     default_layer_depth,
+    random_rotation,
     solve_cell_problem,
 )
 from polynet.meshing import (
@@ -568,3 +569,29 @@ def test_cell_solutions_on_a_shared_mesh_equal_fresh_ones():
         assert solve_cell_problem(cell, mesh) == solve_cell_problem(cell)
         split = split or mesh._cache["split"]
         assert mesh._cache["split"] is split
+
+
+def test_supported_range_cells_converge():
+    # seeded strains across the supported range: singular values
+    # log-uniform in [0.3, 3] between Haar rotations on both sides; a cell
+    # that CellProblem rejects (det xi <= eta) is skipped, every other one
+    # converges
+    models = [SPRING, CHAIN, LANGEVIN_VOL,
+              EnergyModel(pair=PairPotential.langevin_chain(), vol=VolumetricParams(K=1.0))]
+    rng = np.random.default_rng(12)
+    solved = 0
+    for dim, h in ((2, 0.1), (3, 0.125)):
+        source = standard_problem(dim, h, SPRING).source
+        mesh = build_cell_mesh(source)
+        for _ in range(5):
+            stretches = np.exp(rng.uniform(math.log(0.3), math.log(3.0), dim))
+            xi = random_rotation(dim, rng) @ np.diag(stretches) @ random_rotation(dim, rng)
+            for model in models:
+                try:
+                    problem = CellProblem(xi=xi, source=source, model=model)
+                except ValueError:
+                    continue
+                solution = solve_cell_problem(problem, mesh)
+                assert solution.converged and solution.iterations <= 60
+                solved += 1
+    assert solved >= 30
