@@ -292,9 +292,10 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
     the vertices of the boolean mask `free` (all of them by default).
 
     Edge weight (summed element weight) * f * W''(r_e) / rest_e^2, with W''
-    a central difference of the pair derivative at the given positions,
-    clipped below at 1e-8 of its maximum.  The volumetric term is left out.
-    Applied to each component, it is the exact Hessian for quadratic springs.
+    the pair potential's analytic second derivative at the given positions
+    (positive for both potentials, so no weight is clipped).  The volumetric
+    term is left out.  Applied to each component, it is the exact Hessian
+    for quadratic springs.
     The block is assembled directly: an edge adds its weight to the diagonal
     of each free endpoint, and -weight off the diagonal when both are free.
     """
@@ -303,13 +304,7 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
     geometry = _geometry(mesh)
     edge_i, edge_j, rest = geometry["edge_i"], geometry["edge_j"], geometry["rest"]
     stretch = _edges(mesh, np.asarray(positions, dtype=float))[2]
-    step = 1e-6
-    d2w = (
-        np.asarray(model.pair.derivative(stretch + step), dtype=float)
-        - np.asarray(model.pair.derivative(stretch - step), dtype=float)
-    ) / (2.0 * step)
-    d2w = np.maximum(d2w, 1e-8 * d2w.max())
-    w = geometry["edge_weights"] * model.f * d2w / rest**2
+    w = geometry["edge_weights"] * model.f * model.pair.second_derivative(stretch) / rest**2
     n = mesh.num_vertices
     free = np.ones(n, dtype=bool) if free is None else free
     block = np.cumsum(free) - 1  # index of each free vertex in the block

@@ -4,8 +4,8 @@ Two potentials are provided: the free energy of a freely-jointed polymer
 chain, evaluated through the order-7 odd-polynomial truncation of the
 inverse Langevin function, and a plain quadratic spring.  Both are functions
 of the stretch ratio r = (deformed edge length) / (reference edge length)
-and come with analytic derivatives.  Everything here is a pure function of
-its inputs; scalars in give scalars out, arrays give arrays.
+and come with analytic first and second derivatives.  Everything here is a
+pure function of its inputs; scalars in give scalars out, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -88,6 +88,20 @@ def _langevin(x):
     return out
 
 
+def _langevin_prime(x):
+    """L'(x) = 1/x^2 - 1/sinh^2 x, even, with a series branch near the
+    origin; above it 1/sinh^2 is 4e^{-2|x|} / (1 - e^{-2|x|})^2, which
+    cannot overflow."""
+    a = np.abs(np.asarray(x, dtype=float))
+    small = a < 0.05
+    out = np.empty_like(a)
+    a2 = a[small] ** 2
+    out[small] = 1.0 / 3.0 + a2 * (-1.0 / 15.0 + a2 * (2.0 / 189.0 - a2 / 675.0))
+    ab = a[~small]
+    out[~small] = 1.0 / (ab * ab) - 4.0 * np.exp(-2.0 * ab) / np.expm1(-2.0 * ab) ** 2
+    return out
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Physical constants of the polymer-chain free energy.
@@ -153,6 +167,15 @@ def _chain_derivative(p: ChainParams, rho, x):
     )
 
 
+def _chain_second_derivative(p: ChainParams, rho, x):
+    """(k/beta) (2x' - L'(x) x'^2 + (rho - L(x)) x''), x' and x'' the
+    series' derivatives at rho: d/dr of _chain_derivative."""
+    r2, dx = rho * rho, _inv_langevin_series_prime(rho)
+    ddx = rho * (6.0 * _C3 + r2 * (20.0 * _C5 + r2 * (42.0 * _C7)))
+    return (p.k / p.beta) * (2.0 * dx - _langevin_prime(x) * dx * dx
+                             + (rho - _langevin(x)) * ddx)
+
+
 def quadratic_spring_energy(r, stiffness: float = 1.0):
     """Linear-spring pair energy stiffness * r**2."""
     r = np.asarray(r, dtype=float)
@@ -207,6 +230,16 @@ class PairPotential:
         if self.kind == LANGEVIN_CHAIN:
             return chain_energy_derivative(r, self.chain)
         return quadratic_spring_derivative(r, self.stiffness)
+
+    def second_derivative(self, r):
+        """Analytic d^2/dr^2 of energy: 2 * stiffness for the spring, and for
+        the chain (k/beta) (2x' - L'(x) x'^2 + (rho - L(x)) x''), x the series
+        at rho = r/sqrt(n) and L the Langevin function."""
+        if self.kind == LANGEVIN_CHAIN:
+            out = _chain_second_derivative(self.chain, *_stretch_and_series(r, self.chain))
+        else:
+            out = np.full(np.shape(r), 2.0 * self.stiffness)
+        return out if out.ndim else float(out)
 
     def energy_and_derivative(self, r):
         """(energy(r), derivative(r)) of a float array r, sharing the chain's

@@ -308,9 +308,16 @@ def build_settings(cfg: dict) -> tuple[MinimizeSettings, int]:
 
 
 def _out_dir(cfg: dict, args) -> Path:
+    """The output directory, checked before any work; a command creates it
+    only when it writes, so a config error leaves nothing behind."""
+    key = "--out" if args.out is not None else "out"
     out = args.out if args.out is not None else cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"{key} must be a path, not {out!r}")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{key} {out!r}: {str(existing)!r} is not a directory")
     return path
 
 
@@ -318,10 +325,10 @@ def _out_dir(cfg: dict, args) -> Path:
 # Subcommands
 
 
-def cmd_mesh(cfg: dict, args) -> int:
+def cmd_mesh(cfg: dict, args, out: Path) -> int:
     source = parse_mesh_section(cfg, args.seed)
-    out = _out_dir(cfg, args)
     mesh = build_cell_mesh(source)
+    out.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, out / "mesh.txt")
     print(f"h = {mesh.h:.17g}")
     print(f"N_el = {mesh.num_elements}")
@@ -347,18 +354,18 @@ def _lattice_report(source: StochasticCell) -> dict:
     }
 
 
-def cmd_lattice_check(cfg: dict, args) -> int:
+def cmd_lattice_check(cfg: dict, args, out: Path) -> int:
     source = parse_mesh_section(cfg, args.seed)
     if not isinstance(source, StochasticCell):
         raise ConfigError("lattice-check needs a stochastic mesh section")
-    out = _out_dir(cfg, args)
     report = _lattice_report(source)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "admissibility.json", report)
     print(_to_json(report))
     return 0
 
 
-def cmd_minimize(cfg: dict, args) -> int:
+def cmd_minimize(cfg: dict, args, out: Path) -> int:
     model = build_model(cfg)
     source = parse_mesh_section(cfg, args.seed)
     mesh = build_cell_mesh(source)
@@ -370,8 +377,8 @@ def cmd_minimize(cfg: dict, args) -> int:
     if not isinstance(write_positions, bool):
         raise ConfigError(f"minimize: write_positions must be true or false, "
                           f"not {write_positions!r}")
-    out = _out_dir(cfg, args)
     result = minimize(mesh, model, bc, settings=settings)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "energy": result.energy,
         "grad_norm": result.grad_norm,
@@ -439,7 +446,7 @@ def _run_shares(solve, shares):
         gc.unfreeze()
 
 
-def cmd_homogenize(cfg: dict, args) -> int:
+def cmd_homogenize(cfg: dict, args, out: Path) -> int:
     model = build_model(cfg)
     source = parse_mesh_section(cfg, args.seed)
     section = _need(cfg, "homogenize")
@@ -484,7 +491,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
                        for s in est.per_h for rec in s.records)
     # the cells in the means: converged or stopped at max_iters
     kept = statuses["ok"] + statuses["max_iters"]
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     if kept:
         write_estimates_csv(out / "homogenize.csv", estimates)
     write_json(out / "summary.json", summary_dict(estimates, probes))
@@ -493,7 +500,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
     return 0 if kept >= 1 else 4
 
 
-def cmd_counterexample(cfg: dict, args) -> int:
+def cmd_counterexample(cfg: dict, args, out: Path) -> int:
     section = cfg.get("counterexample", {})
     _check_keys(section, {"stiffness", "f", "diagonal"}, "counterexample")
     stiffness = _number(section.get("stiffness", 1.0), "counterexample: stiffness")
@@ -508,7 +515,7 @@ def cmd_counterexample(cfg: dict, args) -> int:
         "stiffness_antidiag": result.stiffness_antidiag,
         "ratio": result.ratio,
     }
-    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "counterexample.json", payload)
     print(_to_json(payload))
     return 0
@@ -542,7 +549,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](cfg, args, _out_dir(cfg, args))
     except (ConfigError, FullyConstrainedError, DegenerateGeometryError) as exc:
         # a degenerate mesh or lattice: the scale h is too coarse for it
         print(f"config error: {exc}", file=sys.stderr)

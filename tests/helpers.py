@@ -46,15 +46,11 @@ def rel_err(a, b) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def spring_oracle(mesh, xi, depth, stiffness=1.0, f=1.0):
-    """Exact minimal energy of a uniform-h quadratic-spring network with the
-    vertices within `depth` of the unit-box boundary pinned to xi @ x.
-
-    The energy sum_e c_e |q_i - q_j|^2 is quadratic, so each component solves
-    L_ff x_f = -L_fp x_p with the weighted graph Laplacian L, built here from
-    mesh.elements alone: every element adds f * stiffness / (N_el rest^2)
-    to each of its vertex pairs.
-    """
+def element_pair_laplacian(mesh, positions, coefficient):
+    """Weighted graph Laplacian, sparse CSR, built from mesh.elements alone:
+    every element adds coefficient(r) / (N_el rest^2) to each of its vertex
+    pairs, r the pair's stretch at the positions and rest its reference
+    length."""
     n, n_el = mesh.num_vertices, mesh.num_elements
     pairs = np.concatenate([
         mesh.elements[:, [a, b]]
@@ -62,12 +58,25 @@ def spring_oracle(mesh, xi, depth, stiffness=1.0, f=1.0):
     ])
     i, j = pairs[:, 0], pairs[:, 1]
     rest2 = ((mesh.vertices[i] - mesh.vertices[j]) ** 2).sum(axis=1)
-    c = f * stiffness / (n_el * rest2)
-    lap = coo_matrix(
+    stretch = np.sqrt(((positions[i] - positions[j]) ** 2).sum(axis=1) / rest2)
+    c = coefficient(stretch) / (n_el * rest2)
+    return coo_matrix(
         (np.concatenate([c, c, -c, -c]),
          (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
         shape=(n, n),
     ).tocsr()
+
+
+def spring_oracle(mesh, xi, depth, stiffness=1.0, f=1.0):
+    """Exact minimal energy of a uniform-h quadratic-spring network with the
+    vertices within `depth` of the unit-box boundary pinned to xi @ x.
+
+    The energy sum_e c_e |q_i - q_j|^2 is quadratic, so each component solves
+    L_ff x_f = -L_fp x_p with the weighted graph Laplacian L: every element
+    adds c = f * stiffness / (N_el rest^2) to each of its vertex pairs.
+    """
+    lap = element_pair_laplacian(mesh, mesh.vertices,
+                                 lambda stretch: np.full(stretch.shape, f * stiffness))
     pinned = mesh.boundary_flags <= depth
     free = ~pinned
     q = mesh.vertices @ np.asarray(xi, dtype=float).T

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, random_rotation, rel_err
+from helpers import element_pair_laplacian, fd_gradient, random_rotation, rel_err
 from polynet import assembly
 from polynet.assembly import (
     BoundaryCondition,
@@ -15,6 +15,7 @@ from polynet.assembly import (
     affine_energy_and_gradient,
     affine_positions,
     apply_bc,
+    edge_stiffness_laplacian,
     element_energies,
     energy_and_gradient,
     energy_gradient,
@@ -479,3 +480,58 @@ def test_affine_state_checks_coincident_then_inverted():
         affine_energy_and_gradient(mesh, np.diag([-1.0, 1.0]), model)
     # with a cut-off the reflection is on the plateau and evaluates
     assert np.isfinite(affine_energy(mesh, np.diag([-1.0, 1.0]), LANGEVIN_VOL))
+
+
+def central_difference_second_derivative(pair):
+    """W'' as K took it before the analytic second derivative: a central
+    difference (step 1e-6) of the pair derivative, clipped below at 1e-8 of
+    its maximum."""
+    def second(stretch):
+        d2w = (pair.derivative(stretch + 1e-6) - pair.derivative(stretch - 1e-6)) / 2e-6
+        return np.maximum(d2w, 1e-8 * d2w.max())
+    return second
+
+
+STIFFNESS_MESHES = {
+    "matern-2d": ("matern-hardcore", 2, 0.1, np.array([[1.2, 0.05], [0.0, 1.0]])),
+    "jittered-3d": ("jittered-grid", 3, 0.125,
+                    np.array([[1.2, 0.05, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.9]])),
+}
+
+
+def stiffness_states(mesh_name):
+    """A stochastic mesh, its affine state and a perturbed one, and the
+    free mask of its 2hR layer."""
+    kind, dim, h, xi = STIFFNESS_MESHES[mesh_name]
+    mesh = _stochastic_mesh(kind, dim, h)
+    rng = np.random.default_rng(5)
+    base = affine_positions(mesh, xi)
+    free = mesh.boundary_flags > 2.0 * h
+    assert free.any()
+    return mesh, (base, base + 0.1 * h * rng.standard_normal(base.shape)), free
+
+
+@pytest.mark.parametrize("mesh_name", sorted(STIFFNESS_MESHES))
+def test_spring_stiffness_is_the_2k_weighted_laplacian(mesh_name):
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.5), f=0.7)
+    mesh, states, free = stiffness_states(mesh_name)
+    for state in states:
+        oracle = element_pair_laplacian(
+            mesh, state, lambda r: np.full(r.shape, 2.0 * 1.5 * 0.7)).toarray()
+        for mask, block in ((None, oracle), (free, oracle[free][:, free])):
+            stiffness = edge_stiffness_laplacian(mesh, state, model, mask).toarray()
+            assert np.abs(stiffness - block).max() <= 1e-13 * np.abs(block).max()
+
+
+@pytest.mark.parametrize("mesh_name", sorted(STIFFNESS_MESHES))
+@pytest.mark.parametrize("params", [ChainParams(), ChainParams(k=1.3, beta=0.7, n=4.0)],
+                         ids=["default", "n4"])
+def test_chain_stiffness_matches_central_difference_stiffness(mesh_name, params):
+    model = EnergyModel(pair=PairPotential.langevin_chain(params), f=0.7)
+    mesh, states, free = stiffness_states(mesh_name)
+    second = central_difference_second_derivative(model.pair)
+    for state in states:
+        expected = element_pair_laplacian(mesh, state, lambda r: model.f * second(r))
+        stiffness = edge_stiffness_laplacian(mesh, state, model, free).toarray()
+        np.testing.assert_allclose(stiffness, expected.toarray()[free][:, free],
+                                   rtol=1e-8, atol=0.0)

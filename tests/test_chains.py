@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from polynet.chains import (
     INV_LANGEVIN_COEFFS,
     _langevin,
+    _langevin_prime,
     _log_x_over_sinh,
     ChainParams,
     GrowthBounds,
@@ -207,6 +209,7 @@ def test_small_x_branches_leave_other_entries_bitwise_unchanged():
     mixed = np.concatenate([[0.0, 1e-5, 0.01], x])
     np.testing.assert_array_equal(_log_x_over_sinh(mixed)[3:], _log_x_over_sinh(x))
     np.testing.assert_array_equal(_langevin(mixed)[3:], _langevin(x))
+    np.testing.assert_array_equal(_langevin_prime(mixed)[3:], _langevin_prime(x))
 
 
 @pytest.mark.parametrize("potential", [
@@ -220,3 +223,41 @@ def test_energy_and_derivative_equal_separate_calls_bitwise(potential):
         energy, derivative = potential.energy_and_derivative(sample)
         np.testing.assert_array_equal(energy, potential.energy(sample))
         np.testing.assert_array_equal(derivative, potential.derivative(sample))
+
+
+@pytest.mark.parametrize("params", [
+    ChainParams(),
+    UNIT_CHAIN,
+    ChainParams(k=1.3, beta=0.7, c=0.2, n=25.0),
+], ids=["default", "unit", "n25"])
+def test_chain_second_derivative_matches_finite_differences(params):
+    # r up to 2 sqrt(n); the smallest r put x below the series seam at 0.05
+    potential = PairPotential.langevin_chain(params)
+    r = np.concatenate([[1e-3, 1e-2], np.linspace(0.02, 2.0, 100)]) * math.sqrt(params.n)
+    assert _series_x(r[0], params) < 0.05 < _series_x(r[-1], params)
+    eps = 1e-5 * r
+    fd = (potential.derivative(r + eps) - potential.derivative(r - eps)) / (2.0 * eps)
+    second = potential.second_derivative(r)
+    np.testing.assert_allclose(second, fd, rtol=1e-7, atol=0.0)
+    assert np.all(second > 0.0)
+
+
+def _series_x(r, params):
+    return inv_langevin_series(r / math.sqrt(params.n))
+
+
+def test_second_derivative_values_and_shapes():
+    chain = PairPotential.langevin_chain()
+    spring = PairPotential.quadratic_spring(1.7)
+    # W''(0) = (k/beta)(2x'(0) - L'(0) x'(0)^2) = 2*3 - 9/3
+    assert chain.second_derivative(0.0) == 3.0
+    # a 50-digit second derivative of the series-substituted energy at r = 1
+    assert abs(chain.second_derivative(1.0) - 3.8365316063756137) <= 1e-14
+    assert spring.second_derivative(0.4) == 3.4
+    for potential in (chain, spring):
+        assert isinstance(potential.second_derivative(1.0), float)
+        assert potential.second_derivative(np.ones((2, 3))).shape == (2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        large = chain.second_derivative(np.linspace(0.0, 50.0, 5001))
+    assert np.all(np.isfinite(large)) and np.all(np.diff(large) > 0.0)

@@ -773,6 +773,52 @@ def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+# one valid config per command; an --out check that came after the work
+# would build the mesh or solve the cells
+EVERY_COMMAND = {
+    "mesh": PERIODIC_MESH,
+    "lattice-check": STOCHASTIC_MESH,
+    "minimize": MINIMIZE_CALIBRATED,
+    "homogenize": HOMOGENIZE_PERIODIC,
+    "counterexample": {},
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below file"])
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_out_not_a_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command, below):
+    # both ended in a FileExistsError or NotADirectoryError traceback (exit
+    # 1), homogenize's only after its whole sweep
+    from polynet import cli, homogenize
+
+    monkeypatch.setattr(cli, "build_cell_mesh", _raise_index_error)
+    monkeypatch.setattr(cli, "stochastic_lattice", _raise_index_error)
+    monkeypatch.setattr(homogenize, "solve_cell_problem", _raise_index_error)
+    cfg = write_config(tmp_path, EVERY_COMMAND[command])
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    out = taken / "o" if below else taken
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {str(out)!r}")
+    assert sorted(tmp_path.iterdir()) == [Path(cfg), taken]
+    assert taken.read_text() == "x"
+
+
+@pytest.mark.parametrize("out, message", [
+    ("taken/o", "config error: out 'taken/o'"),
+    (5, "config error: out must be a path"),
+])
+def test_config_out_not_a_directory_is_config_error(tmp_path, capsys, monkeypatch,
+                                                    out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("x")
+    cfg = write_config(tmp_path, {"counterexample": {}, "out": out})
+    assert main(["counterexample", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
 BAD_PROBES = {
     "unknown key": {"frame_rotation": 2},
     "non-integer seed": {"frame_rotations": 2, "seed": "x"},

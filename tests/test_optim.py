@@ -14,6 +14,7 @@ from polynet.assembly import (
     EnergyModel,
     FullyConstrainedError,
     InvertedElementError,
+    affine_energy,
     affine_positions,
     apply_bc,
     edge_stiffness_laplacian,
@@ -39,6 +40,8 @@ from polynet.meshing import (
 )
 from polynet.optim import (
     ARMIJO_C1,
+    DEFAULT_SETTINGS,
+    GAP_EPS,
     MinimizeSettings,
     OptimizationError,
     lbfgs,
@@ -83,6 +86,25 @@ def test_lbfgs_solves_strictly_convex_quadratic():
     # the terminal iterations, where energy differences are roundoff, take
     # the gradient rule's early step instead of exhausting the halvings
     assert len(evaluated) <= 2 * iters
+
+
+def test_lbfgs_default_settings_stop_on_the_predicted_gap():
+    # curvature >= 24 against 1 + |f0| ~ 530: the predicted decrease -g.d/2
+    # meets GAP_EPS (1 + |f0|) while |g| is still above 1e-8 (1 + |f0|)
+    rng = np.random.default_rng(0)
+    n = 24
+    a = rng.standard_normal((n, n))
+    q = a @ a.T + n * np.eye(n)
+    c = rng.standard_normal(n)
+    x_star = np.linalg.solve(q, -c)
+    x0 = rng.standard_normal(n)
+    f0 = 0.5 * x0 @ q @ x0 + c @ x0
+    x, f, gnorm, iters, converged = lbfgs(lambda x: (0.5 * x @ q @ x + c @ x, q @ x + c),
+                                          x0, DEFAULT_SETTINGS)
+    assert converged
+    assert gnorm > 1e-8 * (1.0 + abs(f0))
+    # f - f* of a quadratic, without the cancellation of f - f(x_star)
+    assert 0.5 * (x - x_star) @ q @ (x - x_star) <= GAP_EPS * (1.0 + abs(f0))
 
 
 def test_lbfgs_honest_nonconvergence_flag():
@@ -595,3 +617,34 @@ def test_supported_range_cells_converge():
                 assert solution.converged and solution.iterations <= 60
                 solved += 1
     assert solved >= 30
+
+
+@pytest.mark.parametrize("dim, h", [(2, 0.05), (3, 0.0833)])
+def test_default_stop_keeps_cell_values_and_single_spring_iteration(dim, h):
+    # the predicted-gap stop moves a density by at most ~GAP_EPS relative
+    for model in (CHAIN, LANGEVIN_VOL):
+        problem = standard_problem(dim, h, model)
+        mesh = build_cell_mesh(problem.source)
+        default = solve_cell_problem(problem, mesh)
+        tight = solve_cell_problem(
+            replace(problem, settings=MinimizeSettings(grad_tol=1e-13)), mesh)
+        assert default.converged and tight.converged
+        assert abs(default.value - tight.value) <= 2e-14 * abs(tight.value)
+    # K is the spring's exact Hessian: one step, and the gap is then roundoff
+    spring = solve_cell_problem(standard_problem(dim, h, SPRING))
+    assert spring.converged and spring.iterations == 1
+
+
+def test_default_stop_takes_fewer_iterations_than_the_gradient_rule():
+    # the same cells with grad_tol set to the default rule's value
+    # 1e-8 (1 + |E(init)|) alone; E(init) is the affine energy of the cell
+    totals = [0, 0]
+    for seed in range(3):
+        for model in (CHAIN, LANGEVIN_VOL):
+            problem = standard_problem(2, 0.05, model, seed)
+            mesh = build_cell_mesh(problem.source)
+            rule = 1e-8 * (1.0 + abs(affine_energy(mesh, problem.xi, model)))
+            totals[0] += solve_cell_problem(problem, mesh).iterations
+            totals[1] += solve_cell_problem(
+                replace(problem, settings=MinimizeSettings(grad_tol=rule)), mesh).iterations
+    assert totals[0] < totals[1]
