@@ -127,37 +127,28 @@ def _edges(mesh: Mesh, positions=None, xi=None):
     return delta, dist, dist / geometry["rest"]
 
 
-def _point_state(mesh: Mesh, positions, model: EnergyModel, gradient: bool) -> dict:
-    """Per-edge differences, lengths and stretches and, with a volumetric
-    term, the cofactors and Jacobians of each element's deformed edge
-    matrix, from one meshing.cofactors call, checked for inversion.
-
-    For the gradient, coincident vertices are checked first.
-    """
-    positions = np.asarray(positions, dtype=float)
-    delta, dist, stretch = _edges(mesh, positions)
+def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=True) -> dict:
+    """Per-edge differences, lengths and stretches at the positions or, given
+    xi, at affine_positions(mesh, xi), and with a volumetric term each
+    element's Jacobian: from the cofactors of its deformed edge matrix, or
+    det xi for all, with cof(xi) standing in for their cofactors.  Coincident
+    vertices are checked first, except for a point energy (gradient False),
+    which needs no stretch direction; then inversion."""
+    if xi is not None:
+        xi = np.asarray(xi, dtype=float)
+    else:
+        positions = np.asarray(positions, dtype=float)
+    delta, dist, stretch = _edges(mesh, positions, xi)
     state = {"delta": delta, "dist": dist, "stretch": stretch}
     if gradient:
         _check_not_coincident(state)
     if model.vol is not None:
-        state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
-        state["jac"] = det / _geometry(mesh)["det_x"]
-        _check_not_inverted(mesh, state, model.vol)
-    return state
-
-
-def _affine_state(mesh: Mesh, xi: np.ndarray, model: EnergyModel) -> dict:
-    """The point state at affine_positions(mesh, xi) in closed form: every
-    element's deformation gradient is xi, so one Jacobian, det xi, serves
-    them all, and cof(xi) stands in for their cofactors.  Checked as the
-    gradient's point state is."""
-    xi = np.asarray(xi, dtype=float)
-    delta, dist, stretch = _edges(mesh, xi=xi)
-    state = {"delta": delta, "dist": dist, "stretch": stretch}
-    _check_not_coincident(state)
-    if model.vol is not None:
-        cof, det = cofactors(list(xi.T))
-        state["jac"], state["cof_xi"] = float(det), np.array(cof).T
+        if xi is None:
+            state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
+            state["jac"] = det / _geometry(mesh)["det_x"]
+        else:
+            cof, det = cofactors(list(xi.T))
+            state["jac"], state["cof_xi"] = float(det), np.array(cof).T
         _check_not_inverted(mesh, state, model.vol)
     return state
 
@@ -193,7 +184,7 @@ def _energy(mesh: Mesh, model: EnergyModel, state: dict, pair) -> float:
 
 def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Per-element energies; their sum is the total energy."""
-    state = _point_state(mesh, positions, model, gradient=False)
+    state = _state(mesh, model, positions, gradient=False)
     pair = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
     per_elem = pair[np.searchsorted(_geometry(mesh)["keys"], _pair_keys(mesh))].sum(axis=0)
     return (_pair_weight(mesh) * model.f * per_elem
@@ -202,33 +193,33 @@ def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> n
 
 def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
     """Total network energy of the deformed positions."""
-    state = _point_state(mesh, positions, model, gradient=False)
+    state = _state(mesh, model, positions, gradient=False)
     return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
 
 
 def affine_energy(mesh: Mesh, xi: np.ndarray, model: EnergyModel) -> float:
     """total_energy at affine_positions(mesh, xi), from the closed-form
     affine state; coincident vertices raise as in energy_gradient."""
-    state = _affine_state(mesh, xi, model)
+    state = _state(mesh, model, xi=xi)
     return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
 
 
 def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
     """Exact analytic gradient of total_energy, one d-vector per vertex."""
-    state = _point_state(mesh, positions, model, gradient=True)
+    state = _state(mesh, model, positions)
     return _gradient(mesh, model, state, model.pair.derivative(state["stretch"]))
 
 
 def energy_and_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
     """(total_energy, energy_gradient) from one evaluation of the point state
     and of the pair potential, with energy_gradient's checks."""
-    return _energy_and_gradient(mesh, model, _point_state(mesh, positions, model, gradient=True))
+    return _energy_and_gradient(mesh, model, _state(mesh, model, positions))
 
 
 def affine_energy_and_gradient(mesh: Mesh, xi: np.ndarray, model: EnergyModel):
     """energy_and_gradient at affine_positions(mesh, xi), from the
     closed-form affine state: no element Jacobian or cofactor is formed."""
-    return _energy_and_gradient(mesh, model, _affine_state(mesh, xi, model))
+    return _energy_and_gradient(mesh, model, _state(mesh, model, xi=xi))
 
 
 def _energy_and_gradient(mesh: Mesh, model: EnergyModel, state: dict):

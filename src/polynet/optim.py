@@ -78,19 +78,21 @@ class MinimizeResult:
 
 def _two_loop(grad, history, precondition):
     """-H grad, H the L-BFGS inverse Hessian built on the initial matrix
-    `precondition`, or on the scalar (s.y)/(y.y) when there is none."""
+    `precondition`, or on the scalar (s.y)/(y.y) of the newest pair; with
+    neither, the unit step -grad/|grad|, as L-BFGS-B starts (Byrd et al. 1995)."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in reversed(history):
+    for s, y, rho, _ in reversed(history):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
     if precondition is not None:
         q = precondition(q)
     elif history:
-        s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q *= history[-1][3]
+    else:
+        q /= np.linalg.norm(q)
+    for (s, y, rho, _), a in zip(history, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return -q
@@ -104,12 +106,12 @@ class _Trial(NamedTuple):
     g: np.ndarray
 
 
-def _line_search(fg, x, f, g, direction):
+def _line_search(fg, x, f, g, direction, slope, gnorm):
     """The first of the steps alpha = 1, 1/2, ... along the descent
     direction that moves x and either decreases the energy sufficiently or,
     once energy differences drop below machine precision, contracts the
-    gradient norm without raising the energy beyond noise; as a _Trial, or
-    None after 10 trials fail.
+    gradient norm gnorm = |g| without raising the energy beyond noise; as a
+    _Trial, or None after 10 trials fail.  slope is g.direction.
 
     Backtracking (Nocedal & Wright, Numerical Optimization, 2nd ed.,
     Alg. 3.1) with contraction factor 1/2; both energy tests are written
@@ -118,9 +120,8 @@ def _line_search(fg, x, f, g, direction):
     eta = 0) is a step too long: it is halved and not counted.  Every
     element of x itself has J > 0, so short enough steps do not invert.
     """
-    slope = float(g @ direction)
     noise = 1e-12 * (1.0 + abs(f))
-    contracted = 0.9 * np.linalg.norm(g)
+    contracted = 0.9 * gnorm
     alpha, trials = 1.0, 0
     while trials < 10:
         x_t = x + alpha * direction
@@ -162,31 +163,27 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
         tol, gap_tol = 1e-8 * (1.0 + abs(f)), GAP_EPS * (1.0 + abs(f))
     history: deque = deque(maxlen=MEMORY)
 
-    iterations = 0
     for iterations in range(settings.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return x, f, gnorm, iterations, True
-        if iterations == settings.max_iters:
-            break
+        if gnorm <= tol or iterations == settings.max_iters:
+            return x, f, gnorm, iterations, gnorm <= tol
         direction = _two_loop(g, history, precondition)
-        decrease = -0.5 * float(direction @ g)  # predicted by the quadratic model
+        slope = float(direction @ g)
+        decrease = -0.5 * slope  # predicted by the quadratic model
         if decrease <= 0.0:
-            direction = -g
+            direction, slope = -g, -float(g @ g)
         elif decrease <= gap_tol:
             return x, f, gnorm, iterations, True
-        step = _line_search(fg, x, f, g, direction)
+        step = _line_search(fg, x, f, g, direction, slope, gnorm)
         if step is None:
             raise OptimizationError(
                 "line search failed: energy cannot decrease by a machine-"
                 "precision margin and the gradient does not contract")
         s, y = step.x - x, step.g - g
-        sy = s @ y
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            history.append((s, y, 1.0 / sy))
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(yy):
+            history.append((s, y, 1.0 / sy, sy / yy))
         x, f, g = step.x, step.f, step.g
-
-    return x, f, float(np.linalg.norm(g)), iterations, False
 
 
 def minimize(
@@ -202,48 +199,44 @@ def minimize(
     in closed form (assembly.affine_energy_and_gradient); fixed dofs are
     overwritten with their boundary targets in any case.
     """
-    mask, targets = apply_bc(mesh, bc)
+    mask, positions = apply_bc(mesh, bc)
     free = ~mask
-    if init is None:
-        state = targets
-    else:
-        state = np.array(init, dtype=float)
-        if state.shape != mesh.vertices.shape:
+    rows = np.flatnonzero(free)
+    if init is not None:
+        if np.shape(init) != mesh.vertices.shape:
             raise ValueError("initial state does not match the mesh")
-        state[mask] = targets[mask]
+        positions[rows] = np.asarray(init, dtype=float)[rows]
     # f keeps the pinned elements' constant energy, so tolerance and result do too
     active, pinned_energy = split_pinned(mesh, free, bc.xi, model)
     start = []  # the first fg value, when it comes in closed form
     if init is None:
         energy, grad = affine_energy_and_gradient(active, bc.xi, model)
-        start.append((energy + pinned_energy, grad[free].ravel()))
-
-    def unpack(x):
-        positions = state.copy()
-        positions[free] = x.reshape(-1, mesh.dim)
-        return positions
+        start.append((energy + pinned_energy, grad[rows].ravel()))
 
     def fg(x):
         if start:  # lbfgs evaluates x0 first, and only then
             return start.pop()
-        energy, grad = energy_and_gradient(active, unpack(x), model)
-        return energy + pinned_energy, grad[free].ravel()
+        positions[rows] = x.reshape(-1, mesh.dim)
+        energy, grad = energy_and_gradient(active, positions, model)
+        return energy + pinned_energy, grad[rows].ravel()
 
     lu = None
 
     def precondition(x):
-        # factorized on first use: a start that is already critical never pays
+        # factorized on first use, before lbfgs tries any step, so positions
+        # still hold the start; a start that is already critical never pays
         nonlocal lu
         if lu is None:
             from scipy.sparse.linalg import splu
 
-            stiffness = edge_stiffness_laplacian(active, state, model, free)
+            stiffness = edge_stiffness_laplacian(active, positions, model, free)
             # K_ff is symmetric positive definite: symmetric ordering, no pivoting
             lu = splu(stiffness, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return lu.solve(x.reshape(-1, mesh.dim)).ravel()
 
-    x, f, gnorm, iters, converged = lbfgs(fg, state[free].ravel(), settings, precondition)
+    x, f, gnorm, iters, converged = lbfgs(fg, positions[rows].ravel(), settings, precondition)
+    positions[rows] = x.reshape(-1, mesh.dim)
     return MinimizeResult(
-        state=unpack(x), energy=f, grad_norm=gnorm, iterations=iters, converged=converged
+        state=positions, energy=f, grad_norm=gnorm, iterations=iters, converged=converged
     )

@@ -107,6 +107,25 @@ def test_lbfgs_default_settings_stop_on_the_predicted_gap():
     assert 0.5 * (x - x_star) @ q @ (x - x_star) <= GAP_EPS * (1.0 + abs(f0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_lbfgs_without_preconditioner_converges_on_stiff_quadratics(scale):
+    # the predicted-gap problem with curvature >= 24000 * scale: the unscaled
+    # first step -g overshoots beyond what ten halvings recover, the unit
+    # step -g/|g| does not
+    rng = np.random.default_rng(0)
+    n = 24
+    a = rng.standard_normal((n, n))
+    q = scale * 1000.0 * (a @ a.T + n * np.eye(n))
+    c = rng.standard_normal(n)
+    x_star = np.linalg.solve(q, -c)
+    x0 = rng.standard_normal(n)
+    f0 = 0.5 * x0 @ q @ x0 + c @ x0
+    x, f, gnorm, iters, converged = lbfgs(lambda x: (0.5 * x @ q @ x + c @ x, q @ x + c),
+                                          x0, DEFAULT_SETTINGS)
+    assert converged
+    assert 0.5 * (x - x_star) @ q @ (x - x_star) <= GAP_EPS * (1.0 + abs(f0))
+
+
 def test_lbfgs_honest_nonconvergence_flag():
     rng = np.random.default_rng(1)
     n = 40
@@ -197,6 +216,27 @@ def test_minimize_is_deterministic():
     np.testing.assert_array_equal(r1.state, r2.state)
 
 
+def test_minimize_leaves_init_unchanged_and_returns_fresh_states():
+    mesh = periodic_mesh_3d(2)
+    xi = np.diag([1.2, 1.0, 1.0])
+    bc = BoundaryCondition(kind="dirichlet-face-free-traction", xi=xi, faces=("x-", "x+"))
+    mask, targets = apply_bc(mesh, bc)
+    init = mesh.vertices.copy()
+    before = init.copy()
+    r1 = minimize(mesh, CHAIN, bc, init=init)
+    np.testing.assert_array_equal(init, before)
+    r2 = minimize(mesh, CHAIN, bc)
+    assert not np.shares_memory(r1.state, r2.state)
+    # pinned rows xi X, free rows the solution each call reports
+    for result in (r1, r2):
+        assert result.converged
+        np.testing.assert_array_equal(result.state[mask], targets[mask])
+        assert result.energy == pytest.approx(total_energy(mesh, result.state, CHAIN), rel=1e-12)
+        grad = energy_gradient(mesh, result.state, CHAIN)[~mask]
+        assert np.linalg.norm(grad) == pytest.approx(result.grad_norm, rel=1e-6)
+    assert not np.array_equal(r1.state, r2.state)  # from different starts
+
+
 def test_minimize_decreases_energy_from_init():
     mesh = periodic_mesh_3d(2)
     xi = np.diag([1.4, 1.0, 1.0])
@@ -257,7 +297,8 @@ def test_line_search_failure_lets_no_warning_escape():
     f0, g0 = inconsistent(x0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert optim._line_search(inconsistent, x0, f0, g0, -g0) is None
+        slope, gnorm = float(g0 @ -g0), float(np.linalg.norm(g0))
+        assert optim._line_search(inconsistent, x0, f0, g0, -g0, slope, gnorm) is None
         with pytest.raises(OptimizationError):
             lbfgs(inconsistent, x0, MinimizeSettings(grad_tol=1e-12, max_iters=10))
 
@@ -281,7 +322,8 @@ HALVINGS = {"one-halving": 1, "far-minimum": 0, "more-thuente": 0, "two-halvings
 
 
 def counted_search(fg, t0, d):
-    """_line_search from t0 along d, with every point fg was called at."""
+    """_line_search from t0 along d, given the slope g.d and |g| as lbfgs
+    gives them, with every point fg was called at."""
     calls = []
 
     def counted(x):
@@ -290,7 +332,8 @@ def counted_search(fg, t0, d):
 
     x0, direction = np.array([t0]), np.array([d])
     f0, g0 = fg(x0)
-    return optim._line_search(counted, x0, f0, g0, direction), calls
+    slope, gnorm = float(direction @ g0), float(np.linalg.norm(g0))
+    return optim._line_search(counted, x0, f0, g0, direction, slope, gnorm), calls
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
