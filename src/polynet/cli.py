@@ -127,11 +127,13 @@ def _integer(value, ctx: str, minimum: int | None = None) -> int:
 
 
 def _number(value, ctx: str) -> float:
-    """A finite number (JSON's NaN and Infinity are not)."""
+    """A finite JSON number: not a string or boolean, nor NaN or Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{ctx} must be a number, not {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx} must be a number, not {value!r}") from exc
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{ctx} must be a finite number, not {value!r}")
     return number
@@ -145,14 +147,11 @@ def _list(value, ctx: str, minimum: int) -> list:
 
 
 def _xi(value, dim: int, ctx: str) -> np.ndarray:
-    message = f"{ctx} must be a dim x dim matrix of finite numbers"
-    try:
-        xi = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(message) from exc
-    if xi.shape != (dim, dim) or not np.isfinite(xi).all():
-        raise ConfigError(message)
-    return xi
+    """A dim x dim matrix (a list of rows) of finite JSON numbers."""
+    if not (isinstance(value, list) and len(value) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in value)):
+        raise ConfigError(f"{ctx} must be a dim x dim matrix of finite numbers")
+    return np.array([[_number(entry, ctx) for entry in row] for row in value])
 
 
 def _need(cfg: dict, key: str, ctx: str = "config"):

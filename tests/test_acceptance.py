@@ -171,8 +171,9 @@ def test_criterion_06_single_cell_oracle_agreement():
             CellProblem(xi=xi, source=PeriodicCell(m=16), model=spring)
         ).value
         worst = max(worst, abs(val - oracle) / abs(oracle))
-    ok_agree = worst <= 1e-2
-    assert report(6, ok_agree, f"m=16 vs single-cell oracle, worst rel err {worst:.2e}")
+    ok_agree = worst <= 1e-12
+    assert report(6, ok_agree, f"m=16 vs single-cell oracle, worst rel err {worst:.2e} "
+                                "(bound 1e-12)")
 
     # For quadratic springs the affine state is the exact minimizer of every
     # periodic cell problem (lattice point symmetry + convexity), so the

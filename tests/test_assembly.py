@@ -406,9 +406,24 @@ def test_coincident_checked_before_inverted():
         total_energy(mesh, state, model)
 
 
+def _split_part(mesh, part):
+    """The "active" or "pinned" sub-mesh that split_pinned keeps for the
+    cell problem's affine layer of depth 2h."""
+    split_pinned(mesh, mesh.boundary_flags > 2.0 * mesh.h, np.eye(mesh.dim), SPRING)
+    return mesh._cache["split"][1 if part == "active" else 2]
+
+
 AFFINE_MESHES = {
     "periodic-2d": lambda: periodic_mesh_2d(4),
     "periodic-3d": lambda: periodic_mesh_3d(3),
+    # m = 1: every vertex id step is a lattice step, the 2D diagonal's too
+    "periodic-2d-m1-nw": lambda: periodic_mesh_2d(1, "nw"),
+    "periodic-2d-m1-ne": lambda: periodic_mesh_2d(1, "ne"),
+    "periodic-3d-m1": lambda: periodic_mesh_3d(1),
+    "periodic-2d-active": lambda: _split_part(periodic_mesh_2d(7, "ne"), "active"),
+    "periodic-2d-pinned": lambda: _split_part(periodic_mesh_2d(7, "ne"), "pinned"),
+    "periodic-3d-active": lambda: _split_part(periodic_mesh_3d(6), "active"),
+    "periodic-3d-pinned": lambda: _split_part(periodic_mesh_3d(6), "pinned"),
     "matern-2d": lambda: _stochastic_mesh("matern-hardcore", 2, 0.1),
     "jittered-3d": lambda: _stochastic_mesh("jittered-grid", 3, 0.25),
 }
@@ -429,8 +444,12 @@ def affine_xis(dim, rng):
 
 
 def assert_affine_matches_kernel(mesh, xi, model):
-    energy, grad = energy_and_gradient(mesh, affine_positions(mesh, xi), model)
+    # a periodic mesh's affine state is evaluated per lattice direction,
+    # without the per-edge table an earlier kernel call left
+    mesh._cache.pop("geometry", None)
     closed_energy, closed_grad = affine_energy_and_gradient(mesh, xi, model)
+    assert ("geometry" in mesh._cache) != ("directions" in mesh._cache)
+    energy, grad = energy_and_gradient(mesh, affine_positions(mesh, xi), model)
     assert abs(closed_energy - energy) <= 1e-13 * abs(energy)
     assert np.abs(closed_grad - grad).max() <= 1e-13 * np.abs(grad).max()
     assert affine_energy(mesh, xi, model) == closed_energy

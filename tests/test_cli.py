@@ -637,6 +637,20 @@ BAD_VALUES = {
                                                "stiffness": float("inf")}}},
                            "model.pair: stiffness"),
     "NaN grad_tol": ({"solver": {"grad_tol": float("nan")}}, "solver: grad_tol"),
+    # strings and booleans are not numbers: each ran as the number it spelled
+    # (exit 0)
+    "string stiffness": ({"model": {"pair": {"kind": "quadratic-spring", "stiffness": "2"}}},
+                         "model.pair: stiffness"),
+    "boolean f": ({"model": {**HOMOGENIZE_PERIODIC["model"], "f": True}}, "model: f"),
+    "string xi entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                        "xi_list": [[["1.1", 0.0], [0.0, 1.0]]]}},
+                        "homogenize: every xi"),
+    "boolean xi entry": ({"homogenize": {**HOMOGENIZE_PERIODIC["homogenize"],
+                                         "xi_list": [[[True, 0.0], [0.0, 1.0]]]}},
+                         "homogenize: every xi"),
+    # an integer beyond the float range raised OverflowError (exit 1)
+    "huge stiffness": ({"model": {"pair": {"kind": "quadratic-spring", "stiffness": 10**400}}},
+                       "model.pair: stiffness"),
     # the L-BFGS memory and line-search constants are fixed
     "solver memory": ({"solver": {"memory": 10}}, "solver: unknown keys"),
     "solver c1": ({"solver": {"c1": 1e-4}}, "solver: unknown keys"),
@@ -724,11 +738,26 @@ COUNTEREXAMPLE_POSITIVE = "counterexample: spring stiffness and chains-per-volum
         **MINIMIZE_CALIBRATED["model"],
         "pair": {**MINIMIZE_CALIBRATED["model"]["pair"], "l": 1.0}}},
      "model.pair: unknown keys"),
+    # strings and booleans are not numbers: the first two printed the
+    # stiffness-2, f = 1 result (exit 0)
+    ("counterexample", {"counterexample": {"stiffness": "2"}}, "counterexample: stiffness"),
+    ("counterexample", {"counterexample": {"f": True}}, "counterexample: f"),
+    ("minimize", {**MINIMIZE_CALIBRATED,
+                  "bc": {**MINIMIZE_CALIBRATED["bc"], "xi": [["1.1", 0.0], [0.0, 1.0]]}},
+     "bc: xi"),
+    ("minimize", {**MINIMIZE_CALIBRATED,
+                  "bc": {**MINIMIZE_CALIBRATED["bc"], "xi": [[1.0, False], [0.0, 1.0]]}},
+     "bc: xi"),
+    ("minimize", {**MINIMIZE_CALIBRATED,
+                  "bc": {**MINIMIZE_CALIBRATED["bc"], "xi": [[1.0, 0.0, 0.0], [0.0, 1.0]]}},
+     "bc: xi"),
 ], ids=["mesh diagonal", "mesh m", "counterexample diagonal", "mesh coarse 3d",
         "mesh coarse 2d", "lattice-check coarse 2d", "minimize coarse 2d",
         "counterexample stiffness 0", "counterexample stiffness -1", "counterexample f 0",
         "counterexample f -2", "counterexample step", "counterexample m",
-        "mesh 3d diagonal", "model weight_mode", "chain l"])
+        "mesh 3d diagonal", "model weight_mode", "chain l", "counterexample string stiffness",
+        "counterexample boolean f", "bc string xi entry", "bc boolean xi entry",
+        "bc ragged xi"])
 def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -4,6 +4,7 @@ The command is the file-name prefix: minimize_stretch.json runs
 `polynet minimize`.  Outputs go to a temporary directory.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,60 @@ def test_periodic_homogenize_never_enters_the_kernel(tmp_path, monkeypatch):
     argv = ["homogenize", "--config", str(config), "--out", str(tmp_path), "--jobs", "1"]
     assert main(argv) == 0
     assert calls == []
+
+
+def _homogenize(tmp_path, config):
+    """Exit code of `polynet homogenize --jobs 1`, so every mesh is built here."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return main(["homogenize", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--jobs", "1"])
+
+
+PERIODIC_3D = {
+    "seed": 0,
+    "model": {"pair": {"kind": "langevin-chain"}, "volumetric": {"K": 1.0, "eta": 0.1}},
+    "mesh": {"kind": "periodic", "dim": 3, "m": 4},
+    "homogenize": {"xi_list": [[[1.05, 0.02, 0.0], [0.0, 0.97, 0.01], [0.03, 0.0, 1.0]]],
+                   "m_list": [4, 6, 7],
+                   "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 1}},
+}
+
+
+@pytest.mark.parametrize("config", [json.loads((ROOT / "configs" / "homogenize_periodic.json")
+                                               .read_text()), PERIODIC_3D],
+                         ids=["homogenize_periodic.json", "periodic-3d-langevin-vol"])
+def test_periodic_homogenize_builds_no_edge_table(tmp_path, monkeypatch, config):
+    # a cell that starts critical is evaluated per lattice direction on the
+    # mesh, or on its active and pinned sub-meshes: no per-edge table anywhere
+    from polynet import homogenize
+
+    meshes, build = [], homogenize.build_cell_mesh
+
+    def kept(source):
+        meshes.append(build(source))
+        return meshes[-1]
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", kept)
+    assert _homogenize(tmp_path, config) == 0
+    split = [mesh._cache["split"] for mesh in meshes if "split" in mesh._cache]
+    assert split  # some cells have free vertices
+    for mesh in meshes + [part for _, *parts in split for part in parts]:
+        assert "directions" in mesh._cache and "geometry" not in mesh._cache
+
+
+def test_periodic_restarts_still_enter_the_kernel(tmp_path, monkeypatch):
+    # the perturbed starts of restarts after the first are not affine
+    from polynet import optim
+
+    calls = []
+    real = optim.energy_and_gradient
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(optim, "energy_and_gradient", counted)
+    config = {**PERIODIC_3D, "solver": {"restarts": 2}}
+    assert _homogenize(tmp_path, config) == 0
+    assert calls and all("geometry" in mesh._cache for mesh in calls)
