@@ -3,27 +3,29 @@
 import numpy as np
 
 from polynet import (
+    CellProblem,
     EnergyModel,
     PairPotential,
     PeriodicCell,
     StochasticCell,
     StochasticLatticeSpec,
     estimate_whom,
-    single_cell_oracle_2d,
+    periodic_density,
+    solve_cell_problem,
 )
 
 spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
 xi = np.array([[1.1, 0.0], [0.0, 0.9]])
 
-print("Periodic 2D lattice, quadratic springs: estimates vs the single-cell value")
+print("Periodic 2D lattice, quadratic springs: cell problems vs the closed form")
+for m in (2, 4, 8, 16):
+    sol = solve_cell_problem(CellProblem(xi=xi, source=PeriodicCell(m=m), model=spring))
+    print(f"  m = {m:2d}, h = {sol.h:.5f}: density {sol.value:.12f}")
+print(f"  periodic_density (affine energy of one cell): {periodic_density(xi, spring):.12f}")
+print("  (the affine state is critical at every m, so every cell problem has the")
+print("   one-cell value; a sweep with one restart reads it without a mesh)")
 est = estimate_whom(xi, [2, 4, 8, 16], spring, PeriodicCell(m=0, dim=2))
-oracle = single_cell_oracle_2d(xi)
-for scale in est.per_h:
-    print(f"  h = {scale.h:.5f}: density {scale.value:.12f}")
-print(f"  single-cell oracle: {oracle:.12f}")
-print(f"  cauchy gaps: {est.cauchy_gaps}")
-print("  (for linear springs the affine state is already optimal at every h,")
-print("   so the estimates match the one-cell value exactly)")
+print(f"  sweep over m = 2, 4, 8, 16: cauchy gaps {est.cauchy_gaps}")
 
 print("\nStochastic lattice (Matern hardcore), averaged over realizations")
 lattice = StochasticLatticeSpec(kind="matern-hardcore", intensity=1.0,

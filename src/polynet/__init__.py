@@ -66,9 +66,9 @@ from .homogenize import (
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
+    periodic_density,
     random_rotations,
     rank_one_convexity_sample,
-    single_cell_oracle_2d,
     solve_cell_problem,
     sweep,
 )

@@ -9,10 +9,8 @@ times the number of its elements, and one over the elements, whose
 Jacobians and cofactors come from one closed-form routine,
 meshing.cofactors.  At an affine state x -> xi x every element's Jacobian
 is det xi, so affine_energy and affine_energy_and_gradient need only the
-edge pass, on the reference edge vectors; on a periodic (sub-)mesh, whose
-elements record their corner pairs' lattice directions, that pass has one
-term per direction instead of one per edge.  An inverted element without
-a cut-off raises volumetric's InvertedElementError.
+edge pass, on the reference edge vectors.  An inverted element without a
+cut-off raises volumetric's InvertedElementError.
 """
 
 from __future__ import annotations
@@ -118,52 +116,30 @@ def _pair_weight(mesh: Mesh) -> float:
     return 1.0 / round(mesh.h ** -mesh.dim)
 
 
-def _lattice(mesh: Mesh) -> dict | None:
-    """Edge table of a periodic (sub-)mesh's affine states, None for other
-    meshes: one edge per lattice direction v_k its elements use, weighted by
-    h^dim n_k, n_k its number of element corner pairs along v_k, and the
-    signed pair incidence S = C^T B (vertices x directions), C[(t, r), a]
-    its number of elements at cell place t with corner r at vertex a (B: see
-    meshing._lattice_mesh).  An element has one pair per direction at most."""
-    cache = mesh._cache
-    if "lattice" not in cache and "directions" in cache:
-        vectors, signed, place = cache["directions"]
-        corners, n = mesh.dim + 1, mesh.num_vertices
-        c = np.bincount(((place[:, None] * corners + np.arange(corners)) * n
-                         + mesh.elements).ravel(), minlength=len(signed) * n).reshape(-1, n)
-        counts = c.sum(axis=1) @ np.abs(signed) / 2
-        used = counts > 0
-        cache["lattice"] = {"ref": vectors[used].T, "rest": np.linalg.norm(vectors[used], axis=1),
-                            "edge_weights": counts[used] * _pair_weight(mesh),
-                            "incidence": c.T @ signed[:, used]}
-    return cache.get("lattice")
-
-
 def _edges(mesh: Mesh, positions=None, xi=None):
-    """The edge table and per-edge deformed differences (one array per
-    component), lengths and stretches at the positions or, given xi, at the
-    affine positions xi @ x, where an edge's difference is xi v_e, v_e its
-    reference vector, on the _lattice table when the mesh has one."""
-    edges = (xi is not None and _lattice(mesh)) or _geometry(mesh)
-    delta = (xi @ edges["ref"] if xi is not None else
-             [x[edges["edge_i"]] - x[edges["edge_j"]] for x in positions.T])
+    """Per-edge deformed differences (one array per component), lengths and
+    stretches at the positions or, given xi, at the affine positions
+    xi @ x, where an edge's difference is xi v_e, v_e its reference vector."""
+    geometry = _geometry(mesh)
+    delta = (xi @ geometry["ref"] if xi is not None else
+             [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T])
     dist = np.sqrt(sum(d * d for d in delta))
-    return edges, delta, dist, dist / edges["rest"]
+    return delta, dist, dist / geometry["rest"]
 
 
 def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=True) -> dict:
-    """Edge table (see _edges), per-edge differences, lengths and stretches
-    at the positions or, given xi, at affine_positions(mesh, xi), and with a
-    volumetric term each element's Jacobian: from the cofactors of its
-    deformed edge matrix, or det xi for all, with cof(xi) standing in for
-    their cofactors.  Coincident vertices are checked first, except for a
-    point energy (gradient False), which needs no stretch direction; then inversion."""
+    """Per-edge differences, lengths and stretches at the positions or, given
+    xi, at affine_positions(mesh, xi), and with a volumetric term each
+    element's Jacobian: from the cofactors of its deformed edge matrix, or
+    det xi for all, with cof(xi) standing in for their cofactors.  Coincident
+    vertices are checked first, except for a point energy (gradient False),
+    which needs no stretch direction; then inversion."""
     if xi is not None:
         xi = np.asarray(xi, dtype=float)
     else:
         positions = np.asarray(positions, dtype=float)
-    edges, delta, dist, stretch = _edges(mesh, positions, xi)
-    state = {"edges": edges, "delta": delta, "dist": dist, "stretch": stretch}
+    delta, dist, stretch = _edges(mesh, positions, xi)
+    state = {"delta": delta, "dist": dist, "stretch": stretch}
     if gradient:
         _check_not_coincident(state)
     if model.vol is not None:
@@ -202,7 +178,7 @@ def _volumetric_energies(mesh: Mesh, model: EnergyModel, state: dict):
 
 def _energy(mesh: Mesh, model: EnergyModel, state: dict, pair) -> float:
     """Total energy from the per-edge pair energies `pair` of the state."""
-    total = model.f * float(state["edges"]["edge_weights"] @ np.asarray(pair, dtype=float))
+    total = model.f * float(_geometry(mesh)["edge_weights"] @ np.asarray(pair, dtype=float))
     return total + float(np.sum(_volumetric_energies(mesh, model, state)))
 
 
@@ -253,20 +229,18 @@ def _energy_and_gradient(mesh: Mesh, model: EnergyModel, state: dict):
 
 def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
     """One term per unique edge at each endpoint, dW the per-edge pair
-    derivative (per lattice direction k, S (c_k xi v_k) instead), and, with
-    a volumetric term, the moment w'(J) cof(Q) / d! of every element at its
-    corners, Q the deformed edge matrix.  At an affine state cof(Q) =
-    cof(xi) cof(X), so the moments at a vertex a sum to w'(det xi) cof(xi)
-    n_a (see _reference_moments)."""
-    edges = state["edges"]
-    lattice = "incidence" in edges  # S counts every pair itself
-    weights = _pair_weight(mesh) if lattice else edges["edge_weights"]
-    coef = model.f * weights * np.asarray(dW, dtype=float) / (edges["rest"] * state["dist"])
+    derivative, and, with a volumetric term, the moment w'(J) cof(Q) / d! of
+    every element at its corners, Q the deformed edge matrix.  At an affine
+    state cof(Q) = cof(xi) cof(X), so the moments at a vertex a sum to
+    w'(det xi) cof(xi) n_a (see _reference_moments)."""
+    geometry = _geometry(mesh)
+    coef = (model.f * geometry["edge_weights"] * np.asarray(dW, dtype=float)
+            / (geometry["rest"] * state["dist"]))
     pair = [coef * d for d in state["delta"]]
     if "cof" in state:
         scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
         return _scatter(mesh, pair, [[scale * c for c in column] for column in state["cof"]])
-    grad = edges["incidence"] @ np.transpose(pair) if lattice else _scatter(mesh, pair)
+    grad = _scatter(mesh, pair)
     if model.vol is None:
         return grad
     slope = w_vol_eta_dj(state["jac"], model.vol)
@@ -327,7 +301,7 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
 
     geometry = _geometry(mesh)
     edge_i, edge_j, rest = geometry["edge_i"], geometry["edge_j"], geometry["rest"]
-    stretch = _edges(mesh, np.asarray(positions, dtype=float))[3]
+    stretch = _edges(mesh, np.asarray(positions, dtype=float))[2]
     w = geometry["edge_weights"] * model.f * model.pair.second_derivative(stretch) / rest**2
     n = mesh.num_vertices
     free = np.ones(n, dtype=bool) if free is None else free
@@ -342,14 +316,9 @@ def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyMod
 
 
 def _submesh(mesh: Mesh, keep: np.ndarray) -> Mesh:
-    """The elements `keep` of mesh, with its vertices, scale, volumes and
-    lattice directions, if any."""
-    cache = {"volumes": mesh.element_volumes()[keep]}
-    if "directions" in mesh._cache:
-        vectors, signed, place = mesh._cache["directions"]
-        cache["directions"] = (vectors, signed, place[keep])
+    """The elements `keep` of mesh, with its vertices, scale and volumes."""
     return Mesh(mesh.dim, mesh.vertices, mesh.elements[keep], mesh.h, mesh.boundary_flags,
-                cache)
+                {"volumes": mesh.element_volumes()[keep]})
 
 
 def split_pinned(mesh: Mesh, free: np.ndarray, xi: np.ndarray, model: EnergyModel):

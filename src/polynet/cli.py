@@ -540,6 +540,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="processes, this one included, that solve homogenize cells, "
                              "each on its own allowed CPU (at most one per allowed CPU); "
+                             "periodic sweeps with one restart run in this process; "
                              "this process's CPU mask is restored afterwards")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)

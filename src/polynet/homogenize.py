@@ -5,9 +5,14 @@ pinning a boundary layer of the unit box to the affine map xi @ x,
 minimizing the network energy over the interior, and reading off the
 minimal energy per unit volume.  Periodic meshes use a layer of depth 2h;
 stochastic meshes use 2*h*R with R the lattice covering radius, and the
-estimate is averaged over independent lattice realizations.  Probes for
-frame invariance, isotropy and sampled rank-one convexity operate on any
-scalar estimator xi -> W(xi).
+estimate is averaged over independent lattice realizations.  The periodic
+lattices have one vertex per cell and their affine state is critical at
+every m, so a periodic cell's density is periodic_density, the affine
+energy of the m = 1 mesh (the lattice's Cauchy-Born energy): sweeps answer
+every periodic cell with one restart from it, without a mesh, while
+solve_cell_problem still solves the m-cell mesh.  Probes for frame
+invariance, isotropy and sampled rank-one convexity operate on any scalar
+estimator xi -> W(xi).
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .assembly import BoundaryCondition, EnergyModel, affine_energy, affine_positions
+from .chains import PairPotential
 from .meshing import (
     Mesh,
     StochasticLatticeSpec,
@@ -100,6 +106,28 @@ def build_cell_mesh(source: PeriodicCell | StochasticCell) -> Mesh:
     return build_stochastic_mesh(source.lattice, source.h, source.dim)
 
 
+@cache
+def _unit_cell(dim: int, diagonal: str) -> Mesh:
+    """The m = 1 periodic mesh, built once per (dim, diagonal) and shared by
+    every caller; evaluations add only their own caches to it."""
+    if dim not in (2, 3):
+        raise ValueError("periodic sources support dim 2 and 3 only")
+    return periodic_mesh_2d(1, diagonal) if dim == 2 else periodic_mesh_3d(1)
+
+
+def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw") -> float:
+    """Energy density of the periodic lattice at the macroscopic gradient xi.
+
+    The lattice has one vertex per cell and its affine state is critical at
+    every m, so this is every periodic cell problem's density with one
+    restart: the affine energy of the m = 1 mesh, f sum_k (c_k / c)
+    W(|xi v_k| / |v_k|) + w(det xi), c_k the corner pairs along the lattice
+    direction v_k among the c elements of one cell (the lattice's
+    Cauchy-Born energy).  It raises what affine_energy raises on that mesh.
+    """
+    return affine_energy(_unit_cell(dim, diagonal), xi, model)
+
+
 def default_layer_depth(source: PeriodicCell | StochasticCell, mesh: Mesh) -> float:
     if isinstance(source, PeriodicCell):
         return 2.0 * mesh.h
@@ -158,10 +186,12 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     ValueError or RuntimeError (every polynet error is one) it raised.
 
     The run seed only perturbs the starts of restarts after the first, so
-    with one restart cells that differ in it alone are solved once.  Cells
-    are grouped by source, and a source with c of the C distinct cells is
-    cut into min(c, ceil(parts * c / C)) contiguous chunks: only a source
-    holding more than 1/parts of the cells is split.  The chunks are dealt
+    with one restart cells that differ in it alone are solved once.  With
+    one restart a periodic cell is answered here in closed form (see
+    _closed_form): it builds no mesh and never reaches run.  The other
+    cells are grouped by source, and a source with c of their C distinct
+    cells is cut into min(c, ceil(parts * c / C)) contiguous chunks: only a
+    source holding more than 1/parts of them is split.  The chunks are dealt
     into min(parts, chunks) shares, one per process, longest first, each to
     the share with the fewest cells so far (ties to the earlier share); a
     chunk whose source the share already holds joins that source's cells,
@@ -175,14 +205,19 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     def key(xi, source, seed):
         return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
 
-    seen, groups = set(), {}
+    seen, groups, outcomes = set(), {}, {}
     for cell in cells:
-        if key(*cell) not in seen:
-            seen.add(key(*cell))
+        if key(*cell) in seen:
+            continue
+        seen.add(key(*cell))
+        if restarts == 1 and isinstance(cell[1], PeriodicCell):
+            outcomes[key(*cell)] = _closed_form(*cell[:2], model)
+        else:
             groups.setdefault(cell[1], []).append(cell)
+    count = len(seen) - len(outcomes)
     chunks = []
     for group in groups.values():
-        n = min(len(group), -(-parts * len(group) // len(seen)))
+        n = min(len(group), -(-parts * len(group) // count))
         chunks += [group[len(group) * k // n:len(group) * (k + 1) // n] for k in range(n)]
     shares = [{} for _ in range(min(parts, len(chunks)))]
     sizes = [0] * len(shares)
@@ -193,9 +228,26 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     shares = [list(share.values()) for share in shares]
     solved = run(partial(_solve_share, model=model, restarts=restarts, settings=settings),
                  shares)
-    outcomes = {key(*cell): result for share, results in zip(shares, solved)
-                for cell, result in zip((cell for group in share for cell in group), results)}
+    outcomes.update({key(*cell): result for share, results in zip(shares, solved)
+                     for cell, result in zip((cell for group in share for cell in group),
+                                             results)})
     return lambda xi, source, seed: outcomes[key(xi, source, seed)]
+
+
+def _closed_form(xi, source: PeriodicCell, model: EnergyModel):
+    """A periodic cell's CellSolution with one restart, or the error it
+    raised: the m-cell solve would stop at its affine start, whose density
+    is periodic_density.  The gradient there is exactly zero, no vertex is
+    minimized over, and h is the m-cell mesh's, by _make_mesh's expression."""
+    try:
+        problem = CellProblem(xi=xi, source=source, model=model)
+        check_count(source.m, "m")
+        value = periodic_density(problem.xi, model, source.dim, source.diagonal)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+    per_cell = _unit_cell(source.dim, source.diagonal).num_elements
+    h = (1.0 / (per_cell * source.m ** source.dim)) ** (1.0 / source.dim)
+    return CellSolution(value, 0.0, 0, True, 0, h)
 
 
 def _solve_share(share, model, restarts, settings) -> list:
@@ -227,42 +279,6 @@ def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -
         except (ValueError, RuntimeError) as exc:
             outcomes.append(exc)
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# One-cell oracle for quadratic springs (periodic fluctuations)
-
-
-def single_cell_oracle_2d(
-    xi,
-    stiffness: float = 1.0,
-    f: float = 1.0,
-    diagonal: str = "nw",
-) -> float:
-    """Homogenized density of the quadratic-spring lattice by one periodic cell.
-
-    The lattice has one vertex per cell, so the one-cell problem with
-    periodic fluctuations has none to minimize over: the density is the
-    affine energy of the unit cell's two triangles, each of its edges v
-    adding f k |xi v|^2 / (2 |v|^2) (pair weight h^2 = 1/2).  This is the
-    reference value the finite-size affine-layer estimates must approach.
-    """
-    if not (stiffness > 0.0 and f > 0.0):
-        raise ValueError("spring stiffness and chains-per-volume factor f must be positive")
-    if diagonal == "nw":
-        tris = [((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1))]
-    elif diagonal == "ne":
-        tris = [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]
-    else:
-        raise ValueError("diagonal must be 'nw' or 'ne'")
-    xi = np.asarray(xi, dtype=float)
-    value = 0.0
-    for tri in tris:
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            vec = np.subtract(tri[a], tri[b])
-            c = xi @ vec
-            value += 0.5 * f * stiffness / (vec @ vec) * (c @ c)
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +584,24 @@ def anisotropy_counterexample(
     """Directional stiffnesses of the quadratic-spring lattice at identity.
 
     The stiffness along a unit direction d is the second derivative of
-    t -> W(I + t * d ox d) at t = 0, W = single_cell_oracle_2d.  The
-    one-cell sum W is a homogeneous quadratic form, so that derivative is
-    exactly 2 W(d ox d).  With the 'nw' cell diagonal the lattice is stiffer
-    along e2 - e1 than along e1 + e2; swapping the diagonal to 'ne' swaps
-    the two values.
+    t -> W(I + t * d ox d) at t = 0, W the 2D periodic_density of springs.
+    That W is a quadratic form, so the central second difference gives it
+    exactly at any step; the step 1/2 keeps I -+ (d ox d) / 2 invertible,
+    as periodic_density needs (a lattice direction mapped to zero raises).
+    With the 'nw' cell diagonal the lattice is stiffer along e2 - e1 than
+    along e1 + e2; swapping the diagonal to 'ne' swaps the two values.
     """
-    diag, antidiag = (2.0 * single_cell_oracle_2d(np.outer(d, d), stiffness, f, diagonal)
-                      for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION))
+    if not (stiffness > 0.0 and f > 0.0):
+        raise ValueError("spring stiffness and chains-per-volume factor f must be positive")
+    spring = EnergyModel(pair=PairPotential.quadratic_spring(stiffness), f=f)
+    eye = np.eye(2)
+
+    def second_difference(d):
+        w = [periodic_density(eye + t * np.outer(d, d), spring, 2, diagonal)
+             for t in (-0.5, 0.0, 0.5)]
+        return (w[0] - 2.0 * w[1] + w[2]) / 0.25
+
+    diag, antidiag = (second_difference(d) for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION))
     return CounterexampleResult(diag, antidiag, diag / antidiag)
 
 

@@ -134,26 +134,6 @@ def _make_mesh(dim: int, vertices: np.ndarray, elements: np.ndarray,
     return mesh
 
 
-def _lattice_mesh(m: int, vertices: np.ndarray, elements: np.ndarray, per_cell: int) -> Mesh:
-    """Mesh of elements stored cell by cell, `per_cell` per cell, caching its
-    lattice directions as (v, B, t): t[e] is element e's place in its cell
-    and B[(t, r), k] is +1 (-1) when a corner pair (r, q) or (q, r) of place
-    t has X_r - X_q = v[k] (-v[k]).  They are read in grid steps from the
-    first cell's elements as stored, after any corner swap."""
-    mesh = _make_mesh(vertices.shape[1], vertices, elements, signed_volumes(vertices, elements))
-    offsets = np.rint(m * mesh.vertices[mesh.elements[:per_cell]]).astype(np.int64)
-    pairs = list(itertools.combinations(range(mesh.dim + 1), 2))
-    steps = np.concatenate([offsets[:, p] - offsets[:, q] for p, q in pairs])
-    sign = np.sign(steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)])
-    vectors, index = np.unique(steps * sign[:, None], axis=0, return_inverse=True)
-    place, signed = np.arange(per_cell), np.zeros((per_cell, mesh.dim + 1, len(vectors)))
-    for (p, q), k, s in zip(pairs, index.reshape(-1, per_cell), sign.reshape(-1, per_cell)):
-        signed[place, p, k], signed[place, q, k] = s, -s
-    mesh._cache["directions"] = (vectors / m, signed.reshape(-1, len(vectors)),
-                                 np.tile(place, m**mesh.dim))
-    return mesh
-
-
 def periodic_mesh_3d(m: int) -> Mesh:
     """Unit cube split into m^3 subcubes of 6 Kuhn tetrahedra each.
 
@@ -175,7 +155,7 @@ def periodic_mesh_3d(m: int) -> Mesh:
     cells = np.arange(m, dtype=np.int64)
     origins = (cells[:, None, None] * n + cells[None, :, None]) * n + cells[None, None, :]
     elements = (origins.reshape(-1, 1, 1) + walks).reshape(-1, 4)
-    return _lattice_mesh(m, vertices, elements, len(walks))
+    return _make_mesh(3, vertices, elements, signed_volumes(vertices, elements))
 
 
 def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
@@ -201,7 +181,7 @@ def periodic_mesh_2d(m: int, diagonal: str = "nw") -> Mesh:
     cells = np.arange(m, dtype=np.int64)
     origins = cells[:, None] * n + cells[None, :]
     elements = (origins.reshape(-1, 1, 1) + triangles).reshape(-1, 3)
-    return _lattice_mesh(m, vertices, elements, len(triangles))
+    return _make_mesh(2, vertices, elements, signed_volumes(vertices, elements))
 
 
 @dataclass(frozen=True)

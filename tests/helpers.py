@@ -85,3 +85,31 @@ def spring_oracle(mesh, xi, depth, stiffness=1.0, f=1.0):
     for comp in range(mesh.dim):
         q[free, comp] = spsolve(l_ff, -(l_fp @ q[pinned, comp]))
     return float(sum(q[:, comp] @ (lap @ q[:, comp]) for comp in range(mesh.dim)))
+
+
+def single_cell_oracle_2d(xi, stiffness=1.0, f=1.0, diagonal="nw") -> float:
+    """Homogenized density of the 2D quadratic-spring lattice, summed by hand
+    over one periodic cell.
+
+    The lattice has one vertex per cell, so the one-cell problem with
+    periodic fluctuations has none to minimize over: the density is the
+    affine energy of the unit cell's two triangles, each of its edges v
+    adding f k |xi v|^2 / (2 |v|^2) (pair weight h^2 = 1/2).  Written out
+    here, apart from polynet's meshes and kernel, so that the periodic
+    values polynet computes are checked against something other than
+    themselves.
+    """
+    if diagonal == "nw":
+        tris = [((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1))]
+    elif diagonal == "ne":
+        tris = [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]
+    else:
+        raise ValueError("diagonal must be 'nw' or 'ne'")
+    xi = np.asarray(xi, dtype=float)
+    value = 0.0
+    for tri in tris:
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            vec = np.subtract(tri[a], tri[b])
+            c = xi @ vec
+            value += 0.5 * f * stiffness / (vec @ vec) * (c @ c)
+    return float(value)

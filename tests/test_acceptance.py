@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import fd_gradient, random_rotation, rel_err
+from helpers import fd_gradient, random_rotation, rel_err, single_cell_oracle_2d
 from polynet.assembly import EnergyModel, energy_gradient, total_energy
 from polynet.chains import (
     INV_LANGEVIN_COEFFS,
@@ -29,7 +29,6 @@ from polynet.homogenize import (
     estimate_whom,
     isotropy_probe,
     random_rotations,
-    single_cell_oracle_2d,
     solve_cell_problem,
 )
 from polynet.meshing import (
@@ -178,7 +177,9 @@ def test_criterion_06_single_cell_oracle_agreement():
     # For quadratic springs the affine state is the exact minimizer of every
     # periodic cell problem (lattice point symmetry + convexity), so the
     # Cauchy diagnostic promises successive estimates that agree: every gap
-    # is zero and every scale gives the one-cell value, to roundoff.
+    # is zero and every scale gives the one-cell value, to roundoff.  The
+    # sweep reads them from periodic_density; the oracle is the hand-written
+    # sum of tests/helpers.py, so the check does not compare it with itself.
     oracle = single_cell_oracle_2d(xis[2])
     est = estimate_whom(xis[2], [2, 4, 8, 16], spring, PeriodicCell(m=0))
     gaps = est.cauchy_gaps

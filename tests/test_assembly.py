@@ -416,7 +416,7 @@ def _split_part(mesh, part):
 AFFINE_MESHES = {
     "periodic-2d": lambda: periodic_mesh_2d(4),
     "periodic-3d": lambda: periodic_mesh_3d(3),
-    # m = 1: every vertex id step is a lattice step, the 2D diagonal's too
+    # m = 1: the meshes periodic_density evaluates
     "periodic-2d-m1-nw": lambda: periodic_mesh_2d(1, "nw"),
     "periodic-2d-m1-ne": lambda: periodic_mesh_2d(1, "ne"),
     "periodic-3d-m1": lambda: periodic_mesh_3d(1),
@@ -444,11 +444,7 @@ def affine_xis(dim, rng):
 
 
 def assert_affine_matches_kernel(mesh, xi, model):
-    # a periodic mesh's affine state is evaluated per lattice direction,
-    # without the per-edge table an earlier kernel call left
-    mesh._cache.pop("geometry", None)
     closed_energy, closed_grad = affine_energy_and_gradient(mesh, xi, model)
-    assert ("geometry" in mesh._cache) != ("directions" in mesh._cache)
     energy, grad = energy_and_gradient(mesh, affine_positions(mesh, xi), model)
     assert abs(closed_energy - energy) <= 1e-13 * abs(energy)
     assert np.abs(closed_grad - grad).max() <= 1e-13 * np.abs(grad).max()

@@ -531,16 +531,19 @@ TWO_XI_PERIODIC = {
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_homogenize_cell_bug_propagates(tmp_path, monkeypatch, jobs):
     # only polynet's own errors (ValueError, RuntimeError) become failed
-    # cells; a bug in a cell solve ends the command with its traceback.  The
-    # pool's workers are forked after the patch, so they raise it too.
+    # cells; a bug in a cell solve ends the command with its traceback, on
+    # a mesh (two restarts) or in closed form (one).  The pool's workers are
+    # forked after the patch, so they raise it too.
     from polynet import homogenize
 
-    monkeypatch.setattr(homogenize, "solve_cell_problem", _raise_index_error)
-    cfg = write_config(tmp_path, TWO_XI_PERIODIC)
-    with pytest.raises(IndexError):
-        main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
-              "--jobs", jobs])
-    assert_no_pool_left()
+    for name, restarts in (("solve_cell_problem", 2), ("periodic_density", 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(homogenize, name, _raise_index_error)
+            cfg = write_config(tmp_path, {**TWO_XI_PERIODIC, "solver": {"restarts": restarts}})
+            with pytest.raises(IndexError):
+                main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o"),
+                      "--jobs", jobs])
+        assert_no_pool_left()
 
 
 def test_homogenize_probe_bug_propagates(tmp_path, monkeypatch):
@@ -888,8 +891,9 @@ PERIODIC_PROBES = {
         "probes": {"frame_rotations": 2, "isotropy_rotations": 2, "seed": 1},
     },
 }
-# R @ I and I @ R are the same bits, so the isotropy cells are the frame cells
-IDENTITY_PROBES = {**PERIODIC_PROBES, "homogenize": {
+# R @ I and I @ R are the same bits, so the isotropy cells are the frame
+# cells; two restarts solve them on meshes
+IDENTITY_PROBES = {**PERIODIC_PROBES, "solver": {"restarts": 2}, "homogenize": {
     **PERIODIC_PROBES["homogenize"], "xi_list": [[[1.0, 0.0], [0.0, 1.0]]]}}
 STOCHASTIC_TWO_XI = {
     "seed": 11,
@@ -911,9 +915,11 @@ STOCHASTIC_PROBES = {**STOCHASTIC_TWO_XI, "solver": {"restarts": 2}, "homogenize
 
 
 # the probes solve on the sweep's finest cells, so each xi's probe base cell
-# is its finest sweep cell, solved once, and the probes build no mesh of their own
+# is its finest sweep cell, solved once, and the probes build no mesh of
+# their own; with one restart periodic cells build and solve no mesh at all
 @pytest.mark.parametrize("payload, builds, solves", [
-    (PERIODIC_PROBES, 2, 2 * (2 + 4)),  # m 2 and m 4, probes on the m 4 mesh
+    (PERIODIC_PROBES, 0, 0),
+    # m 2 and m 4, probes on the m 4 mesh
     ({**PERIODIC_PROBES, "solver": {"restarts": 2}}, 2, 2 * (2 + 4)),
     (IDENTITY_PROBES, 2, 2 + 2),
     (STOCHASTIC_TWO_XI, 2 * 2, 2 * 2 * 2),  # scales x realizations
@@ -957,8 +963,9 @@ def _logging(function, log, tag):
 
 # one xi on m 2, 4 and 8 with 1 frame and 1 isotropy probe: m 8 holds 3 of
 # the 5 distinct cells, so at --jobs 2 and 3 it is cut into chunks of 1 and 2
-# cells; at --jobs 2 both chunks are dealt to the first share
-PERIODIC_ONE_XI = {**HOMOGENIZE_PERIODIC, "homogenize": {
+# cells; at --jobs 2 both chunks are dealt to the first share.  Two restarts
+# solve them on meshes.
+PERIODIC_ONE_XI = {**HOMOGENIZE_PERIODIC, "solver": {"restarts": 2}, "homogenize": {
     "xi_list": [[[1.1, 0.0], [0.0, 0.9]]],
     "m_list": [2, 4, 8],
     "probes": {"frame_rotations": 1, "isotropy_rotations": 1, "seed": 1}}}
@@ -1037,20 +1044,21 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
                          ids=["periodic", "stochastic"])
 def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
     # every probe deviation is the library's on the sweep's finest cells: for
-    # a periodic source with one restart, cell_estimator at the finest m
-    from polynet import EnergyModel, PairPotential, PeriodicCell, StochasticCell
-    from polynet.homogenize import (at_scale, cell_estimator, frame_invariance_probe,
-                                    isotropy_probe, random_rotations, runs_estimator,
-                                    solve_cells, sweep_runs)
+    # a periodic source with one restart, periodic_density
+    from polynet import EnergyModel, PairPotential, StochasticCell
+    from polynet.homogenize import (frame_invariance_probe, isotropy_probe, periodic_density,
+                                    random_rotations, runs_estimator, solve_cells,
+                                    sweep_runs)
     from polynet.meshing import StochasticLatticeSpec
 
     mesh, section = payload["mesh"], payload["homogenize"]
     spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
     restarts = payload.get("solver", {}).get("restarts", 1)
     if mesh["kind"] == "periodic":
-        source = PeriodicCell(m=mesh["m"], dim=mesh["dim"])
-        estimator = cell_estimator(at_scale(source, section["m_list"][-1]), spring,
-                                   seed=payload["seed"], restarts=restarts)
+        assert restarts == 1
+
+        def estimator(xi):
+            return periodic_density(xi, spring, mesh["dim"], mesh["diagonal"])
     else:
         source = StochasticCell(StochasticLatticeSpec(**mesh["lattice"]), h=mesh["h"],
                                 dim=mesh["dim"])
@@ -1115,7 +1123,8 @@ def test_homogenize_jobs_capped_at_allowed_cpus(tmp_path, capsys, monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    cfg = write_config(tmp_path, FAILING_FIRST)
+    # two restarts: periodic cells with one are answered without a pool
+    cfg = write_config(tmp_path, {**FAILING_FIRST, "solver": {"restarts": 2}})
     runs = []
     for jobs in ("1", "64"):
         out = tmp_path / f"jobs{jobs}"

@@ -27,8 +27,8 @@ def test_config_runs(config, tmp_path):
 
 
 def test_periodic_homogenize_never_enters_the_kernel(tmp_path, monkeypatch):
-    # every periodic cell stops at its affine start, whose energy and
-    # gradient come in closed form: no kernel call and no factorization
+    # every periodic cell with one restart is answered by periodic_density:
+    # no kernel call and no factorization
     from polynet import optim
 
     calls = []
@@ -49,12 +49,13 @@ def test_periodic_homogenize_never_enters_the_kernel(tmp_path, monkeypatch):
     assert calls == []
 
 
-def _homogenize(tmp_path, config):
-    """Exit code of `polynet homogenize --jobs 1`, so every mesh is built here."""
+def _homogenize(tmp_path, config, jobs="1"):
+    """Exit code of `polynet homogenize`, by default at --jobs 1, so every
+    mesh is built here."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return main(["homogenize", "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--jobs", "1"])
+                 "--jobs", jobs])
 
 
 PERIODIC_3D = {
@@ -70,23 +71,18 @@ PERIODIC_3D = {
 @pytest.mark.parametrize("config", [json.loads((ROOT / "configs" / "homogenize_periodic.json")
                                                .read_text()), PERIODIC_3D],
                          ids=["homogenize_periodic.json", "periodic-3d-langevin-vol"])
-def test_periodic_homogenize_builds_no_edge_table(tmp_path, monkeypatch, config):
-    # a cell that starts critical is evaluated per lattice direction on the
-    # mesh, or on its active and pinned sub-meshes: no per-edge table anywhere
-    from polynet import homogenize
+def test_periodic_homogenize_builds_no_mesh_and_forks_no_worker(tmp_path, monkeypatch,
+                                                                 config):
+    # with one restart every periodic cell, probe cells included, is
+    # answered in this process by periodic_density: no m-cell mesh, no pool
+    from polynet import cli, homogenize
 
-    meshes, build = [], homogenize.build_cell_mesh
+    def refuse(*args, **kwargs):
+        raise AssertionError("a periodic sweep with one restart built a mesh or a pool")
 
-    def kept(source):
-        meshes.append(build(source))
-        return meshes[-1]
-
-    monkeypatch.setattr(homogenize, "build_cell_mesh", kept)
-    assert _homogenize(tmp_path, config) == 0
-    split = [mesh._cache["split"] for mesh in meshes if "split" in mesh._cache]
-    assert split  # some cells have free vertices
-    for mesh in meshes + [part for _, *parts in split for part in parts]:
-        assert "directions" in mesh._cache and "geometry" not in mesh._cache
+    monkeypatch.setattr(homogenize, "build_cell_mesh", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    assert _homogenize(tmp_path, config, jobs="2") == 0
 
 
 def test_periodic_restarts_still_enter_the_kernel(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import rotation_2d, spring_oracle
+from helpers import rotation_2d, single_cell_oracle_2d, spring_oracle
 from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, PairPotential, chain_energy
 from polynet.homogenize import (
@@ -18,10 +19,10 @@ from polynet.homogenize import (
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
+    periodic_density,
     rank_one_convexity_sample,
     random_rotation,
     random_rotations,
-    single_cell_oracle_2d,
     solve_cell_problem,
     solve_cells,
     summary_dict,
@@ -108,8 +109,8 @@ def test_oracle_matches_closed_form():
         np.array([[1.0, 0.1], [0.1, 1.0]]),
         np.array([[1.3, 0.2], [-0.1, 0.8]]),
     ):
-        got = single_cell_oracle_2d(xi)
-        assert abs(got - quadratic_density(xi)) <= 1e-12 * max(1.0, abs(got))
+        for got in (single_cell_oracle_2d(xi), periodic_density(xi, SPRING)):
+            assert abs(got - quadratic_density(xi)) <= 1e-12 * max(1.0, abs(got))
 
 
 @pytest.mark.parametrize("diagonal", ["nw", "ne"])
@@ -124,8 +125,10 @@ def test_oracle_matches_exact_mesh_solve(m, diagonal):
         xi = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
         stiffness, f = rng.uniform(0.5, 2.0, 2)
         exact = spring_oracle(mesh, xi, 2.0 * mesh.h, stiffness, f)
-        got = single_cell_oracle_2d(xi, stiffness, f, diagonal)
-        assert abs(got - exact) <= 1e-13 * abs(exact)
+        spring = EnergyModel(pair=PairPotential.quadratic_spring(stiffness), f=f)
+        for got in (single_cell_oracle_2d(xi, stiffness, f, diagonal),
+                    periodic_density(xi, spring, 2, diagonal)):
+            assert abs(got - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -134,18 +137,22 @@ def test_oracle_matches_exact_mesh_solve(m, diagonal):
 def test_oracle_rejects_bad_inputs(kwargs):
     # a zero stiffness or f divided by zero in the counterexample's ratio
     with pytest.raises(ValueError):
-        single_cell_oracle_2d(np.eye(2), **kwargs)
-    with pytest.raises(ValueError):
         anisotropy_counterexample(**kwargs)
+
+
+@pytest.mark.parametrize("dim, diagonal", [(2, "sw"), (1, "nw"), (4, "nw")])
+def test_periodic_density_rejects_bad_lattices(dim, diagonal):
+    with pytest.raises(ValueError):
+        periodic_density(np.eye(dim), SPRING, dim, diagonal)
 
 
 def test_oracle_is_quadratic_in_xi():
     xi = np.array([[1.1, 0.3], [0.0, 0.8]])
-    base = single_cell_oracle_2d(xi)
-    assert abs(single_cell_oracle_2d(2.0 * xi) - 4.0 * base) <= 1e-12 * abs(base)
+    base = periodic_density(xi, SPRING)
+    assert abs(periodic_density(2.0 * xi, SPRING) - 4.0 * base) <= 1e-12 * abs(base)
     # quadratic fit over scalings has no residual
     ts = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-    vals = np.array([single_cell_oracle_2d(t * xi) for t in ts])
+    vals = np.array([periodic_density(t * xi, SPRING) for t in ts])
     coeffs = np.polyfit(ts, vals, 2)
     fit = np.polyval(coeffs, ts)
     assert np.max(np.abs(fit - vals)) <= 1e-10 * np.max(np.abs(vals))
@@ -161,6 +168,55 @@ def test_oracle_agrees_with_refined_cell_estimates():
             source = PeriodicCell(m=m, diagonal=diagonal)
             value = solve_cell_problem(CellProblem(xi=xi, source=source, model=SPRING)).value
             assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+
+PERIODIC_MODELS = {
+    "spring": SPRING,
+    "langevin": EnergyModel(pair=PairPotential.langevin_chain()),
+    "langevin+vol": EnergyModel(pair=PairPotential.langevin_chain(),
+                                vol=VolumetricParams(K=1.0, eta=0.1)),
+}
+LATTICES = [(2, "nw"), (2, "ne"), (3, "nw")]
+
+
+@pytest.mark.parametrize("model", PERIODIC_MODELS.values(), ids=PERIODIC_MODELS.keys())
+@pytest.mark.parametrize("dim, diagonal", LATTICES, ids=["2d-nw", "2d-ne", "3d"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_periodic_density_matches_mesh_solves(m, dim, diagonal, model):
+    # the closed form that sweeps read against the real m-cell solve: the
+    # layer pins every vertex at m = 2 and 3, all but 4 (2D) or 8 (3D) at 5
+    rng = np.random.default_rng([m, dim])
+    source = PeriodicCell(m=m, dim=dim, diagonal=diagonal)
+    for _ in range(3):
+        xi = np.eye(dim) + 0.2 * rng.uniform(-1.0, 1.0, (dim, dim))
+        solution = solve_cell_problem(CellProblem(xi=xi, source=source, model=model))
+        density = periodic_density(xi, model, dim, diagonal)
+        assert abs(density - solution.value) <= 1e-14 * abs(solution.value)
+        assert solution.iterations == 0
+
+
+# each periodic cell error as the m-cell solve raises it: (model, xi)
+CELL_ERRORS = {
+    "det below eta": (PERIODIC_MODELS["langevin+vol"], np.diag([0.05, 1.0])),
+    "det 0 at eta 0": (EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                                   vol=VolumetricParams(K=1.0, eta=0.0)),
+                       np.diag([1.0, 0.0])),
+    "singular xi, springs": (SPRING, np.diag([1.0, 0.0])),
+    "singular xi, springs 3d": (SPRING, np.diag([1.0, 1.0, 0.0])),
+    "singular xi, langevin": (PERIODIC_MODELS["langevin"], np.array([[1.0, 1.0], [1.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("case", CELL_ERRORS)
+def test_closed_form_cells_fail_as_mesh_solves(case, m):
+    model, xi = CELL_ERRORS[case]
+    source = PeriodicCell(m=m, dim=xi.shape[0])
+    with pytest.raises((ValueError, RuntimeError)) as on_mesh:
+        cell_estimator(source, model)(xi)
+    closed = solve_cells([(xi, source, 0)], model)(xi, source, 0)
+    assert type(closed) is type(on_mesh.value)
+    assert str(closed) == str(on_mesh.value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +344,7 @@ def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
 
 
 def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
+    # two restarts, so the periodic cells are solved on their meshes
     from polynet import homogenize
 
     xi = np.diag([1.1, 0.9])
@@ -304,16 +361,27 @@ def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
     nan_xi, xi2 = np.diag([np.nan, 1.0]), np.diag([1.2, 0.8])
     cells = [(nan_xi, m4, 0), (xi, m4, 0), (xi, m4, 1), (xi, bad_dim, 0), (xi2, bad_dim, 1),
              (xi, bad_m, 0)]
-    outcome = solve_cells(cells, SPRING)
+    outcome = solve_cells(cells, SPRING, restarts=2)
     failed = outcome(nan_xi, m4, 0)
     assert isinstance(failed, ValueError) and "finite" in str(failed)
-    assert outcome(xi, m4, 0).value == outcome(xi, m4, 1).value == expected.value
+    for seed in (0, 1):
+        assert abs(outcome(xi, m4, seed).value - expected.value) <= 1e-12 * expected.value
     # a failed build is kept for the source's later cells, not retried
     assert outcome(xi, bad_dim, 0) is outcome(xi2, bad_dim, 1)
     assert isinstance(outcome(xi, bad_dim, 0), ValueError)
     # the builder's ValueError, not an IndexError that would end the run
     assert "m must be an integer" in str(outcome(xi, bad_m, 0))
     assert built == [m4, bad_dim, bad_m]
+    # with one restart the same cells are answered in closed form, with the
+    # same errors and no mesh
+    built.clear()
+    closed = solve_cells(cells, SPRING)
+    assert built == []
+    assert closed(xi, m4, 0).value == closed(xi, m4, 1).value
+    assert abs(closed(xi, m4, 0).value - expected.value) <= 1e-14 * expected.value
+    for cell in (cells[0], *cells[3:]):
+        assert type(closed(*cell)) is type(outcome(*cell))
+        assert str(closed(*cell)) == str(outcome(*cell))
 
 
 def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
@@ -352,7 +420,7 @@ def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
 
 
-def spy_shares(cells, parts):
+def spy_shares(cells, parts, restarts=1):
     """solve_cells' shares and outcome for springs at the given parts."""
     shares = []
 
@@ -360,7 +428,7 @@ def spy_shares(cells, parts):
         shares.extend(given)
         return map(solve_share, given)
 
-    return shares, solve_cells(cells, SPRING, parts=parts, run=spy)
+    return shares, solve_cells(cells, SPRING, restarts, parts=parts, run=spy)
 
 
 def held(share):
@@ -369,14 +437,15 @@ def held(share):
 
 
 def test_solve_cells_splits_only_a_dominant_source():
-    # m 4 holds 10 of the 14 cells, m 2 and m 3 two each
+    # m 4 holds 10 of the 14 cells, m 2 and m 3 two each; with two restarts
+    # the periodic cells are dealt, not answered in closed form
     xis = [np.diag([1.0 + 0.05 * k, 1.0]) for k in range(10)]
     small = [(xi, PeriodicCell(m=m), 0) for m in (2, 3) for xi in xis[:2]]
     cells = [*small, *((xi, PeriodicCell(m=4), 0) for xi in xis)]
     position = {id(cell): k for k, cell in enumerate(cells)}
-    _, whole = spy_shares(cells, 1)
+    _, whole = spy_shares(cells, 1, restarts=2)
     for parts in (2, 3):
-        shares, outcome = spy_shares(cells, parts)
+        shares, outcome = spy_shares(cells, parts, restarts=2)
         groups = [group for share in shares for group in share]
         # the small sources stay whole (ceil(parts * 2 / 14) = 1 chunk), the
         # dominant one is cut into ceil(parts * 10 / 14) = parts contiguous
@@ -392,7 +461,8 @@ def test_solve_cells_splits_only_a_dominant_source():
 
 # each source's cell count, and the shares solve_cells deals them into at
 # the given parts, as (source index, cells) lists: chunks are dealt longest
-# first, each to the share with the fewest cells (ties to the earlier share)
+# first, each to the share with the fewest cells (ties to the earlier share);
+# two restarts keep the periodic cells off the closed form
 DEALS = [
     ((3, 1, 2, 4, 1), 2, [[(3, 4), (1, 1), (4, 1)], [(0, 3), (2, 2)]]),
     # source 3 holds 4 of the 11 cells, more than 1/3: two chunks of 2
@@ -409,7 +479,7 @@ def test_solve_cells_deals_shares(counts, parts, expected):
     cells = [(np.diag([1.0 + 0.01 * k, 1.0]), source, 0)
              for source, count in zip(sources, counts) for k in range(count)]
     for _ in range(2):  # every run deals them alike
-        shares, outcome = spy_shares(cells, parts)
+        shares, outcome = spy_shares(cells, parts, restarts=2)
         assert [[(sources.index(group[0][1]), len(group)) for group in share]
                 for share in shares] == expected
         assert all(isinstance(outcome(*cell), CellSolution) for cell in cells)
@@ -523,7 +593,7 @@ def test_rank_one_convexity_quadratic_case():
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
         report = rank_one_convexity_sample(
-            single_cell_oracle_2d, xi, a, b, np.linspace(-0.3, 0.3, 9)
+            partial(periodic_density, model=SPRING), xi, a, b, np.linspace(-0.3, 0.3, 9)
         )
         assert report.convex
         assert report.worst_violation <= 1e-10
@@ -531,13 +601,14 @@ def test_rank_one_convexity_quadratic_case():
 
 def test_rank_one_trivial_grid():
     report = rank_one_convexity_sample(
-        single_cell_oracle_2d, np.eye(2), [1.0, 0.0], [0.0, 1.0], [0.0]
+        partial(periodic_density, model=SPRING), np.eye(2), [1.0, 0.0], [0.0, 1.0], [0.0]
     )
     assert report.convex
     assert report.chord_excess.size == 0
     with pytest.raises(ValueError):
         rank_one_convexity_sample(
-            single_cell_oracle_2d, np.eye(2), [0.0, 0.0], [1.0, 0.0], [0.0, 0.1, 0.2]
+            partial(periodic_density, model=SPRING), np.eye(2), [0.0, 0.0], [1.0, 0.0],
+            [0.0, 0.1, 0.2]
         )
 
 

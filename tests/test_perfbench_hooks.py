@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 
 import polynet
-from polynet import EnergyModel, PairPotential, PeriodicCell, cli
+from polynet import EnergyModel, PairPotential, StochasticCell, StochasticLatticeSpec, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+COARSE_LATTICE = StochasticLatticeSpec(kind="jittered-grid", intensity=1.0, r_min=0.3,
+                                       R_cov=1.0, seed=0)
 
 
 def test_span_recorder_wraps_every_hook_and_restores_it(monkeypatch):
@@ -33,13 +35,17 @@ def test_span_recorder_wraps_every_hook_and_restores_it(monkeypatch):
             assert cls.__dict__[name].__wrapped__ is original, name
         assert cli.ProcessPoolExecutor is not pool and issubclass(cli.ProcessPoolExecutor, pool)
         # looked up on the package, as callers do, the sweep and the cell
-        # solves and mesh builds it makes all go through the wrappers
+        # solves and mesh builds it makes all go through the wrappers; a
+        # stochastic source, as periodic sweeps with one restart solve no
+        # cell problem and build no mesh
         spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
-        polynet.estimate_whom(np.diag([1.1, 0.9]), [2, 4], spring, PeriodicCell(m=0))
+        source = StochasticCell(COARSE_LATTICE, h=0.5, dim=2)
+        polynet.estimate_whom(np.diag([1.1, 0.9]), [0.5, 0.25], spring, source)
         names = [span[0] for span in recorder.spans]
         assert names.count("homogenize.sweep") == 1
         assert names.count("homogenize.cell") == 2
         assert names.count("meshing.build") == 2
+        assert names.count("meshing.delaunay") == 2
     finally:
         recorder.uninstall()
     for home, name, original in originals:
