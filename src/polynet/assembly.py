@@ -119,9 +119,10 @@ def _pair_weight(mesh: Mesh) -> float:
 def _edges(mesh: Mesh, positions=None, xi=None):
     """Per-edge deformed differences (one array per component), lengths and
     stretches at the positions or, given xi, at the affine positions
-    xi @ x, where an edge's difference is xi v_e, v_e its reference vector."""
+    xi @ x, where an edge's difference is xi v_e, v_e its reference vector;
+    a stack of xi (n, d, d) gives one row per xi."""
     geometry = _geometry(mesh)
-    delta = (xi @ geometry["ref"] if xi is not None else
+    delta = (np.moveaxis(xi @ geometry["ref"], -2, 0) if xi is not None else
              [x[geometry["edge_i"]] - x[geometry["edge_j"]] for x in positions.T])
     dist = np.sqrt(sum(d * d for d in delta))
     return delta, dist, dist / geometry["rest"]
@@ -131,9 +132,10 @@ def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=Tru
     """Per-edge differences, lengths and stretches at the positions or, given
     xi, at affine_positions(mesh, xi), and with a volumetric term each
     element's Jacobian: from the cofactors of its deformed edge matrix, or
-    det xi for all, with cof(xi) standing in for their cofactors.  Coincident
-    vertices are checked first, except for a point energy (gradient False),
-    which needs no stretch direction; then inversion."""
+    det xi for all (one per xi of a stack), with cof(xi) standing in for
+    their cofactors.  Coincident vertices are checked first, except for a
+    point energy (gradient False), which needs no stretch direction; then
+    inversion."""
     if xi is not None:
         xi = np.asarray(xi, dtype=float)
     else:
@@ -148,17 +150,18 @@ def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=Tru
             state["jac"] = det / _geometry(mesh)["det_x"]
         else:
             cof, det = cofactors(list(xi.T))
-            state["jac"], state["cof_xi"] = float(det), np.array(cof).T
+            state["jac"], state["cof_xi"] = det, np.array(cof).T
         _check_not_inverted(mesh, state, model.vol)
     return state
 
 
 def _check_not_inverted(mesh: Mesh, state: dict, vol: VolumetricParams) -> None:
     if vol.eta == 0.0 and mesh.num_elements and np.any(state["jac"] <= 0.0):
-        jac = np.broadcast_to(state["jac"], mesh.num_elements)  # affine: det xi for all
+        jac = np.ravel(state["jac"])  # affine: det xi, one per xi, for every element
         bad = int(np.flatnonzero(jac <= 0.0)[0])
+        element = mesh.elements[bad if "cof" in state else 0]
         raise InvertedElementError(
-            f"element with vertices {mesh.elements[bad].tolist()} is inverted "
+            f"element with vertices {element.tolist()} is inverted "
             f"(det = {jac[bad]:g}) and no cut-off is active"
         )
 
@@ -197,11 +200,20 @@ def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float
     return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
 
 
-def affine_energy(mesh: Mesh, xi: np.ndarray, model: EnergyModel) -> float:
+def affine_energy(mesh: Mesh, xi: np.ndarray, model: EnergyModel):
     """total_energy at affine_positions(mesh, xi), from the closed-form
-    affine state; coincident vertices raise as in energy_gradient."""
-    state = _state(mesh, model, xi=xi)
-    return _energy(mesh, model, state, model.pair.energy(state["stretch"]))
+    affine state; coincident vertices raise as in energy_gradient.  A stack
+    xi (..., d, d) gives an array of that shape from one pass over the
+    edges, each energy equal to its own call's bit for bit; a gradient that
+    raises raises for the stack."""
+    xi = np.asarray(xi, dtype=float)
+    check_gradient_shape(xi.shape[-2:], mesh.dim)
+    state = _state(mesh, model, xi=xi.reshape(-1, mesh.dim, mesh.dim))
+    weights, pair = _geometry(mesh)["edge_weights"], model.pair.energy(state["stretch"])
+    vol = (0.0 if model.vol is None or not mesh.num_elements else np.sum(
+        mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol)[:, None], axis=1))
+    energy = model.f * np.array([float(weights @ row) for row in pair]) + vol
+    return energy.reshape(xi.shape[:-2]) if xi.ndim > 2 else float(energy[0])
 
 
 def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
@@ -354,8 +366,7 @@ def apply_bc(mesh: Mesh, bc: BoundaryCondition):
 
     Raises FullyConstrainedError when nothing is left to minimize.
     """
-    if bc.xi.shape != (mesh.dim, mesh.dim):
-        raise ValueError("macroscopic gradient does not match the mesh dimension")
+    check_gradient_shape(bc.xi.shape, mesh.dim)
     targets = mesh.vertices @ bc.xi.T
     if bc.kind == "affine-layer":
         mask = mesh.boundary_flags <= bc.depth
@@ -373,6 +384,12 @@ def apply_bc(mesh: Mesh, bc: BoundaryCondition):
     if mask.all():
         raise FullyConstrainedError("boundary condition pins every vertex")
     return mask, targets
+
+
+def check_gradient_shape(shape, dim: int, name: str = "macroscopic gradient") -> None:
+    """ValueError unless shape is (dim, dim), a gradient's on a dim-D mesh."""
+    if tuple(shape) != (dim, dim):
+        raise ValueError(f"{name} does not match the mesh dimension")
 
 
 def affine_positions(mesh: Mesh, xi: np.ndarray) -> np.ndarray:

@@ -480,11 +480,11 @@ def cmd_homogenize(cfg: dict, args, out: Path) -> int:
         # lattice, Delaunay and factorization: imported once, not in each worker
         for module in ("scipy.spatial", "scipy.sparse.linalg"):
             importlib.import_module(module)
+    # both probes draw from probe_seed, so one list holds both prefixes
+    rotations = random_rotations(source.dim, max(n_frame, n_iso), probe_seed)
     estimates, probes = sweep(
         xi_list, scales, model, source, n_real, seed, restarts, settings,
-        frame=random_rotations(source.dim, n_frame, probe_seed),
-        iso=random_rotations(source.dim, n_iso, probe_seed),
-        parts=jobs, run=_run_shares)
+        frame=rotations[:n_frame], iso=rotations[:n_iso], parts=jobs, run=_run_shares)
 
     statuses = Counter(rec.status for est in estimates if not isinstance(est, Exception)
                        for s in est.per_h for rec in s.records)

@@ -8,8 +8,9 @@ stochastic meshes use 2*h*R with R the lattice covering radius, and the
 estimate is averaged over independent lattice realizations.  The periodic
 lattices have one vertex per cell and their affine state is critical at
 every m, so a periodic cell's density is periodic_density, the affine
-energy of the m = 1 mesh (the lattice's Cauchy-Born energy): sweeps answer
-every periodic cell with one restart from it, without a mesh, while
+energy of the m = 1 mesh (the lattice's Cauchy-Born energy), which takes a
+stack of gradients at once: sweeps answer all periodic cells of a lattice
+with one restart by one such call, without a mesh, while
 solve_cell_problem still solves the m-cell mesh.  Probes for frame
 invariance, isotropy and sampled rank-one convexity operate on any scalar
 estimator xi -> W(xi).
@@ -24,7 +25,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .assembly import BoundaryCondition, EnergyModel, affine_energy, affine_positions
+from .assembly import (BoundaryCondition, EnergyModel, affine_energy, affine_positions,
+                       check_gradient_shape)
 from .chains import PairPotential
 from .meshing import (
     Mesh,
@@ -75,15 +77,23 @@ class CellProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if not np.isfinite(self.xi).all():
-            raise ValueError("xi must be finite")
+        error = _xi_errors(self.xi[None], self.model)[0]
+        if error is not None:
+            raise error
         check_count(self.restarts, "restarts")
-        if self.model.vol is not None:
-            det = float(np.linalg.det(self.xi))
-            if det <= self.model.vol.eta:
-                raise ValueError(
-                    "det(xi) must exceed the volumetric cut-off for cell problems"
-                )
+
+
+def _xi_errors(xi: np.ndarray, model: EnergyModel) -> list:
+    """CellProblem's checks of each gradient of the stack xi, in order: None
+    for a valid one, else the ValueError it raises.  With a volumetric term
+    a finite non-square gradient raises np.linalg's error for the stack."""
+    finite = np.isfinite(xi).all(axis=tuple(range(1, xi.ndim)))
+    low = np.zeros(len(xi), dtype=bool)
+    if model.vol is not None and finite.any():
+        low[finite] = np.linalg.det(xi[finite]) <= model.vol.eta
+    return [ValueError("xi must be finite") if not ok else
+            ValueError("det(xi) must exceed the volumetric cut-off for cell problems")
+            if below else None for ok, below in zip(finite, low)]
 
 
 @dataclass
@@ -98,24 +108,24 @@ class CellSolution:
 
 def build_cell_mesh(source: PeriodicCell | StochasticCell) -> Mesh:
     if isinstance(source, PeriodicCell):
-        if source.dim == 2:
-            return periodic_mesh_2d(source.m, source.diagonal)
-        if source.dim == 3:
-            return periodic_mesh_3d(source.m)
-        raise ValueError("periodic sources support dim 2 and 3 only")
+        return _periodic_mesh(source.m, source.dim, source.diagonal)
     return build_stochastic_mesh(source.lattice, source.h, source.dim)
+
+
+def _periodic_mesh(m: int, dim: int, diagonal: str) -> Mesh:
+    if dim not in (2, 3):
+        raise ValueError("periodic sources support dim 2 and 3 only")
+    return periodic_mesh_2d(m, diagonal) if dim == 2 else periodic_mesh_3d(m)
 
 
 @cache
 def _unit_cell(dim: int, diagonal: str) -> Mesh:
     """The m = 1 periodic mesh, built once per (dim, diagonal) and shared by
     every caller; evaluations add only their own caches to it."""
-    if dim not in (2, 3):
-        raise ValueError("periodic sources support dim 2 and 3 only")
-    return periodic_mesh_2d(1, diagonal) if dim == 2 else periodic_mesh_3d(1)
+    return _periodic_mesh(1, dim, diagonal)
 
 
-def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw") -> float:
+def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw"):
     """Energy density of the periodic lattice at the macroscopic gradient xi.
 
     The lattice has one vertex per cell and its affine state is critical at
@@ -123,7 +133,10 @@ def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw")
     restart: the affine energy of the m = 1 mesh, f sum_k (c_k / c)
     W(|xi v_k| / |v_k|) + w(det xi), c_k the corner pairs along the lattice
     direction v_k among the c elements of one cell (the lattice's
-    Cauchy-Born energy).  It raises what affine_energy raises on that mesh.
+    Cauchy-Born energy).  A stack xi (..., dim, dim) gives the array of its
+    densities from one pass over the m = 1 mesh's edges, each equal to its
+    own call's bit for bit; a single xi is a stack of one and gives a float.
+    It raises what affine_energy raises on that mesh, for the whole stack.
     """
     return affine_energy(_unit_cell(dim, diagonal), xi, model)
 
@@ -187,8 +200,8 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
 
     The run seed only perturbs the starts of restarts after the first, so
     with one restart cells that differ in it alone are solved once.  With
-    one restart a periodic cell is answered here in closed form (see
-    _closed_form): it builds no mesh and never reaches run.  The other
+    one restart the periodic cells are answered here in closed form (see
+    _periodic_solutions): they build no mesh and never reach run.  The other
     cells are grouped by source, and a source with c of their C distinct
     cells is cut into min(c, ceil(parts * c / C)) contiguous chunks: only a
     source holding more than 1/parts of them is split.  The chunks are dealt
@@ -203,17 +216,20 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     check_count(parts, "parts")
 
     def key(xi, source, seed):
-        return np.asarray(xi, dtype=float).tobytes(), source, seed if restarts > 1 else None
+        xi = np.asarray(xi, dtype=float)
+        return xi.tobytes(), xi.shape, source, seed if restarts > 1 else None
 
-    seen, groups, outcomes = set(), {}, {}
+    seen, groups, closed = set(), {}, {}
     for cell in cells:
-        if key(*cell) in seen:
+        cell_key = key(*cell)
+        if cell_key in seen:
             continue
-        seen.add(key(*cell))
+        seen.add(cell_key)
         if restarts == 1 and isinstance(cell[1], PeriodicCell):
-            outcomes[key(*cell)] = _closed_form(*cell[:2], model)
+            closed[cell_key] = cell
         else:
             groups.setdefault(cell[1], []).append(cell)
+    outcomes = dict(zip(closed, _periodic_solutions(list(closed.values()), model)))
     count = len(seen) - len(outcomes)
     chunks = []
     for group in groups.values():
@@ -234,20 +250,49 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
     return lambda xi, source, seed: outcomes[key(xi, source, seed)]
 
 
-def _closed_form(xi, source: PeriodicCell, model: EnergyModel):
-    """A periodic cell's CellSolution with one restart, or the error it
-    raised: the m-cell solve would stop at its affine start, whose density
+def _periodic_solutions(cells, model: EnergyModel) -> list:
+    """Each one-restart periodic cell's CellSolution, or the error it raised,
+    in order: the m-cell solve would stop at its affine start, whose density
     is periodic_density.  The gradient there is exactly zero, no vertex is
-    minimized over, and h is the m-cell mesh's, by _make_mesh's expression."""
+    minimized over, and h is the m-cell mesh's, by _make_mesh's expression.
+
+    Each cell's lattice and xi shape are checked first; then the cells of
+    a lattice go through CellProblem's checks as one stack, and m, and the
+    valid ones are evaluated by one periodic_density call.  Only if that
+    raises is each evaluated alone, for its own error.
+    """
+    outcomes, lattices = [None] * len(cells), {}
+    for k, (xi, source, _) in enumerate(cells):
+        try:
+            _unit_cell(source.dim, source.diagonal)
+            check_gradient_shape(np.shape(xi), source.dim)
+            lattices.setdefault((source.dim, source.diagonal), []).append((k, xi, source.m))
+        except ValueError as exc:
+            outcomes[k] = exc
+    for (dim, diagonal), rows in lattices.items():
+        ks, xis, ms = zip(*rows)
+        stack = np.array(xis, dtype=float)
+        for k, m, error in zip(ks, ms, _xi_errors(stack, model)):
+            outcomes[k] = error or _caught(check_count, m, "m")
+        valid = [i for i, k in enumerate(ks) if outcomes[k] is None]
+        try:
+            values = periodic_density(stack[valid], model, dim, diagonal)
+        except (ValueError, RuntimeError):  # some cell raises: each alone, for its own error
+            values = [_caught(periodic_density, xi, model, dim, diagonal) for xi in stack[valid]]
+        per_cell = _unit_cell(dim, diagonal).num_elements
+        for i, value in zip(valid, values):
+            outcomes[ks[i]] = value if isinstance(value, Exception) else CellSolution(
+                float(value), 0.0, 0, True, 0, (1.0 / (per_cell * ms[i] ** dim)) ** (1.0 / dim))
+    return outcomes
+
+
+def _caught(fn, *args):
+    """fn(*args), or the ValueError or RuntimeError it raised: the one place
+    a cell's error is caught and kept (every polynet error is one)."""
     try:
-        problem = CellProblem(xi=xi, source=source, model=model)
-        check_count(source.m, "m")
-        value = periodic_density(problem.xi, model, source.dim, source.diagonal)
+        return fn(*args)
     except (ValueError, RuntimeError) as exc:
         return exc
-    per_cell = _unit_cell(source.dim, source.diagonal).num_elements
-    h = (1.0 / (per_cell * source.m ** source.dim)) ** (1.0 / source.dim)
-    return CellSolution(value, 0.0, 0, True, 0, h)
 
 
 def _solve_share(share, model, restarts, settings) -> list:
@@ -258,27 +303,21 @@ def _solve_share(share, model, restarts, settings) -> list:
 
 
 def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -> list:
-    """Each cell's CellSolution or the error it raised, in order: the one
-    place a cell's error is caught and kept.  meshes (a fresh dict by
-    default) keeps each source's mesh, built for its first valid cell, or
-    the error its build raised, which each of its valid cells then gets."""
+    """Each cell's CellSolution or the error it raised, in order.  meshes (a
+    fresh dict by default) keeps each source's mesh, built for its first
+    valid cell, or the error its build raised, which each of its valid
+    cells then gets."""
     meshes = {} if meshes is None else meshes
-    outcomes = []
-    for xi, source, seed in cells:
-        try:
-            problem = CellProblem(xi=xi, source=source, model=model,
-                                  restarts=restarts, seed=seed, settings=settings)
-            if source not in meshes:
-                try:
-                    meshes[source] = build_cell_mesh(source)
-                except (ValueError, RuntimeError) as exc:
-                    meshes[source] = exc
-            mesh = meshes[source]
-            outcomes.append(mesh if isinstance(mesh, Exception)
-                            else solve_cell_problem(problem, mesh))
-        except (ValueError, RuntimeError) as exc:
-            outcomes.append(exc)
-    return outcomes
+
+    def solve(xi, source, seed):
+        problem = CellProblem(xi=xi, source=source, model=model, restarts=restarts,
+                              seed=seed, settings=settings)
+        if source not in meshes:
+            meshes[source] = _caught(build_cell_mesh, source)
+        mesh = meshes[source]
+        return mesh if isinstance(mesh, Exception) else solve_cell_problem(problem, mesh)
+
+    return [_caught(solve, *cell) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +402,12 @@ def sweep(xi_list, scales, model: EnergyModel, source, n_realizations: int = 1,
 
     source is a PeriodicCell or StochasticCell template; scales replaces its
     m (periodic) or h (stochastic) entry.  Periodic runs force one
-    realization.  The expectation over lattice realizations is taken as a
-    sample mean with its standard error.  A cell's ValueError or
-    RuntimeError (every polynet error is one) is recorded as its
-    failure_reason.  Every cell, probe cells included, is solved by one
-    solve_cells call with `parts` and `run`.
+    realization; a non-finite xi, or an xi or rotation that is not dim x
+    dim, raises a ValueError before any cell runs.  The expectation over
+    lattice realizations is a sample mean with its standard error.  A
+    cell's ValueError or RuntimeError (every polynet error is one) is
+    recorded as its failure_reason.  Every cell, probe cells included, is
+    solved by one solve_cells call with `parts` and `run`.
 
     Returns (estimates, probes).  estimates[k] is xi k's HomogEstimate, or
     the RuntimeError, naming the first cell's reason, of a scale with no
@@ -379,6 +419,9 @@ def sweep(xi_list, scales, model: EnergyModel, source, n_realizations: int = 1,
     xi_list = [np.asarray(xi, dtype=float) for xi in xi_list]
     if not all(np.isfinite(xi).all() for xi in xi_list):
         raise ValueError("xi must be finite")
+    for name, matrices in (("xi", xi_list), ("probe rotation", [*frame, *iso])):
+        for matrix in matrices:
+            check_gradient_shape(np.shape(matrix), source.dim, name)
     scales = list(scales)
     if len(scales) < 2:
         raise ValueError("need at least 2 scales for a convergence sweep")
@@ -478,26 +521,22 @@ def _richardson(per_h: list[ScaleEstimate]) -> float | None:
 # Probes
 
 
-def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform rotation matrix in dimension 2 or 3."""
-    if dim == 2:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -s], [s, c]])
-    if dim == 3:
-        a = rng.standard_normal((3, 3))
-        q, r = np.linalg.qr(a)
-        q *= np.sign(np.diag(r))
-        if np.linalg.det(q) < 0.0:
-            q[:, 0] = -q[:, 0]
-        return q
-    raise ValueError("rotations supported in dimension 2 and 3 only")
-
-
 def random_rotations(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """`count` rotations from random_rotation on a generator seeded with `seed`."""
+    """`count` Haar-uniform rotations in dimension 2 or 3, drawn in one batch
+    from a generator seeded with `seed` (so any count's first k are the k of
+    that seed): angles uniform on [0, 2 pi) in 2D; in 3D the Q factors of
+    standard normal matrices, times the signs of R's diagonal, with column 0
+    negated where det Q < 0."""
     rng = np.random.default_rng(seed)
-    return [random_rotation(dim, rng) for _ in range(count)]
+    if dim == 2:
+        return [np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                for t in rng.uniform(0.0, 2.0 * math.pi, count)]
+    if dim != 3:
+        raise ValueError("rotations supported in dimension 2 and 3 only")
+    q, r = np.linalg.qr(rng.standard_normal((count, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+    return list(q)
 
 
 def _rotated(xi, rot, side: str) -> np.ndarray:
@@ -594,14 +633,10 @@ def anisotropy_counterexample(
     if not (stiffness > 0.0 and f > 0.0):
         raise ValueError("spring stiffness and chains-per-volume factor f must be positive")
     spring = EnergyModel(pair=PairPotential.quadratic_spring(stiffness), f=f)
-    eye = np.eye(2)
-
-    def second_difference(d):
-        w = [periodic_density(eye + t * np.outer(d, d), spring, 2, diagonal)
-             for t in (-0.5, 0.0, 0.5)]
-        return (w[0] - 2.0 * w[1] + w[2]) / 0.25
-
-    diag, antidiag = (second_difference(d) for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION))
+    xi = [[np.eye(2) + t * np.outer(d, d) for t in (-0.5, 0.0, 0.5)]
+          for d in (DIAG_DIRECTION, ANTIDIAG_DIRECTION)]
+    w = periodic_density(np.array(xi), spring, 2, diagonal)
+    diag, antidiag = (float(x) for x in (w[:, 0] - 2.0 * w[:, 1] + w[:, 2]) / 0.25)
     return CounterexampleResult(diag, antidiag, diag / antidiag)
 
 

@@ -74,15 +74,25 @@ PERIODIC_3D = {
 def test_periodic_homogenize_builds_no_mesh_and_forks_no_worker(tmp_path, monkeypatch,
                                                                  config):
     # with one restart every periodic cell, probe cells included, is
-    # answered in this process by periodic_density: no m-cell mesh, no pool
+    # answered in this process by one periodic_density call on the stack of
+    # their xi: no m-cell mesh, no pool
     from polynet import cli, homogenize
 
     def refuse(*args, **kwargs):
         raise AssertionError("a periodic sweep with one restart built a mesh or a pool")
 
+    calls = []
+    density = homogenize.periodic_density
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
     monkeypatch.setattr(homogenize, "build_cell_mesh", refuse)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(homogenize, "periodic_density", counted)
     assert _homogenize(tmp_path, config, jobs="2") == 0
+    assert len(calls) == 1
 
 
 def test_periodic_restarts_still_enter_the_kernel(tmp_path, monkeypatch):

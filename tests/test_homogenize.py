@@ -21,7 +21,6 @@ from polynet.homogenize import (
     isotropy_probe,
     periodic_density,
     rank_one_convexity_sample,
-    random_rotation,
     random_rotations,
     solve_cell_problem,
     solve_cells,
@@ -217,6 +216,99 @@ def test_closed_form_cells_fail_as_mesh_solves(case, m):
     closed = solve_cells([(xi, source, 0)], model)(xi, source, 0)
     assert type(closed) is type(on_mesh.value)
     assert str(closed) == str(on_mesh.value)
+
+
+@pytest.mark.parametrize("model", PERIODIC_MODELS.values(), ids=PERIODIC_MODELS.keys())
+@pytest.mark.parametrize("dim, diagonal", LATTICES, ids=["2d-nw", "2d-ne", "3d"])
+def test_periodic_density_stack_equals_single_calls(dim, diagonal, model):
+    # one pass over a stack gives every xi's own value bit for bit
+    rng = np.random.default_rng([dim, len(diagonal), len(model.pair.kind)])
+    xis = np.eye(dim) + 0.3 * rng.uniform(-1.0, 1.0, (200, dim, dim))
+    single = [periodic_density(xi, model, dim, diagonal) for xi in xis]
+    assert all(type(value) is float for value in single)
+    stacked = periodic_density(xis, model, dim, diagonal)
+    assert stacked.shape == (200,)
+    assert stacked.tobytes() == np.array(single).tobytes()
+    # any stack shape is kept; a stack of one or of zero is still a stack
+    nested = periodic_density(xis.reshape(4, 50, dim, dim), model, dim, diagonal)
+    assert nested.tobytes() == stacked.tobytes() and nested.shape == (4, 50)
+    assert periodic_density(xis[:1], model, dim, diagonal).tolist() == single[:1]
+    assert periodic_density(xis[:0], model, dim, diagonal).shape == (0,)
+
+
+def test_periodic_density_stack_raises_the_first_error():
+    eta0 = EnergyModel(pair=PairPotential.quadratic_spring(1.0),
+                       vol=VolumetricParams(K=1.0, eta=0.0))
+    good, flipped = np.eye(2), np.diag([-2.0, 1.0])
+    with pytest.raises(ValueError) as alone:
+        periodic_density(flipped, eta0)
+    with pytest.raises(ValueError) as stacked:
+        periodic_density(np.array([good, flipped, np.diag([-3.0, 1.0])]), eta0)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    for bad in (np.eye(3), np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="does not match the mesh dimension"):
+            periodic_density(bad, SPRING)
+
+
+@pytest.mark.parametrize("case", CELL_ERRORS)
+def test_sweep_mixing_valid_and_failing_xi_keeps_each_outcome(case):
+    # the cells of a sweep are checked and evaluated as one stack, yet every
+    # xi gets the outcome of its own one-xi sweep
+    model, bad = CELL_ERRORS[case]
+    dim = bad.shape[0]
+    rng = np.random.default_rng(dim)
+    xis = [np.eye(dim) + 0.1 * rng.uniform(-1.0, 1.0, (dim, dim)), bad,
+           np.eye(dim) + 0.1 * rng.uniform(-1.0, 1.0, (dim, dim))]
+    rotations = random_rotations(dim, 2, 3)
+    source = PeriodicCell(m=0, dim=dim)
+    mixed, mixed_probes = sweep(xis, [2, 3], model, source, frame=rotations, iso=rotations)
+    for k, xi in enumerate(xis):
+        (alone,), alone_probes = sweep([xi], [2, 3], model, source, frame=rotations,
+                                       iso=rotations)
+        assert alone_probes["0"] == mixed_probes[str(k)]
+        if isinstance(alone, Exception):
+            assert type(mixed[k]) is type(alone) and str(mixed[k]) == str(alone)
+            continue
+        assert [(r.scale, r.value, r.status, r.error) for s in alone.per_h for r in s.records] \
+            == [(r.scale, r.value, r.status, r.error) for s in mixed[k].per_h for r in s.records]
+    assert isinstance(mixed[1], RuntimeError)
+
+
+def test_sweep_rejects_wrong_shapes_before_any_cell(monkeypatch):
+    # a 3x3 xi or rotation in a 2D sweep used to become a cell failure with
+    # numpy's matmul message (periodic), fail in apply_bc after building a
+    # mesh (stochastic), or escape from the probe as a bare numpy error
+    from polynet import homogenize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(homogenize, "build_cell_mesh", refuse)
+    monkeypatch.setattr(homogenize, "periodic_density", refuse)
+    eye2, eye3 = np.eye(2), np.eye(3)
+    for source in (PeriodicCell(m=0), StochasticCell(LATTICE_2D, h=0.3, dim=2)):
+        scales = [2, 4] if isinstance(source, PeriodicCell) else [0.3, 0.25]
+        with pytest.raises(ValueError, match="xi does not match"):
+            sweep([eye2, eye3], scales, SPRING, source)
+        for probes in ({"frame": [eye3]}, {"iso": [np.eye(2), eye3]}):
+            with pytest.raises(ValueError, match="probe rotation does not match"):
+                sweep([eye2], scales, SPRING, source, **probes)
+
+
+def test_solve_cells_records_a_wrong_shape_periodic_cell():
+    # the closed form gives it the m-cell solve's error; the other cells of
+    # its lattice are still answered, also an xi with the same entries,
+    # which the cell lookup once took for the wrong-shape one
+    source, xi = PeriodicCell(m=3), np.diag([1.1, 0.9])
+    cells = [(np.eye(3), source, 0), (xi.ravel(), source, 0), (xi, source, 0)]
+    closed, on_mesh = solve_cells(cells, SPRING), solve_cells(cells, SPRING, restarts=2)
+    for cell in cells[:2]:
+        assert isinstance(closed(*cell), ValueError)
+        assert str(closed(*cell)) == "macroscopic gradient does not match the mesh dimension"
+        assert type(closed(*cell)) is type(on_mesh(*cell))
+        assert str(closed(*cell)) == str(on_mesh(*cell))
+    assert closed(*cells[2]).value == periodic_density(xi, SPRING)
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +626,64 @@ def test_isotropy_probe_synthetic_monte_carlo_estimator():
 
 
 def test_random_rotation_is_orthogonal():
-    rng = np.random.default_rng(0)
     for dim in (2, 3):
-        r = random_rotation(dim, rng)
-        np.testing.assert_allclose(r @ r.T, np.eye(dim), atol=1e-12)
-        assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+        for r in random_rotations(dim, 4, 0):
+            np.testing.assert_allclose(r @ r.T, np.eye(dim), atol=1e-12)
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
+def _rotation_loop(dim, count, seed):
+    """random_rotations one rotation at a time, as it once was drawn."""
+    rng, rotations = np.random.default_rng(seed), []
+    for _ in range(count):
+        if dim == 2:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+            rotations.append(np.array([[c, -s], [s, c]]))
+            continue
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0.0:
+            q[:, 0] = -q[:, 0]
+        rotations.append(q)
+    return rotations
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_rotations_batch_equals_one_at_a_time(dim):
+    for seed in (0, 7):
+        longest = random_rotations(dim, 8, seed)
+        for count in range(9):
+            batch = random_rotations(dim, count, seed)
+            loop = _rotation_loop(dim, count, seed)
+            assert len(batch) == count
+            assert all(a.shape == (dim, dim) and a.tobytes() == b.tobytes()
+                       for a, b in zip(batch, loop))
+            # a shorter list is a prefix of a longer one
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(batch, longest))
+    with pytest.raises(ValueError):
+        random_rotations(4, 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 
 
-def test_counterexample_direction_and_frozen_ratio():
-    # frozen pre-build oracle: stiffnesses 4 f K and 2 f K, ratio exactly 2
+def test_counterexample_direction_and_frozen_ratio(monkeypatch):
+    # frozen pre-build oracle: stiffnesses 4 f K and 2 f K, ratio exactly 2;
+    # the six spring densities come from one stacked call
+    from polynet import homogenize
+
+    calls = []
+    density = homogenize.periodic_density
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(homogenize, "periodic_density", counted)
     res = anisotropy_counterexample(stiffness=1.0, f=1.0)
+    assert [np.shape(args[0]) for args in calls] == [(2, 3, 2, 2)]
     assert res.stiffness_diag > res.stiffness_antidiag * (1.0 + 1e-4)
     assert abs(res.stiffness_diag - 4.0) <= 1e-12 * 4.0
     assert abs(res.stiffness_antidiag - 2.0) <= 1e-12 * 2.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from helpers import spring_oracle
+from helpers import random_rotation, spring_oracle
 from polynet import optim
 from polynet.assembly import (
     BoundaryCondition,
@@ -27,7 +27,6 @@ from polynet.homogenize import (
     StochasticCell,
     build_cell_mesh,
     default_layer_depth,
-    random_rotation,
     solve_cell_problem,
 )
 from polynet.meshing import (
