@@ -8,9 +8,9 @@ It is evaluated in one pass over the unique edges, each weighted by h^dim
 times the number of its elements, and one over the elements, whose
 Jacobians and cofactors come from one closed-form routine,
 meshing.cofactors.  At an affine state x -> xi x every element's Jacobian
-is det xi, so affine_energy and affine_energy_and_gradient need only the
-edge pass, on the reference edge vectors.  An inverted element without a
-cut-off raises volumetric's InvertedElementError.
+is det xi, so affine_energy needs only the edge pass, on the reference
+edge vectors; gradients are always evaluated at positions.  An inverted
+element without a cut-off raises volumetric's InvertedElementError.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class EnergyModel:
     vol: VolumetricParams | None = None
 
     def __post_init__(self):
-        if not self.f > 0.0:
+        if not 0.0 < self.f < math.inf:
             raise ValueError("chains-per-volume factor f must be positive")
 
 
@@ -75,45 +75,35 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary condition kind {self.kind!r}")
 
 
-def _pair_keys(mesh: Mesh) -> np.ndarray:
-    """Key min * n + max of every vertex pair of every element, n the vertex
-    count: one row per pair of corners, one column per element."""
-    corners, n = mesh.elements.T, mesh.num_vertices
-    return np.array([np.minimum(corners[p], corners[q]) * n + np.maximum(corners[p], corners[q])
-                     for p, q in itertools.combinations(range(mesh.dim + 1), 2)])
-
-
 def _geometry(mesh: Mesh) -> dict:
-    """Per-mesh cache: the sorted unique edge keys, the edges with their
+    """Per-mesh cache: the unique edges among the vertex pairs of every
+    element, found by the key min * n + max (n the vertex count), with their
     reference vectors X_i - X_j (one array per component) and rest lengths,
     the bincount index of every gradient term, the reference determinants,
-    and each edge's pair weight h^dim times the number of its elements."""
+    and each edge's pair weight h^dim times the number of its elements.
+    h^dim = 1/N_el of the mesh h was defined on; rounding recovers that
+    count exactly, so a sub-mesh keeps its parent's weight."""
     cache = mesh._cache
     if "geometry" in cache:
         return cache["geometry"]
-    n = mesh.num_vertices
-    edge_keys, counts = np.unique(_pair_keys(mesh), return_counts=True)
+    corners, n = mesh.elements.T, mesh.num_vertices
+    keys = [np.minimum(corners[p], corners[q]) * n + np.maximum(corners[p], corners[q])
+            for p, q in itertools.combinations(range(mesh.dim + 1), 2)]
+    edge_keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     edge_i, edge_j = edge_keys // n, edge_keys % n
     ref = np.array([x[edge_i] - x[edge_j] for x in mesh.vertices.T])
     rest = np.linalg.norm(ref, axis=0)
     if np.any(rest == 0.0):
         raise ValueError("mesh contains zero-length reference edges")
-    corners = mesh.elements.T
     geometry = {
-        "keys": edge_keys, "edge_i": edge_i, "edge_j": edge_j, "ref": ref, "rest": rest,
+        "edge_i": edge_i, "edge_j": edge_j, "ref": ref, "rest": rest,
         # pair terms at i and at j, then volumetric moments at corners 1..d and 0
         "index": np.concatenate([edge_i, edge_j, *corners[1:], corners[0]]),
         "det_x": math.factorial(mesh.dim) * mesh.element_volumes(),
-        "edge_weights": counts * _pair_weight(mesh),
+        "edge_weights": counts * (1.0 / round(mesh.h ** -mesh.dim)),
     }
     cache["geometry"] = geometry
     return geometry
-
-
-def _pair_weight(mesh: Mesh) -> float:
-    """h^dim = 1/N_el of the mesh h was defined on; rounding recovers that
-    count exactly, so a sub-mesh keeps its parent's weight."""
-    return 1.0 / round(mesh.h ** -mesh.dim)
 
 
 def _edges(mesh: Mesh, positions=None, xi=None):
@@ -132,10 +122,9 @@ def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=Tru
     """Per-edge differences, lengths and stretches at the positions or, given
     xi, at affine_positions(mesh, xi), and with a volumetric term each
     element's Jacobian: from the cofactors of its deformed edge matrix, or
-    det xi for all (one per xi of a stack), with cof(xi) standing in for
-    their cofactors.  Coincident vertices are checked first, except for a
-    point energy (gradient False), which needs no stretch direction; then
-    inversion."""
+    det xi for all (one per xi of a stack).  Coincident vertices are checked
+    first, except for a point energy (gradient False), which needs no
+    stretch direction; then inversion."""
     if xi is not None:
         xi = np.asarray(xi, dtype=float)
     else:
@@ -149,8 +138,7 @@ def _state(mesh: Mesh, model: EnergyModel, positions=None, xi=None, gradient=Tru
             state["cof"], det = cofactors(edge_columns(positions, mesh.elements))
             state["jac"] = det / _geometry(mesh)["det_x"]
         else:
-            cof, det = cofactors(list(xi.T))
-            state["jac"], state["cof_xi"] = det, np.array(cof).T
+            state["jac"] = cofactors(list(xi.T))[1]
         _check_not_inverted(mesh, state, model.vol)
     return state
 
@@ -173,25 +161,12 @@ def _check_not_coincident(state: dict) -> None:
         )
 
 
-def _volumetric_energies(mesh: Mesh, model: EnergyModel, state: dict):
-    # an affine state's one det xi is not evaluated for a mesh without elements
-    return (0.0 if model.vol is None or not mesh.num_elements else
-            mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol))
-
-
 def _energy(mesh: Mesh, model: EnergyModel, state: dict, pair) -> float:
-    """Total energy from the per-edge pair energies `pair` of the state."""
+    """Total energy of the point state from its per-edge pair energies `pair`."""
     total = model.f * float(_geometry(mesh)["edge_weights"] @ np.asarray(pair, dtype=float))
-    return total + float(np.sum(_volumetric_energies(mesh, model, state)))
-
-
-def element_energies(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np.ndarray:
-    """Per-element energies; their sum is the total energy."""
-    state = _state(mesh, model, positions, gradient=False)
-    pair = np.asarray(model.pair.energy(state["stretch"]), dtype=float)
-    per_elem = pair[np.searchsorted(_geometry(mesh)["keys"], _pair_keys(mesh))].sum(axis=0)
-    return (_pair_weight(mesh) * model.f * per_elem
-            + _volumetric_energies(mesh, model, state))
+    if model.vol is None:
+        return total
+    return total + float(np.sum(mesh.element_volumes() * w_vol_eta_j(state["jac"], model.vol)))
 
 
 def total_energy(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> float:
@@ -225,16 +200,7 @@ def energy_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel) -> np
 def energy_and_gradient(mesh: Mesh, positions: np.ndarray, model: EnergyModel):
     """(total_energy, energy_gradient) from one evaluation of the point state
     and of the pair potential, with energy_gradient's checks."""
-    return _energy_and_gradient(mesh, model, _state(mesh, model, positions))
-
-
-def affine_energy_and_gradient(mesh: Mesh, xi: np.ndarray, model: EnergyModel):
-    """energy_and_gradient at affine_positions(mesh, xi), from the
-    closed-form affine state: no element Jacobian or cofactor is formed."""
-    return _energy_and_gradient(mesh, model, _state(mesh, model, xi=xi))
-
-
-def _energy_and_gradient(mesh: Mesh, model: EnergyModel, state: dict):
+    state = _state(mesh, model, positions)
     pair, dW = model.pair.energy_and_derivative(state["stretch"])
     return _energy(mesh, model, state, pair), _gradient(mesh, model, state, dW)
 
@@ -242,21 +208,15 @@ def _energy_and_gradient(mesh: Mesh, model: EnergyModel, state: dict):
 def _gradient(mesh: Mesh, model: EnergyModel, state: dict, dW) -> np.ndarray:
     """One term per unique edge at each endpoint, dW the per-edge pair
     derivative, and, with a volumetric term, the moment w'(J) cof(Q) / d! of
-    every element at its corners, Q the deformed edge matrix.  At an affine
-    state cof(Q) = cof(xi) cof(X), so the moments at a vertex a sum to
-    w'(det xi) cof(xi) n_a (see _reference_moments)."""
+    every element at its corners, Q the deformed edge matrix."""
     geometry = _geometry(mesh)
     coef = (model.f * geometry["edge_weights"] * np.asarray(dW, dtype=float)
             / (geometry["rest"] * state["dist"]))
     pair = [coef * d for d in state["delta"]]
-    if "cof" in state:
-        scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
-        return _scatter(mesh, pair, [[scale * c for c in column] for column in state["cof"]])
-    grad = _scatter(mesh, pair)
     if model.vol is None:
-        return grad
-    slope = w_vol_eta_dj(state["jac"], model.vol)
-    return grad + slope * (_reference_moments(mesh) @ state["cof_xi"].T)
+        return _scatter(mesh, pair)
+    scale = w_vol_eta_dj(state["jac"], model.vol) / math.factorial(mesh.dim)
+    return _scatter(mesh, pair, [[scale * c for c in column] for column in state["cof"]])
 
 
 def _scatter(mesh: Mesh, pair, moments=()) -> np.ndarray:
@@ -274,26 +234,6 @@ def _scatter(mesh: Mesh, pair, moments=()) -> np.ndarray:
             values += [m[c] for m in moments] + [-sum(m[c] for m in moments)]
         grad[:, c] = np.bincount(index, np.concatenate(values), minlength=mesh.num_vertices)
     return grad
-
-
-def _reference_moments(mesh: Mesh) -> np.ndarray:
-    """n_a = sum over the elements T at vertex a of d|T|/dX_a, one row per
-    vertex, from one meshing.cofactors call at the reference positions and
-    one bincount per component over the element corners: each element's
-    moments at corners 1..d and minus their sum at corner 0; cached on the
-    mesh."""
-    cache = mesh._cache
-    if "moments" not in cache:
-        cof = cofactors(edge_columns(mesh.vertices, mesh.elements))[0]
-        scale = 1.0 / math.factorial(mesh.dim)
-        corners = mesh.elements.T
-        index = np.concatenate([*corners[1:], corners[0]])
-        cache["moments"] = np.stack([
-            np.bincount(index, np.concatenate([scale * col[c] for col in cof]
-                                              + [-sum(scale * col[c] for col in cof)]),
-                        minlength=mesh.num_vertices)
-            for c in range(mesh.dim)], axis=1)
-    return cache["moments"]
 
 
 def edge_stiffness_laplacian(mesh: Mesh, positions: np.ndarray, model: EnergyModel,

@@ -109,7 +109,7 @@ class ChainParams:
     k and beta play the role of a Boltzmann-like constant and an inverse
     temperature, c is an additive constant and n the number of segments per
     chain.  The energy depends on the stretch ratio only, so the segment
-    length does not enter it.
+    length does not enter it.  All four are finite.
     """
 
     k: float = 1.0
@@ -118,8 +118,10 @@ class ChainParams:
     n: float = 8.0
 
     def __post_init__(self):
-        if not (self.k > 0.0 and self.beta > 0.0 and self.n > 0.0):
+        if not all(0.0 < v < math.inf for v in (self.k, self.beta, self.n)):
             raise ValueError("ChainParams requires k > 0, beta > 0, n > 0")
+        if not math.isfinite(self.c):
+            raise ValueError("ChainParams requires a finite c")
 
 
 DEFAULT_CHAIN = ChainParams()
@@ -208,7 +210,7 @@ class PairPotential:
         elif self.kind == QUADRATIC_SPRING:
             if self.stiffness is None:
                 object.__setattr__(self, "stiffness", 1.0)
-            if not self.stiffness > 0.0:
+            if not 0.0 < self.stiffness < math.inf:
                 raise ValueError("spring stiffness must be positive")
         else:
             raise ValueError(f"unknown pair potential kind {self.kind!r}")

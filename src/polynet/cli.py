@@ -139,6 +139,12 @@ def _number(value, ctx: str) -> float:
     return number
 
 
+def _numbers(section: dict, keys, ctx: str) -> dict:
+    """Those of `keys` that the section gives, each a finite number, as
+    keyword arguments: the callee's own defaults fill in the rest."""
+    return {key: _number(section[key], f"{ctx}: {key}") for key in keys if key in section}
+
+
 def _list(value, ctx: str, minimum: int) -> list:
     """A JSON list of at least `minimum` entries."""
     if not isinstance(value, list) or len(value) < minimum:
@@ -185,27 +191,20 @@ def build_model(cfg: dict) -> EnergyModel:
     try:  # the parameter checks of the pair, volumetric term and model
         if kind == "langevin-chain":
             _check_keys(pair_cfg, {"kind", "k", "beta", "c", "n"}, "model.pair")
-            defaults = {"k": 1.0, "beta": 1.0, "c": 0.0, "n": 8.0}
-            params = ChainParams(**{
-                key: _number(pair_cfg.get(key, default), f"model.pair: {key}")
-                for key, default in defaults.items()
-            })
+            params = ChainParams(**_numbers(pair_cfg, ("k", "beta", "c", "n"), "model.pair"))
             pair = PairPotential.langevin_chain(params)
         elif kind == "quadratic-spring":
             _check_keys(pair_cfg, {"kind", "stiffness"}, "model.pair")
             pair = PairPotential.quadratic_spring(
-                _number(pair_cfg.get("stiffness", 1.0), "model.pair: stiffness"))
+                **_numbers(pair_cfg, ("stiffness",), "model.pair"))
         else:
             raise ConfigError(f"model.pair: unknown kind {kind!r}")
         vol_cfg = section.get("volumetric")
         vol = None
         if vol_cfg is not None:
             _check_keys(vol_cfg, {"K", "eta"}, "model.volumetric")
-            vol = VolumetricParams(
-                K=_number(vol_cfg.get("K", 1.0), "model.volumetric: K"),
-                eta=_number(vol_cfg.get("eta", 0.0), "model.volumetric: eta"),
-            )
-        return EnergyModel(pair=pair, f=_number(section.get("f", 1.0), "model: f"), vol=vol)
+            vol = VolumetricParams(**_numbers(vol_cfg, ("K", "eta"), "model.volumetric"))
+        return EnergyModel(pair=pair, vol=vol, **_numbers(section, ("f",), "model"))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -296,11 +295,13 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
 def build_settings(cfg: dict) -> tuple[MinimizeSettings, int]:
     section = cfg.get("solver", {})
     _check_keys(section, {"grad_tol", "max_iters", "restarts"}, "solver")
-    grad_tol = section.get("grad_tol")
-    grad_tol = None if grad_tol is None else _number(grad_tol, "solver: grad_tol")
-    max_iters = _integer(section.get("max_iters", 2000), "solver: max_iters")
+    given = {}  # a null grad_tol is the default rule
+    if section.get("grad_tol") is not None:
+        given["grad_tol"] = _number(section["grad_tol"], "solver: grad_tol")
+    if "max_iters" in section:
+        given["max_iters"] = _integer(section["max_iters"], "solver: max_iters")
     try:
-        settings = MinimizeSettings(grad_tol=grad_tol, max_iters=max_iters)
+        settings = MinimizeSettings(**given)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
     return settings, _integer(section.get("restarts", 1), "solver: restarts", 1)
@@ -502,11 +503,10 @@ def cmd_homogenize(cfg: dict, args, out: Path) -> int:
 def cmd_counterexample(cfg: dict, args, out: Path) -> int:
     section = cfg.get("counterexample", {})
     _check_keys(section, {"stiffness", "f", "diagonal"}, "counterexample")
-    stiffness = _number(section.get("stiffness", 1.0), "counterexample: stiffness")
-    f = _number(section.get("f", 1.0), "counterexample: f")
+    given = _numbers(section, ("stiffness", "f"), "counterexample")
     diagonal = _diagonal(section.get("diagonal", "nw"), "counterexample")
     try:
-        result = anisotropy_counterexample(stiffness, f, diagonal)
+        result = anisotropy_counterexample(diagonal=diagonal, **given)
     except ValueError as exc:
         raise ConfigError(f"counterexample: {exc}") from exc
     payload = {

@@ -204,11 +204,11 @@ class StochasticLatticeSpec:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, not {self.seed!r}")
-        if not self.intensity > 0.0:
+        if not 0.0 < self.intensity < math.inf:
             raise ValueError("intensity must be positive")
-        if not self.r_min > 0.0:
+        if not 0.0 < self.r_min < math.inf:
             raise ValueError("r_min must be positive")
-        if not self.R_cov > 0.5 * self.r_min:
+        if not 0.5 * self.r_min < self.R_cov < math.inf:
             raise ValueError("R_cov must exceed r_min/2")
 
 

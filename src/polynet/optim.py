@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (BoundaryCondition, EnergyModel, affine_energy_and_gradient, apply_bc,
-                       edge_stiffness_laplacian, energy_and_gradient, split_pinned)
+from .assembly import (BoundaryCondition, EnergyModel, apply_bc, edge_stiffness_laplacian,
+                       energy_and_gradient, split_pinned)
 from .meshing import Mesh, check_count
 from .volumetric import InvertedElementError
 
@@ -195,9 +195,10 @@ def minimize(
 ) -> MinimizeResult:
     """Minimize the network energy over the dofs left free by the BC.
 
-    init defaults to the affine state xi @ x, whose energy and gradient come
-    in closed form (assembly.affine_energy_and_gradient); fixed dofs are
-    overwritten with their boundary targets in any case.
+    init defaults to the affine state xi @ x; fixed dofs are overwritten
+    with their boundary targets in any case.  Every point, the start
+    included, is evaluated by assembly.energy_and_gradient on the active
+    sub-mesh of split_pinned.
     """
     mask, positions = apply_bc(mesh, bc)
     free = ~mask
@@ -208,14 +209,8 @@ def minimize(
         positions[rows] = np.asarray(init, dtype=float)[rows]
     # f keeps the pinned elements' constant energy, so tolerance and result do too
     active, pinned_energy = split_pinned(mesh, free, bc.xi, model)
-    start = []  # the first fg value, when it comes in closed form
-    if init is None:
-        energy, grad = affine_energy_and_gradient(active, bc.xi, model)
-        start.append((energy + pinned_energy, grad[rows].ravel()))
 
     def fg(x):
-        if start:  # lbfgs evaluates x0 first, and only then
-            return start.pop()
         positions[rows] = x.reshape(-1, mesh.dim)
         energy, grad = energy_and_gradient(active, positions, model)
         return energy + pinned_energy, grad[rows].ravel()

@@ -30,7 +30,7 @@ class VolumetricParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        if not self.K > 0.0:
+        if not 0.0 < self.K < np.inf:
             raise ValueError("bulk modulus K must be positive")
         if not (0.0 <= self.eta < 1.0):
             raise ValueError("cut-off eta must lie in [0, 1)")

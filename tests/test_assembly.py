@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import element_pair_laplacian, fd_gradient, random_rotation, rel_err
-from polynet import assembly
 from polynet.assembly import (
     BoundaryCondition,
     CoincidentVerticesError,
@@ -12,11 +11,9 @@ from polynet.assembly import (
     FullyConstrainedError,
     InvertedElementError,
     affine_energy,
-    affine_energy_and_gradient,
     affine_positions,
     apply_bc,
     edge_stiffness_laplacian,
-    element_energies,
     energy_and_gradient,
     energy_gradient,
     split_pinned,
@@ -118,11 +115,9 @@ def test_energy_additivity_against_single_element_meshes():
     rng = np.random.default_rng(5)
     state = mesh.vertices + 0.05 * rng.standard_normal(mesh.vertices.shape)
     model = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
-    per_element = element_energies(mesh, state, model)
     total = total_energy(mesh, state, model)
-    assert abs(total - per_element.sum()) <= 1e-12 * abs(total)
-    for e in range(mesh.num_elements):
-        tri = mesh.elements[e]
+    singles = []
+    for tri in mesh.elements:
         sub = Mesh(
             dim=2,
             vertices=mesh.vertices[tri],
@@ -130,8 +125,8 @@ def test_energy_additivity_against_single_element_meshes():
             h=mesh.h,  # keeps the parent's pair weight h^dim
             boundary_flags=np.zeros(3),
         )
-        e_sub = total_energy(sub, state[tri], model)
-        assert abs(e_sub - per_element[e]) <= 1e-12 * max(1.0, abs(e_sub))
+        singles.append(total_energy(sub, state[tri], model))
+    assert abs(total - sum(singles)) <= 1e-12 * abs(total)
 
 
 def test_inverted_element_error_names_element():
@@ -321,9 +316,8 @@ def test_kernel_matches_per_pair_oracle(kind, dim, h, model):
         if model.vol is not None:
             jac, _, _ = _jacobians(mesh, state)
             plateau_seen |= bool(np.any(jac <= model.vol.eta))
-        expected = oracle_element_energies(mesh, state, model)
-        assert_matches_oracle(element_energies(mesh, state, model), expected)
-        assert_matches_oracle(total_energy(mesh, state, model), expected.sum())
+        expected = oracle_element_energies(mesh, state, model).sum()
+        assert_matches_oracle(total_energy(mesh, state, model), expected)
         assert_matches_oracle(
             energy_gradient(mesh, state, model), oracle_gradient(mesh, state, model)
         )
@@ -381,12 +375,12 @@ def test_returned_arrays_are_copies():
     rng = np.random.default_rng(14)
     state = mesh.vertices + 0.05 * rng.standard_normal(mesh.vertices.shape)
     grad = energy_gradient(mesh, state, CHAIN)
-    energies = element_energies(mesh, state, CHAIN)
-    expected_grad, expected_energies = grad.copy(), energies.copy()
+    expected = grad.copy()
     grad[:] = 7.0
-    energies[:] = 7.0
-    np.testing.assert_array_equal(energy_gradient(mesh, state, CHAIN), expected_grad)
-    np.testing.assert_array_equal(element_energies(mesh, state, CHAIN), expected_energies)
+    np.testing.assert_array_equal(energy_gradient(mesh, state, CHAIN), expected)
+    _, grad = energy_and_gradient(mesh, state, CHAIN)
+    grad[:] = 7.0
+    np.testing.assert_array_equal(energy_gradient(mesh, state, CHAIN), expected)
 
 
 def test_coincident_checked_before_inverted():
@@ -444,11 +438,8 @@ def affine_xis(dim, rng):
 
 
 def assert_affine_matches_kernel(mesh, xi, model):
-    closed_energy, closed_grad = affine_energy_and_gradient(mesh, xi, model)
-    energy, grad = energy_and_gradient(mesh, affine_positions(mesh, xi), model)
-    assert abs(closed_energy - energy) <= 1e-13 * abs(energy)
-    assert np.abs(closed_grad - grad).max() <= 1e-13 * np.abs(grad).max()
-    assert affine_energy(mesh, xi, model) == closed_energy
+    energy = total_energy(mesh, affine_positions(mesh, xi), model)
+    assert abs(affine_energy(mesh, xi, model) - energy) <= 1e-13 * abs(energy)
 
 
 @pytest.mark.parametrize("model", AFFINE_MODELS.values(), ids=AFFINE_MODELS.keys())
@@ -467,8 +458,7 @@ def test_affine_state_matches_kernel(mesh_name, model):
 @pytest.mark.parametrize("model", AFFINE_MODELS.values(), ids=AFFINE_MODELS.keys())
 @pytest.mark.parametrize("dim", [2, 3])
 def test_affine_state_on_free_traction_split(dim, model):
-    # the vertices off the faces x- and x+ are free, boundary ones included,
-    # so the active sub-mesh has reference moments n_a != 0 at free vertices
+    # the vertices off the faces x- and x+ are free, boundary ones included
     mesh = periodic_mesh_2d(4) if dim == 2 else periodic_mesh_3d(3)
     rng = np.random.default_rng(22)
     bc_faces = ("x-", "x+")
@@ -481,8 +471,6 @@ def test_affine_state_on_free_traction_split(dim, model):
         expected = total_energy(pinned, positions, model)
         assert abs(pinned_energy - expected) <= 1e-13 * abs(expected)
         assert_affine_matches_kernel(active, xi, model)
-        moments = assembly._reference_moments(active)
-        assert np.abs(moments[free & (mesh.boundary_flags == 0.0)]).max() > 1e-6
 
 
 def test_affine_state_checks_coincident_then_inverted():
@@ -492,7 +480,7 @@ def test_affine_state_checks_coincident_then_inverted():
     with pytest.raises(CoincidentVerticesError):
         affine_energy(mesh, np.array([[1.0, 0.0], [0.0, 0.0]]), model)
     with pytest.raises(InvertedElementError, match=r"is inverted \(det = -1\)"):
-        affine_energy_and_gradient(mesh, np.diag([-1.0, 1.0]), model)
+        affine_energy(mesh, np.diag([-1.0, 1.0]), model)
     # with a cut-off the reflection is on the plateau and evaluates
     assert np.isfinite(affine_energy(mesh, np.diag([-1.0, 1.0]), LANGEVIN_VOL))
 

@@ -11,8 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polynet.cli import main
+from polynet.assembly import EnergyModel
+from polynet.chains import ChainParams, PairPotential
+from polynet.cli import build_model, build_settings, main
+from polynet.homogenize import anisotropy_counterexample
 from polynet.meshing import read_mesh
+from polynet.optim import MinimizeSettings
+from polynet.volumetric import VolumetricParams
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -295,6 +300,23 @@ def test_counterexample_repeat_identical(tmp_path):
     assert (out1 / "counterexample.json").read_bytes() == (
         out2 / "counterexample.json"
     ).read_bytes()
+
+
+def test_empty_sections_give_the_library_defaults(tmp_path):
+    # the config parser passes only the keys a config gives
+    chain = build_model({"model": {"pair": {"kind": "langevin-chain"}, "volumetric": {}}})
+    assert chain == EnergyModel(pair=PairPotential.langevin_chain(ChainParams()),
+                                vol=VolumetricParams())
+    spring = build_model({"model": {"pair": {"kind": "quadratic-spring"}}})
+    assert spring == EnergyModel(pair=PairPotential.quadratic_spring())
+    assert build_settings({}) == build_settings({"solver": {}}) == (MinimizeSettings(), 1)
+    cfg = write_config(tmp_path, {"counterexample": {}})
+    assert main(["counterexample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "counterexample.json").read_text())
+    expected = anisotropy_counterexample()
+    assert payload == {"stiffness_diag": expected.stiffness_diag,
+                       "stiffness_antidiag": expected.stiffness_antidiag,
+                       "ratio": expected.ratio}
 
 
 def test_missing_config_file_exit_2(tmp_path):

@@ -408,6 +408,36 @@ def test_cell_problem_rejects_non_finite_xi():
             CellProblem(xi=np.diag([bad, 1.0]), source=PeriodicCell(m=2), model=SPRING)
 
 
+NON_FINITE_PARAMETERS = {
+    "f": (lambda v: EnergyModel(pair=SPRING.pair, f=v), "chains-per-volume factor f"),
+    "stiffness": (PairPotential.quadratic_spring, "spring stiffness must be positive"),
+    "k": (lambda v: ChainParams(k=v), "ChainParams requires k > 0"),
+    "beta": (lambda v: ChainParams(beta=v), "ChainParams requires k > 0"),
+    "n": (lambda v: ChainParams(n=v), "ChainParams requires k > 0"),
+    "c": (lambda v: ChainParams(c=v), "ChainParams requires a finite c"),
+    "K": (lambda v: VolumetricParams(K=v), "bulk modulus K must be positive"),
+    "intensity": (lambda v: StochasticLatticeSpec("jittered-grid", v, 0.3, 1.0, 0),
+                  "intensity must be positive"),
+    "r_min": (lambda v: StochasticLatticeSpec("jittered-grid", 1.0, v, 1.0, 0),
+              "r_min must be positive"),
+    "R_cov": (lambda v: StochasticLatticeSpec("jittered-grid", 1.0, 0.3, v, 0),
+              "R_cov must exceed r_min/2"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf], ids=["inf", "nan", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_rejected_on_both_routes(name, bad):
+    # a periodic sweep cell is answered by periodic_density, which recorded
+    # such a model's inf or NaN density as "ok", and a stochastic cell by a
+    # mesh solve, which raised "energy is not finite"; both routes start at
+    # these constructors, which reject the value with their usual message
+    build, message = NON_FINITE_PARAMETERS[name]
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+    build(1.0)  # a finite value passes
+
+
 def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
     # a bad argument is the caller's ValueError, raised before any cell
     # runs, not a cell failure that reads as the solver's

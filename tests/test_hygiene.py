@@ -9,8 +9,9 @@ imports only to re-export.  No module, __init__ included, imports scipy at
 top level: scipy loads inside the function that first needs it, so a run
 that never triangulates, factorizes or line-searches never pays its import.
 Every private top-level definition and every UPPER_CASE module constant
-is read somewhere in the package, so no leftover of a removed code path
-stays behind.
+is read somewhere in the package, and every public top-level function or
+class is read there or re-exported by the package __init__, so no leftover
+of a removed code path stays behind.
 """
 
 import ast
@@ -124,3 +125,19 @@ def test_every_private_definition_and_constant_is_read():
         and name not in read
     )
     assert unread == []
+
+
+def test_every_public_function_and_class_is_read_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in ALL_MODULES}
+    read = set().union(*map(_read_names, trees.values()))
+    exported = {bound for bound, _ in _imports(trees["__init__.py"])}
+    unused = sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+    )
+    assert unused == []

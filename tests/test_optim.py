@@ -624,6 +624,21 @@ def test_minimize_energy_includes_pinned_elements(dim, h):
     assert abs(result.energy - full) <= 1e-13 * abs(full)
 
 
+@pytest.mark.parametrize("dim, h", [(2, 0.05), (3, 0.125)])
+def test_default_start_is_the_affine_init_bit_for_bit(dim, h):
+    # the default start is evaluated like any other point, so passing the
+    # affine positions as init changes nothing
+    problem = standard_problem(dim, h, LANGEVIN_VOL)
+    mesh = build_cell_mesh(problem.source)
+    bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
+                           depth=default_layer_depth(problem.source, mesh))
+    default = minimize(mesh, LANGEVIN_VOL, bc)
+    given = minimize(mesh, LANGEVIN_VOL, bc, init=affine_positions(mesh, problem.xi))
+    assert default.iterations > 0
+    assert (default.energy, default.grad_norm) == (given.energy, given.grad_norm)
+    np.testing.assert_array_equal(default.state, given.state)
+
+
 def test_cell_solutions_on_a_shared_mesh_equal_fresh_ones():
     problem = standard_problem(2, 0.1, LANGEVIN_VOL)
     mesh = build_cell_mesh(problem.source)
