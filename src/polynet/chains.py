@@ -11,6 +11,7 @@ pure function of its inputs; scalars in give scalars out, arrays give arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,10 +266,10 @@ class GrowthBounds:
     c_hi: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError("growth exponent p must exceed 1")
-        if not (0.0 < self.c_lo <= self.c_hi):
-            raise ValueError("growth constants must satisfy 0 < c_lo <= c_hi")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("growth exponent p must exceed 1 and be finite")
+        if not 0.0 < self.c_lo <= self.c_hi < math.inf:
+            raise ValueError("growth constants must satisfy 0 < c_lo <= c_hi < inf")
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,10 @@ def check_growth_condition(
     reports the worst signed margin (distance to the violated side) together
     with the sample where it occurs.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not r_max > 0.0:
-        raise ValueError("r_max must be positive")
+    if not (isinstance(samples, numbers.Integral) and samples >= 2):
+        raise ValueError(f"need at least 2 samples, as an integer, not {samples!r}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError("r_max must be positive and finite")
     rs = np.concatenate(([0.0], np.geomspace(r_max * 1e-9, r_max, samples - 1)))
     w = np.asarray(potential.energy(rs), dtype=float)
     rp = rs**bounds.p

@@ -10,7 +10,6 @@ floating-point output carries 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import json
 import math
@@ -406,36 +405,30 @@ def _probe_settings(section) -> tuple[int, int, int]:
 
 
 def _on_cpu(cpu, solve, share):
-    """solve(share) in this process, pinned to the one CPU `cpu`."""
-    os.sched_setaffinity(0, {cpu})
+    """solve(share) in this process, pinned to the one CPU `cpu` unless it is None."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     return solve(share)
 
 
 def _run_shares(solve, shares):
     """solve over the shares, one process each, this one included:
     solve_cells' `run` for --jobs.  Each share but the first is one task of
-    a forked worker, and this process solves the first meanwhile.  A
-    share's outcomes never depend on the process that solves it.
+    a forked worker, and this process solves the first meanwhile, share k
+    on the k-th allowed CPU (cyclically) where os.sched_setaffinity exists;
+    the caller's mask comes back when the pool closes.  A share's outcomes
+    never depend on the process that solves it.
     """
     if len(shares) <= 1:
         return map(solve, shares)
-    # Share k runs on the k-th allowed CPU (cyclically), this process's
-    # share on the first.  Unpinned, a forked worker can stay on its parent's
-    # CPU for about a second and the two time-share it; and the scheduler
-    # leaves an unpinned parent wherever it is, so the parent is pinned too.
-    # The caller's mask comes back when the pool closes.
-    if hasattr(os, "sched_setaffinity"):
-        mask = os.sched_getaffinity(0)
-        cpus = sorted(mask)
-        placed = [partial(_on_cpu, cpus[k % len(cpus)], solve) for k in range(len(shares))]
-    else:
-        mask, placed = None, [solve] * len(shares)
-    # Frozen while the workers fork, this process's objects stay out of
-    # their collections (no copy-on-write of their headers).  Freezing
-    # also restarts the collector's generation counts, so every run hands
-    # an in-process caller the same collector state: its next full
-    # collection does not fall wherever this run's allocations left it.
-    gc.freeze()
+    # Unpinned, a forked worker can stay on its parent's CPU for about a
+    # second and the two time-share it.  An idle parent with one worker per
+    # share was 3-13 ms slower on a 26 ms stochastic sweep (one more fork)
+    # and no faster on a 2 s one, and an unpinned parent was 1-9 ms slower
+    # on the short one: so the parent keeps a share and its pin.
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    cpus = [None] if mask is None else sorted(mask)
+    placed = [partial(_on_cpu, cpus[k % len(cpus)], solve) for k in range(len(shares))]
     try:
         with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
             tasks = [pool.submit(fn, share) for fn, share in zip(placed[1:], shares[1:])]
@@ -443,7 +436,6 @@ def _run_shares(solve, shares):
     finally:
         if mask is not None:
             os.sched_setaffinity(0, mask)
-        gc.unfreeze()
 
 
 def cmd_homogenize(cfg: dict, args, out: Path) -> int:
@@ -538,10 +530,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="processes, this one included, that solve homogenize cells, "
-                             "each on its own allowed CPU (at most one per allowed CPU); "
-                             "periodic sweeps with one restart run in this process; "
-                             "this process's CPU mask is restored afterwards")
+                        help="processes, this one included, that solve homogenize's meshed "
+                             "cells (stochastic sweeps), at most one per allowed CPU and each "
+                             "pinned to its own where the platform allows; periodic sweeps "
+                             "with one restart run in this process")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 

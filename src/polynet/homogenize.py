@@ -583,12 +583,12 @@ def rank_one_convexity_sample(estimator, xi, a, b, t_grid,
     condition for quasiconvexity.  Fewer than 3 grid points give a trivially
     empty report.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    xi, a, b, ts = (np.asarray(x, dtype=float) for x in (xi, a, b, t_grid))
     if not (np.linalg.norm(a) > 0.0 and np.linalg.norm(b) > 0.0):
         raise ValueError("rank-one directions must be nonzero")
-    xi = np.asarray(xi, dtype=float)
-    ts = np.sort(np.asarray(t_grid, dtype=float))
+    if not all(np.isfinite(x).all() for x in (xi, a, b, ts, noise_floor)):
+        raise ValueError("xi, a, b, t_grid and noise_floor must be finite")
+    ts = np.sort(ts)
     values = np.array([float(estimator(xi + t * np.outer(a, b))) for t in ts])
     if ts.size < 3:
         empty = np.empty(0)

@@ -34,6 +34,9 @@ def check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
+BOX_TOL = 1e-9  # distance beyond the closed unit box within which a mesh vertex may lie
+
+
 def _unit_boundary_distance(points: np.ndarray) -> np.ndarray:
     """Distance of each point to the boundary of the closed unit box."""
     return np.minimum(points, 1.0 - points).min(axis=1)
@@ -63,13 +66,13 @@ class Mesh:
             self._cache["volumes"] = signed_volumes(self.vertices, self.elements)
         return self._cache["volumes"]
 
-    def validate(self, box_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         if not np.all(self.element_volumes() > 0.0):
             raise DegenerateGeometryError("mesh has non-positively oriented elements")
         h_ref = (1.0 / self.num_elements) ** (1.0 / self.dim)
         if abs(self.h - h_ref) > 1e-12:
             raise ValueError("mesh scale h inconsistent with element count")
-        if self.vertices.min() < -box_tol or self.vertices.max() > 1.0 + box_tol:
+        if self.vertices.min() < -BOX_TOL or self.vertices.max() > 1.0 + BOX_TOL:
             raise ValueError("mesh vertices leave the closed unit box")
 
 

@@ -934,6 +934,10 @@ STOCHASTIC_WITH_PROBES = {**STOCHASTIC_TWO_XI, "homogenize": {
 STOCHASTIC_PROBES = {**STOCHASTIC_TWO_XI, "solver": {"restarts": 2}, "homogenize": {
     **STOCHASTIC_TWO_XI["homogenize"],
     "probes": {"frame_rotations": 2, "isotropy_rotations": 1, "seed": 4}}}
+# one realization: the finest source holds 2 x (1 + 2 + 2) of the 12 cells,
+# so every --jobs above 1 cuts it between processes
+STOCHASTIC_SPLIT = {**STOCHASTIC_WITH_PROBES, "homogenize": {
+    **STOCHASTIC_WITH_PROBES["homogenize"], "n_realizations": 1}}
 
 
 # the probes solve on the sweep's finest cells, so each xi's probe base cell
@@ -1060,6 +1064,28 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
     assert sorted(probes) == ["0", "1"]
     assert all(set(entry) == {"frame_invariance_deviation", "isotropy_deviation"}
                for entry in probes.values())
+
+
+def test_homogenize_split_stochastic_source_same_outputs_for_every_jobs(
+        tmp_path, monkeypatch, capsys):
+    from polynet import cli
+
+    dealt = []
+    run_shares = cli._run_shares
+
+    def recording_run(solve, shares):
+        dealt.append([[group[0][1].h for group in share] for share in shares])
+        return run_shares(solve, shares)
+
+    monkeypatch.setattr(cli, "_run_shares", recording_run)
+    code, stdout, _ = run_every_jobs(tmp_path, STOCHASTIC_SPLIT, capsys)
+    assert code == 0
+    assert stdout == "cells ok: 4\ncells max_iters: 0\n"
+    # each share's sources by h at 1, 2 and 3 processes (--jobs is capped
+    # at the allowed CPUs): the h 0.25 source is in every share
+    deals = {1: [[0.25, 0.3]], 2: [[0.25, 0.3], [0.25]], 3: [[0.25], [0.25, 0.3], [0.25]]}
+    allowed = len(CALLER_MASK) if CALLER_MASK is not None else 3
+    assert dealt == [deals[min(jobs, allowed)] for jobs in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("payload", [PERIODIC_PROBES, STOCHASTIC_PROBES],

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import rotation_2d, single_cell_oracle_2d, spring_oracle
 from polynet.assembly import EnergyModel
-from polynet.chains import ChainParams, PairPotential, chain_energy
+from polynet.chains import (ChainParams, GrowthBounds, PairPotential, chain_energy,
+                            check_growth_condition)
 from polynet.homogenize import (
     CellProblem,
     CellSolution,
@@ -581,6 +582,24 @@ def test_solve_cells_splits_only_a_dominant_source():
         assert [outcome(*cell) for cell in cells] == [whole(*cell) for cell in cells]
 
 
+def test_solve_cells_cuts_a_dominant_stochastic_source():
+    # sweep's job list for 1 realization at h 0.3 and 0.25, 2 xi and 2 + 2
+    # probe rotations: the finest source holds 2 x (1 + 2 + 2) of the 12
+    # cells, more than 1/2, so parts=2 cuts it into 2 chunks of 5
+    (coarse,), (finest,) = sweep_runs(StochasticCell(LATTICE_2D, h=0.3, dim=2), [0.3, 0.25],
+                                      1, seed=11)
+    xis = [np.diag([1.2, 1.0]), np.array([[1.0, 0.1], [0.0, 0.9]])]
+    rotations = random_rotations(2, 2, 3)
+    cells = [(xi, *run) for xi in xis for run in (coarse, finest)]
+    cells += [(product, *finest) for xi in xis for rot in rotations
+              for product in (rot @ xi, xi @ rot)]
+    _, whole = spy_shares(cells, 1)
+    shares, outcome = spy_shares(cells, 2)
+    assert [held(share) for share in shares] == [[finest[0], coarse[0]], [finest[0]]]
+    assert [len(group) for share in shares for group in share] == [5, 2, 5]
+    assert [outcome(*cell) for cell in cells] == [whole(*cell) for cell in cells]
+
+
 # each source's cell count, and the shares solve_cells deals them into at
 # the given parts, as (source index, cells) lists: chunks are dealt longest
 # first, each to the share with the fewest cells (ties to the earlier share);
@@ -790,6 +809,64 @@ def test_rank_one_detects_nonconvexity():
     )
     assert not report.convex
     assert report.worst_violation > 0.0
+
+
+class RecordingPotential:
+    """A spring that records the radii it is evaluated at."""
+
+    def __init__(self):
+        self.calls = []
+
+    def energy(self, r):
+        self.calls.append(r)
+        return PairPotential.quadratic_spring(1.0).energy(r)
+
+
+def _growth(bounds=(8.0, 1.0, 1.0), r_max=1.0, samples=512):
+    potential = RecordingPotential()
+    try:
+        check_growth_condition(potential, GrowthBounds(*bounds), r_max, samples)
+    finally:
+        assert potential.calls == []
+
+
+def _rank_one(xi=np.eye(2), t_grid=(0.0, 0.1, 0.2), noise_floor=0.0, a=(1.0, 0.0)):
+    calls = []
+
+    def estimator(xi):
+        calls.append(xi)
+        return periodic_density(xi, SPRING)
+
+    try:
+        rank_one_convexity_sample(estimator, xi, a, [0.0, 1.0], t_grid, noise_floor)
+    finally:
+        assert calls == []
+
+
+BAD_DIAGNOSTIC_INPUTS = [
+    (partial(_growth, bounds=(math.inf, 1.0, 1.0)), "p must exceed 1 and be finite"),
+    (partial(_growth, bounds=(math.nan, 1.0, 1.0)), "growth exponent p must exceed 1"),
+    (partial(_growth, bounds=(8.0, 1.0, math.inf)), "0 < c_lo <= c_hi < inf"),
+    (partial(_growth, bounds=(8.0, math.inf, math.inf)), "0 < c_lo <= c_hi < inf"),
+    (partial(_growth, r_max=math.inf), "r_max must be positive and finite"),
+    (partial(_growth, r_max=math.nan), "r_max must be positive"),
+    (partial(_growth, samples=2.5), "as an integer, not 2.5"),
+    (partial(_growth, samples=1), "need at least 2 samples"),
+    (partial(_rank_one, noise_floor=math.nan), "noise_floor must be finite"),
+    (partial(_rank_one, noise_floor=math.inf), "noise_floor must be finite"),
+    (partial(_rank_one, t_grid=[0.0, math.nan, 0.2]), "t_grid and noise_floor must be finite"),
+    (partial(_rank_one, xi=np.diag([math.inf, 1.0])), "t_grid and noise_floor must be finite"),
+    (partial(_rank_one, a=(math.inf, 0.0)), "t_grid and noise_floor must be finite"),
+    (partial(_rank_one, a=(0.0, 0.0)), "rank-one directions must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_DIAGNOSTIC_INPUTS)
+def test_diagnostics_reject_bad_inputs_before_evaluating(call, message):
+    # a ValueError with its own message, before the potential or the
+    # estimator sees any point (and so without a numpy warning)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
