@@ -6,8 +6,6 @@ from polynet import (
     ChainParams,
     GrowthBounds,
     PairPotential,
-    chain_energy,
-    chain_energy_derivative,
     check_growth_condition,
     inv_langevin_series,
 )
@@ -18,17 +16,15 @@ for rho in (0.0, 0.1, 0.5, 1.0):
 
 print("\nChain free energy, defaults k=1, beta=1, c=0 (n as stated)")
 for n in (1.0, 8.0, 25.0):
-    params = ChainParams(k=1.0, beta=1.0, c=0.0, n=n)
-    row = ", ".join(
-        f"W({r:g}) = {chain_energy(r, params):9.5f}" for r in (0.0, 0.5, 1.0, 2.0)
-    )
+    chain = PairPotential.langevin_chain(ChainParams(k=1.0, beta=1.0, c=0.0, n=n))
+    row = ", ".join(f"W({r:g}) = {chain.energy(r):9.5f}" for r in (0.0, 0.5, 1.0, 2.0))
     print(f"  n = {n:4.0f}: {row}")
 
 print("\nAnalytic derivative vs central differences at r = 0.8, n = 8")
-params = ChainParams()
+chain = PairPotential.langevin_chain(ChainParams())
 eps = 1e-6
-fd = (chain_energy(0.8 + eps, params) - chain_energy(0.8 - eps, params)) / (2 * eps)
-print(f"  analytic {chain_energy_derivative(0.8, params):.12f}")
+fd = (chain.energy(0.8 + eps) - chain.energy(0.8 - eps)) / (2 * eps)
+print(f"  analytic {chain.derivative(0.8):.12f}")
 print(f"  fin diff {fd:.12f}")
 
 print("\nGrowth condition of order p = 8 on [0, 10]")

@@ -5,11 +5,8 @@ from .chains import (
     GrowthBounds,
     GrowthReport,
     PairPotential,
-    chain_energy,
-    chain_energy_derivative,
     check_growth_condition,
     inv_langevin_series,
-    quadratic_spring_energy,
 )
 from .volumetric import (
     VolumetricParams,

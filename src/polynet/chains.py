@@ -4,8 +4,9 @@ Two potentials are provided: the free energy of a freely-jointed polymer
 chain, evaluated through the order-7 odd-polynomial truncation of the
 inverse Langevin function, and a plain quadratic spring.  Both are functions
 of the stretch ratio r = (deformed edge length) / (reference edge length)
-and come with analytic first and second derivatives.  Everything here is a
-pure function of its inputs; scalars in give scalars out, arrays give arrays.
+and come with analytic first and second derivatives, all evaluated by the
+methods of `PairPotential`.  Everything here is a pure function of its
+inputs; scalars in give scalars out, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -128,32 +129,6 @@ class ChainParams:
 DEFAULT_CHAIN = ChainParams()
 
 
-def chain_energy(r, params: ChainParams | None = None):
-    """Free energy of a polymer chain at stretch ratio r >= 0.
-
-    With rho = r/sqrt(n) and x the truncated inverse Langevin of rho, returns
-    (k/beta)*n*(rho*x + log(x/sinh x)) - c/beta.  At r = 0 the limit -c/beta
-    is returned exactly.
-    """
-    p = params if params is not None else DEFAULT_CHAIN
-    rho, x = _stretch_and_series(r, p)
-    out = _chain_energy(p, rho, x)
-    return out if out.ndim else float(out)
-
-
-def chain_energy_derivative(r, params: ChainParams | None = None):
-    """Analytic d/dr of chain_energy as implemented (series substituted).
-
-    Equals (k/beta)*sqrt(n)*(x + (rho - L(x))*x'(rho)) with L the Langevin
-    function; the bracket is the exact derivative of rho*x + log(x/sinh x).
-    Vanishes at r = 0.
-    """
-    p = params if params is not None else DEFAULT_CHAIN
-    rho, x = _stretch_and_series(r, p)
-    out = _chain_derivative(p, rho, x)
-    return out if out.ndim else float(out)
-
-
 def _stretch_and_series(r, p: ChainParams):
     """rho = r / sqrt(n) and the series x(rho), as float arrays."""
     rho = np.asarray(r, dtype=float) / math.sqrt(p.n)
@@ -171,26 +146,11 @@ def _chain_derivative(p: ChainParams, rho, x):
 
 
 def _chain_second_derivative(p: ChainParams, rho, x):
-    """(k/beta) (2x' - L'(x) x'^2 + (rho - L(x)) x''), x' and x'' the
-    series' derivatives at rho: d/dr of _chain_derivative."""
+    """d/dr of _chain_derivative; x' and x'' are the series' derivatives at rho."""
     r2, dx = rho * rho, _inv_langevin_series_prime(rho)
     ddx = rho * (6.0 * _C3 + r2 * (20.0 * _C5 + r2 * (42.0 * _C7)))
     return (p.k / p.beta) * (2.0 * dx - _langevin_prime(x) * dx * dx
                              + (rho - _langevin(x)) * ddx)
-
-
-def quadratic_spring_energy(r, stiffness: float = 1.0):
-    """Linear-spring pair energy stiffness * r**2."""
-    r = np.asarray(r, dtype=float)
-    out = stiffness * r * r
-    return out if out.ndim else float(out)
-
-
-def quadratic_spring_derivative(r, stiffness: float = 1.0):
-    """d/dr of the quadratic spring energy."""
-    r = np.asarray(r, dtype=float)
-    out = 2.0 * stiffness * r
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -225,14 +185,27 @@ class PairPotential:
         return cls(kind=QUADRATIC_SPRING, stiffness=stiffness)
 
     def energy(self, r):
+        """Pair energy at stretch ratio r >= 0.  For the chain, with rho =
+        r/sqrt(n) and x the truncated inverse Langevin of rho, it is
+        (k/beta)*n*(rho*x + log(x/sinh x)) - c/beta, exactly -c/beta at
+        r = 0; for the spring, stiffness * r**2."""
         if self.kind == LANGEVIN_CHAIN:
-            return chain_energy(r, self.chain)
-        return quadratic_spring_energy(r, self.stiffness)
+            out = _chain_energy(self.chain, *_stretch_and_series(r, self.chain))
+        else:
+            r = np.asarray(r, dtype=float)
+            out = self.stiffness * r * r
+        return out if out.ndim else float(out)
 
     def derivative(self, r):
+        """Analytic d/dr of energy as implemented (series substituted).  For
+        the chain it is (k/beta)*sqrt(n)*(x + (rho - L(x))*x'(rho)) with L the
+        Langevin function, the bracket the exact derivative of rho*x +
+        log(x/sinh x), and vanishes at r = 0; for the spring, 2 * stiffness * r."""
         if self.kind == LANGEVIN_CHAIN:
-            return chain_energy_derivative(r, self.chain)
-        return quadratic_spring_derivative(r, self.stiffness)
+            out = _chain_derivative(self.chain, *_stretch_and_series(r, self.chain))
+        else:
+            out = 2.0 * self.stiffness * np.asarray(r, dtype=float)
+        return out if out.ndim else float(out)
 
     def second_derivative(self, r):
         """Analytic d^2/dr^2 of energy: 2 * stiffness for the spring, and for
@@ -250,8 +223,8 @@ class PairPotential:
         if self.kind == LANGEVIN_CHAIN:
             rho, x = _stretch_and_series(r, self.chain)
             return _chain_energy(self.chain, rho, x), _chain_derivative(self.chain, rho, x)
-        return (quadratic_spring_energy(r, self.stiffness),
-                quadratic_spring_derivative(r, self.stiffness))
+        r = np.asarray(r, dtype=float)
+        return self.stiffness * r * r, 2.0 * self.stiffness * r
 
 
 @dataclass(frozen=True)

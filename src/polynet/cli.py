@@ -17,7 +17,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -62,40 +62,40 @@ class ConfigError(ValueError):
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return f"{x:.17g}"
+    """17 significant digits; NaN and ±Infinity as the tokens json.loads reads."""
+    return f"{x:.17g}" if math.isfinite(x) else json.dumps(x)
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_to_json(v, indent + 1) for v in list(obj)]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        items = [
-            f"{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        ]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _writer(type(obj))(obj, indent)
+
+
+def _block(items: list, brackets: str, indent: int) -> str:
+    """A JSON array or object of the written items, one per line."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * indent + brackets[1]
+
+
+@cache
+def _writer(cls: type):
+    """The JSON writer (obj, indent) -> str of one value type, found once
+    per type."""
+    if cls in (type(None), bool) or issubclass(cls, str):
+        return lambda obj, indent: json.dumps(obj)
+    if issubclass(cls, (int, np.integer)):
+        return lambda obj, indent: str(int(obj))
+    if issubclass(cls, (float, np.floating)):
+        return lambda obj, indent: _fmt_float(float(obj))
+    if issubclass(cls, (list, tuple, np.ndarray)):
+        return lambda obj, indent: _block(
+            [_to_json(v, indent + 1) for v in obj], "[]", indent)
+    if issubclass(cls, dict):
+        return lambda obj, indent: _block(
+            [f"{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
+             for k, v in sorted(obj.items())], "{}", indent)
+    raise TypeError(f"cannot serialize {cls!r}")
 
 
 def write_json(path, obj) -> None:

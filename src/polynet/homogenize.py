@@ -355,8 +355,10 @@ class HomogEstimate:
     no monotone decrease is promised (stochastic gaps carry realization
     noise).  On periodic cells every gap is zero up to roundoff, because the
     affine state is critical at every m and the density does not depend on h.
-    extrapolated is the finest-scale value; richardson is a first-order
-    Richardson step on the two finest scales (None with fewer than three).
+    extrapolated is the last scale's value, the finest when the scales
+    refine; richardson is a first-order Richardson step on the last two
+    scales, None with fewer than three scales or when h does not decrease
+    from the second-last scale to the last.
     """
 
     xi: np.ndarray
@@ -506,7 +508,7 @@ def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
 
 
 def _richardson(per_h: list[ScaleEstimate]) -> float | None:
-    """First-order Richardson step on the two finest scales, when meaningful."""
+    """First-order Richardson step on the last two scales, when meaningful."""
     if len(per_h) < 3:
         return None
     h1, h2 = per_h[-2].h, per_h[-1].h

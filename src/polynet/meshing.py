@@ -342,16 +342,15 @@ def _delaunay_simplices(points: np.ndarray):
     return simplices[keep], vols[keep]
 
 
-def delaunay_triangulate(points: np.ndarray, dim: int | None = None) -> Mesh:
-    """Delaunay mesh of a point cloud inside the closed unit box.
+def delaunay_triangulate(points: np.ndarray) -> Mesh:
+    """Delaunay mesh of a point cloud inside the closed unit box, of the
+    points' dimension.
 
     Elements are positively oriented and satisfy the empty-circumsphere
     property up to Qhull's handling of cospherical ties; the brute-force
     check lives in the test suite.
     """
     points = np.asarray(points, dtype=float)
-    if dim is not None and points.shape[1] != dim:
-        raise ValueError("points do not match the requested dimension")
     return _make_mesh(points.shape[1], points, *_delaunay_simplices(points))
 
 
@@ -430,7 +429,7 @@ def build_stochastic_mesh(spec: StochasticLatticeSpec, h: float, dim: int) -> Me
     big = (np.zeros(dim), np.ones(dim) / h)
     points = stochastic_lattice(spec, big)
     clipped = rescale_and_clip(points, h, unit)
-    return delaunay_triangulate(clipped, dim)
+    return delaunay_triangulate(clipped)
 
 
 def element_gradient(mesh: Mesh, element_index: int, nodal_values: np.ndarray) -> np.ndarray:

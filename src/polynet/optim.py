@@ -151,7 +151,8 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
     direction (see _line_search) and raises OptimizationError when it finds
     no step.  With settings.grad_tol None, a quasi-Newton direction whose
     predicted decrease is at most GAP_EPS * (1 + |E(x0)|) ends the run as
-    converged before its line search.
+    converged before its line search.  A direction that does not descend is
+    replaced by -g, and from then on only |g| <= tol ends the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fg(x)
@@ -170,8 +171,8 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
         direction = _two_loop(g, history, precondition)
         slope = float(direction @ g)
         decrease = -0.5 * slope  # predicted by the quadratic model
-        if decrease <= 0.0:
-            direction, slope = -g, -float(g @ g)
+        if decrease <= 0.0:  # H is not positive definite, so no later gap bounds f
+            direction, slope, gap_tol = -g, -float(g @ g), 0.0
         elif decrease <= gap_tol:
             return x, f, gnorm, iterations, True
         step = _line_search(fg, x, f, g, direction, slope, gnorm)

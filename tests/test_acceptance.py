@@ -16,7 +16,6 @@ from polynet.chains import (
     ChainParams,
     GrowthBounds,
     PairPotential,
-    chain_energy_derivative,
     check_growth_condition,
     inv_langevin_series,
 )
@@ -62,19 +61,17 @@ def test_criterion_01_series_fidelity():
 def test_criterion_02_chain_energy_calculus():
     worst_fd = 0.0
     for n, r in itertools.product((1.0, 8.0, 25.0), (0.1, 0.5, 1.0, 2.0, 5.0)):
-        params = ChainParams(k=1.0, beta=1.0, c=0.0, n=n)
+        chain = PairPotential.langevin_chain(ChainParams(k=1.0, beta=1.0, c=0.0, n=n))
         eps = 1e-6 * (1.0 + r)
-        from polynet.chains import chain_energy
-
-        fd = (chain_energy(r + eps, params) - chain_energy(r - eps, params)) / (2 * eps)
-        worst_fd = max(worst_fd, abs(chain_energy_derivative(r, params) - fd) / abs(fd))
+        fd = (chain.energy(r + eps) - chain.energy(r - eps)) / (2 * eps)
+        worst_fd = max(worst_fd, abs(chain.derivative(r) - fd) / abs(fd))
     worst_id = 0.0
     for k, beta, n in ((1.0, 1.0, 1.0), (2.0, 0.5, 8.0)):
         rho = 1e-3
-        params = ChainParams(k=k, beta=beta, c=0.0, n=n)
+        chain = PairPotential.langevin_chain(ChainParams(k=k, beta=beta, c=0.0, n=n))
         scale = (k / beta) * math.sqrt(n)
         diff = abs(
-            chain_energy_derivative(rho * math.sqrt(n), params)
+            chain.derivative(rho * math.sqrt(n))
             - scale * inv_langevin_series(rho)
         )
         worst_id = max(worst_id, diff / scale)

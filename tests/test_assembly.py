@@ -19,7 +19,7 @@ from polynet.assembly import (
     split_pinned,
     total_energy,
 )
-from polynet.chains import ChainParams, PairPotential, chain_energy
+from polynet.chains import ChainParams, PairPotential
 from polynet.meshing import (
     Mesh,
     StochasticLatticeSpec,
@@ -42,7 +42,7 @@ def test_rest_energy_2d_hand_count():
 
 def test_rest_energy_chain_closed_form():
     mesh = periodic_mesh_3d(2)
-    w1 = chain_energy(1.0)
+    w1 = PairPotential.langevin_chain().energy(1.0)
     expected = mesh.num_elements * (1.0 / mesh.num_elements) * 6 * 1.0 * w1
     got = total_energy(mesh, mesh.vertices, CHAIN)
     assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -187,6 +187,22 @@ def test_apply_bc_faces():
             kind="dirichlet-face-free-traction", xi=xi, faces=("w-",)
         ))
 
+
+def test_apply_bc_face_beyond_dim_rejected():
+    mesh = periodic_mesh_2d(2)
+    bc = BoundaryCondition(kind="dirichlet-face-free-traction", xi=np.eye(2),
+                           faces=("x-", "z-"))
+    with pytest.raises(ValueError, match=r"face 'z-' out of range for dim 2"):
+        apply_bc(mesh, bc)
+
+
+def test_zero_length_reference_edge_rejected():
+    # a Mesh built around validate(): vertices 0 and 1 coincide
+    vertices = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(dim=2, vertices=vertices, elements=np.array([[0, 1, 2]]), h=1.0,
+                boundary_flags=np.zeros(3))
+    with pytest.raises(ValueError, match="mesh contains zero-length reference edges"):
+        total_energy(mesh, vertices, SPRING)
 
 def test_bc_validation():
     with pytest.raises(ValueError):

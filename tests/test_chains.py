@@ -13,14 +13,12 @@ from polynet.chains import (
     ChainParams,
     GrowthBounds,
     PairPotential,
-    chain_energy,
-    chain_energy_derivative,
     check_growth_condition,
     inv_langevin_series,
-    quadratic_spring_energy,
 )
 
 UNIT_CHAIN = ChainParams(k=1.0, beta=1.0, c=0.0, n=1.0)
+UNIT = PairPotential.langevin_chain(UNIT_CHAIN)
 
 
 def series_exact(rho: Fraction) -> Fraction:
@@ -54,39 +52,41 @@ def test_series_vectorized_matches_scalar():
 
 
 def test_chain_energy_at_rest_is_limit_value():
-    assert chain_energy(0.0, UNIT_CHAIN) == 0.0
-    assert chain_energy(0.0, ChainParams(c=1.0, beta=2.0)) == -0.5
-    assert chain_energy(0.0, ChainParams(k=3.0, beta=0.5, c=2.0, n=12.0)) == -4.0
+    assert UNIT.energy(0.0) == 0.0
+    assert PairPotential.langevin_chain(ChainParams(c=1.0, beta=2.0)).energy(0.0) == -0.5
+    params = ChainParams(k=3.0, beta=0.5, c=2.0, n=12.0)
+    assert PairPotential.langevin_chain(params).energy(0.0) == -4.0
 
 
 def test_chain_energy_reference_value():
     # x = 8.256, W = 8.256 + log(8.256 / sinh 8.256); high-precision oracle
-    assert abs(chain_energy(1.0, UNIT_CHAIN) - 2.8040874567410107) <= 1e-12
-    assert abs(chain_energy(1.0, UNIT_CHAIN) - 2.8041) <= 1e-3
+    assert abs(UNIT.energy(1.0) - 2.8040874567410107) <= 1e-12
+    assert abs(UNIT.energy(1.0) - 2.8041) <= 1e-3
 
 
 def test_chain_energy_scales_with_k_over_beta():
-    base = chain_energy(0.7, UNIT_CHAIN)
-    scaled = chain_energy(0.7, ChainParams(k=3.0, beta=2.0, c=0.0, n=1.0))
+    base = UNIT.energy(0.7)
+    params = ChainParams(k=3.0, beta=2.0, c=0.0, n=1.0)
+    scaled = PairPotential.langevin_chain(params).energy(0.7)
     assert abs(scaled - 1.5 * base) <= 1e-12 * abs(base)
 
 
 def test_chain_energy_monotone_for_default_params():
     r = np.linspace(0.0, 5.0, 301)
-    w = chain_energy(r)
+    w = PairPotential.langevin_chain().energy(r)
     assert np.all(np.diff(w) >= -1e-12)
 
 
 def test_chain_energy_nonnegative_for_zero_c():
     r = np.linspace(0.0, 4.0, 200)
-    w = chain_energy(r, UNIT_CHAIN)
+    w = UNIT.energy(r)
     assert w[0] >= -1e-12
     assert np.all(w[r >= 0.1] > 0.0)
 
 
 def test_chain_energy_no_overflow_for_large_stretch():
     # x ~ 1.7e12 at r = 50; the log-domain rewrite must stay finite
-    w = chain_energy(50.0, UNIT_CHAIN)
+    w = UNIT.energy(50.0)
     assert np.isfinite(w)
     assert w > 0.0
 
@@ -96,19 +96,20 @@ def test_chain_energy_no_overflow_for_large_stretch():
 def test_chain_derivative_matches_finite_differences(r, n):
     params = ChainParams(k=1.0, beta=1.0, c=0.0, n=n)
     eps = 1e-6 * (1.0 + r)
-    fd = (chain_energy(r + eps, params) - chain_energy(r - eps, params)) / (2 * eps)
-    d = chain_energy_derivative(r, params)
+    potential = PairPotential.langevin_chain(params)
+    fd = (potential.energy(r + eps) - potential.energy(r - eps)) / (2 * eps)
+    d = potential.derivative(r)
     assert abs(d - fd) <= 1e-6 * abs(fd)
 
 
 def test_chain_derivative_at_origin_is_zero():
-    assert chain_energy_derivative(0.0, UNIT_CHAIN) == 0.0
-    assert chain_energy_derivative(0.0, ChainParams(n=25.0)) == 0.0
+    assert UNIT.derivative(0.0) == 0.0
+    assert PairPotential.langevin_chain(ChainParams(n=25.0)).derivative(0.0) == 0.0
 
 
 def test_chain_derivative_reference_value():
     # frozen from a 50-digit evaluation of the analytic formula
-    assert abs(chain_energy_derivative(0.5, UNIT_CHAIN) - 1.7966689850288873) <= 1e-12
+    assert abs(UNIT.derivative(0.5) - 1.7966689850288873) <= 1e-12
 
 
 @pytest.mark.parametrize("k,beta,n", [(1.0, 1.0, 1.0), (2.0, 0.5, 8.0)])
@@ -118,21 +119,21 @@ def test_near_origin_derivative_identity(k, beta, n):
     scale = (k / beta) * math.sqrt(n)
     for rho in (1e-3, 1e-2, 1e-4):
         r = rho * math.sqrt(n)
-        lhs = chain_energy_derivative(r, params)
+        lhs = PairPotential.langevin_chain(params).derivative(r)
         rhs = scale * inv_langevin_series(rho)
         assert abs(lhs - rhs) <= 1e-8 * scale
 
 
 def test_quadratic_spring_values():
-    assert quadratic_spring_energy(1.0, 1.0) == 1.0
-    assert quadratic_spring_energy(0.0, 5.0) == 0.0
-    assert quadratic_spring_energy(2.0, 3.0) == 12.0
+    assert PairPotential.quadratic_spring(1.0).energy(1.0) == 1.0
+    assert PairPotential.quadratic_spring(5.0).energy(0.0) == 0.0
+    assert PairPotential.quadratic_spring(3.0).energy(2.0) == 12.0
 
 
 def test_pair_potential_dispatch():
     chain = PairPotential.langevin_chain(UNIT_CHAIN)
     spring = PairPotential.quadratic_spring(2.0)
-    assert chain.energy(1.0) == chain_energy(1.0, UNIT_CHAIN)
+    assert abs(chain.energy(1.0) - 2.8040874567410107) <= 1e-12
     assert spring.energy(3.0) == 18.0
     assert spring.derivative(3.0) == 12.0
     with pytest.raises(ValueError):

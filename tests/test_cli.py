@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import multiprocessing
 import os
 from collections import Counter
@@ -302,6 +303,27 @@ def test_counterexample_repeat_identical(tmp_path):
     ).read_bytes()
 
 
+def test_json_writer_tokens_and_layout(tmp_path):
+    # non-finite floats are written as the tokens json.loads reads back;
+    # numpy scalars and arrays as their Python values; keys sorted
+    from polynet.cli import write_json
+
+    path = tmp_path / "out.json"
+    write_json(path, {"values": [float("nan"), np.float64("inf"), -np.inf, 0.1],
+                      "n": np.int64(3), "flags": (True, False, None),
+                      "empty": [], "nothing": {}, "xi": np.eye(2)})
+    assert path.read_text() == (
+        '{\n  "empty": [],\n  "flags": [\n    true,\n    false,\n    null\n  ],\n'
+        '  "n": 3,\n  "nothing": {},\n  "values": [\n    NaN,\n    Infinity,\n'
+        '    -Infinity,\n    0.10000000000000001\n  ],\n'
+        '  "xi": [\n    [\n      1,\n      0\n    ],\n    [\n      0,\n      1\n    ]\n  ]\n}\n')
+    loaded = json.loads(path.read_text())
+    assert math.isnan(loaded["values"][0])
+    assert loaded["values"][1:] == [math.inf, -math.inf, 0.1]
+    with pytest.raises(TypeError, match="cannot serialize"):
+        write_json(path, {"mask": np.bool_(True)})
+
+
 def test_empty_sections_give_the_library_defaults(tmp_path):
     # the config parser passes only the keys a config gives
     chain = build_model({"model": {"pair": {"kind": "langevin-chain"}, "volumetric": {}}})
@@ -353,21 +375,51 @@ def assert_no_pool_left():
         assert os.sched_getaffinity(0) == CALLER_MASK
 
 
+THREE_CPUS = {0, 1, 2}
+
+
 def run_every_jobs(tmp_path, payload, capsys):
     """Run homogenize at --jobs 1, 2 and 3, check that the exit codes,
     stdouts and output files agree byte for byte, and return those of
-    --jobs 1: (exit code, stdout, output dir)."""
+    --jobs 1: (exit code, stdout, output dir).  --jobs 3 runs with three
+    allowed CPUs on any machine: os.sched_getaffinity answers THREE_CPUS and
+    os.sched_setaffinity only records, so no process is pinned."""
     cfg = write_config(tmp_path, payload)
     runs = []
     for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
-        code = main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs])
+        pins = []
+        with pytest.MonkeyPatch.context() as patch:
+            if jobs == "3":
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(THREE_CPUS),
+                              raising=False)
+                patch.setattr(os, "sched_setaffinity",
+                              lambda pid, mask: pins.append(set(mask)), raising=False)
+            code = main(["homogenize", "--config", cfg, "--out", str(out), "--jobs", jobs])
         assert_no_pool_left()
+        # with a pool, this process solved share 0 on CPU 0, then took its mask back
+        assert pins in ([], [{0}, THREE_CPUS])
         files = {path.name: path.read_bytes() for path in out.iterdir()}
         runs.append((code, capsys.readouterr().out, files))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
     return runs[0][0], runs[0][1], tmp_path / "jobs1"
+
+
+def recorded_deals(monkeypatch, describe):
+    """Make cli._run_shares record [describe(share) for each share] per call,
+    in the returned list."""
+    from polynet import cli
+
+    dealt = []
+    run_shares = cli._run_shares
+
+    def recording_run(solve, shares):
+        dealt.append([describe(share) for share in shares])
+        return run_shares(solve, shares)
+
+    monkeypatch.setattr(cli, "_run_shares", recording_run)
+    return dealt
 
 
 def _pid_and_sum(share):
@@ -789,6 +841,37 @@ def test_bad_value_is_config_error(tmp_path, capsys, command, payload, ctx):
     assert capsys.readouterr().err.startswith(f"config error: {ctx}")
 
 
+# (command, config, the whole message): the input checks no other test reaches
+UNREACHED_CHECKS = {
+    "unknown pair kind": ("minimize", {**MINIMIZE_CALIBRATED, "model": {"pair": {"kind": "rod"}}},
+                          "model.pair: unknown kind 'rod'"),
+    "unknown lattice kind": ("mesh", {"mesh": {**STOCHASTIC_2D, "lattice": {
+        **STOCHASTIC_2D["lattice"], "kind": "poisson"}}},
+        "mesh.lattice: unknown lattice kind 'poisson'"),
+    "unknown mesh kind": ("mesh", {"mesh": {**HOMOGENIZE_PERIODIC["mesh"], "kind": "hexagonal"}},
+                          "mesh: unknown kind 'hexagonal'"),
+    "dim 4": ("mesh", {"mesh": {"kind": "periodic", "dim": 4, "m": 2}},
+              "mesh: dim must be 2 or 3"),
+    "2hR on a periodic mesh": ("minimize", {**MINIMIZE_CALIBRATED, "bc": {
+        **MINIMIZE_CALIBRATED["bc"], "depth": "2hR"}},
+        "bc: depth rule '2hR' needs a stochastic mesh"),
+    "unknown bc kind": ("minimize", {**MINIMIZE_CALIBRATED, "bc": {
+        **MINIMIZE_CALIBRATED["bc"], "kind": "neumann"}}, "bc: unknown kind 'neumann'"),
+    "negative grad_tol": ("minimize", {**MINIMIZE_CALIBRATED, "solver": {"grad_tol": -1e-8}},
+                          "solver: grad_tol must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_CHECKS))
+def test_input_check_is_config_error(tmp_path, capsys, case):
+    command, payload, message = UNREACHED_CHECKS[case]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 FACE_BC = {"kind": "dirichlet-face-free-traction", "xi": [[1.2, 0.0], [0.0, 1.0]]}
 # each raised ValueError or TypeError out of the solve (exit 1)
 BAD_BC = {
@@ -1068,24 +1151,26 @@ def test_homogenize_stochastic_probes_same_outputs_for_every_jobs(tmp_path, caps
 
 def test_homogenize_split_stochastic_source_same_outputs_for_every_jobs(
         tmp_path, monkeypatch, capsys):
-    from polynet import cli
-
-    dealt = []
-    run_shares = cli._run_shares
-
-    def recording_run(solve, shares):
-        dealt.append([[group[0][1].h for group in share] for share in shares])
-        return run_shares(solve, shares)
-
-    monkeypatch.setattr(cli, "_run_shares", recording_run)
+    dealt = recorded_deals(monkeypatch, lambda share: [group[0][1].h for group in share])
     code, stdout, _ = run_every_jobs(tmp_path, STOCHASTIC_SPLIT, capsys)
     assert code == 0
     assert stdout == "cells ok: 4\ncells max_iters: 0\n"
     # each share's sources by h at 1, 2 and 3 processes (--jobs is capped
-    # at the allowed CPUs): the h 0.25 source is in every share
+    # at the allowed CPUs, three at --jobs 3): the h 0.25 source is in every share
     deals = {1: [[0.25, 0.3]], 2: [[0.25, 0.3], [0.25]], 3: [[0.25], [0.25, 0.3], [0.25]]}
-    allowed = len(CALLER_MASK) if CALLER_MASK is not None else 3
-    assert dealt == [deals[min(jobs, allowed)] for jobs in (1, 2, 3)]
+    allowed = len(CALLER_MASK) if CALLER_MASK is not None else 2
+    assert dealt == [deals[1], deals[min(2, allowed)], deals[3]]
+
+
+def test_homogenize_stochastic_config_deals_three_shares(tmp_path, monkeypatch, capsys):
+    # the shipped 2D stochastic config: 8 sources (2 scales x 4 realizations),
+    # dealt into three shares at --jobs 3, with the outputs of --jobs 1
+    dealt = recorded_deals(monkeypatch, len)
+    config = Path(__file__).resolve().parents[1] / "configs" / "homogenize_stochastic.json"
+    code, stdout, _ = run_every_jobs(tmp_path, json.loads(config.read_text()), capsys)
+    assert code == 0
+    assert stdout == "cells ok: 8\ncells max_iters: 0\n"
+    assert dealt[0] == [8] and len(dealt[2]) == 3 and sum(dealt[2]) == 8
 
 
 @pytest.mark.parametrize("payload", [PERIODIC_PROBES, STOCHASTIC_PROBES],

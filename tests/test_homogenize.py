@@ -7,8 +7,7 @@ import pytest
 
 from helpers import rotation_2d, single_cell_oracle_2d, spring_oracle
 from polynet.assembly import EnergyModel
-from polynet.chains import (ChainParams, GrowthBounds, PairPotential, chain_energy,
-                            check_growth_condition)
+from polynet.chains import ChainParams, GrowthBounds, PairPotential, check_growth_condition
 from polynet.homogenize import (
     CellProblem,
     CellSolution,
@@ -69,7 +68,7 @@ def test_cell_density_fully_pinned_coarse_mesh():
 def test_cell_density_calibrated_chain_rest_energy():
     # choose c so the chain energy vanishes at stretch 1; the identity cell
     # problem then reports zero density
-    base = chain_energy(1.0, ChainParams(k=1.0, beta=1.0, c=0.0, n=1.0))
+    base = PairPotential.langevin_chain(ChainParams(k=1.0, beta=1.0, c=0.0, n=1.0)).energy(1.0)
     params = ChainParams(k=1.0, beta=1.0, c=base, n=1.0)
     model = EnergyModel(pair=PairPotential.langevin_chain(params))
     problem = CellProblem(xi=np.eye(2), source=PeriodicCell(m=4), model=model)
@@ -326,6 +325,18 @@ def test_estimate_whom_periodic_shape():
     assert hs == sorted(hs, reverse=True)
     for s in est.per_h:
         assert s.n == 1 and s.stderr == 0.0
+
+
+def test_richardson_needs_the_last_two_scales_to_refine():
+    # scales given coarse to fine get the step; fine to coarse get None, and
+    # extrapolated is then the last (coarsest) scale's value
+    xi = np.array([[1.1, 0.0], [0.0, 0.9]])
+    refining = estimate_whom(xi, [2, 4, 8], SPRING, PeriodicCell(m=0))
+    assert refining.richardson is not None
+    coarsening = estimate_whom(xi, [8, 4, 2], SPRING, PeriodicCell(m=0))
+    assert [s.h for s in coarsening.per_h] == sorted(s.h for s in coarsening.per_h)
+    assert coarsening.richardson is None
+    assert coarsening.extrapolated == coarsening.per_h[-1].value
 
 
 def test_estimate_whom_needs_two_scales():

@@ -486,6 +486,21 @@ def test_mesh_io_roundtrip(tmp_path):
         read_mesh(path2)
 
 
+def test_mesh_file_of_bad_geometry_rejected(tmp_path):
+    # read_mesh validates what it loads: a negatively oriented element, and
+    # a vertex outside the closed unit box
+    path = tmp_path / "mesh.txt"
+    vertices = ["0 0", "1 0", "0 1"]
+    path.write_text("\n".join(["2 3 1", *vertices, "0 2 1"]) + "\n")
+    with pytest.raises(DegenerateGeometryError, match="non-positively oriented"):
+        read_mesh(path)
+    path.write_text("\n".join(["2 3 1", "0 0", "1.5 0", "0 1", "0 1 2"]) + "\n")
+    with pytest.raises(ValueError, match="mesh vertices leave the closed unit box"):
+        read_mesh(path)
+    path.write_text("\n".join(["2 3 1", *vertices, "0 1 2"]) + "\n")
+    assert read_mesh(path).num_elements == 1
+
+
 def test_mesh_file_of_other_dimension_rejected(tmp_path):
     # a 1D file used to escape as an IndexError, and a 4D file to load
     path = tmp_path / "mesh.txt"

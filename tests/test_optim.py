@@ -125,6 +125,41 @@ def test_lbfgs_without_preconditioner_converges_on_stiff_quadratics(scale):
     assert 0.5 * (x - x_star) @ q @ (x - x_star) <= GAP_EPS * (1.0 + abs(f0))
 
 
+@pytest.mark.parametrize("grad_tol", [None, 1e-6])
+def test_lbfgs_falls_back_to_steepest_descent(monkeypatch, grad_tol):
+    # H0 = -I is not positive definite: its first direction +g is not a
+    # descent direction, and lbfgs takes -g instead.  Such a model does not
+    # predict the energy gap either, so the run stops on |g| <= tol alone.
+    rng = np.random.default_rng(0)
+    n = 24
+    a = rng.standard_normal((n, n))
+    q = a @ a.T + n * np.eye(n)
+    c = rng.standard_normal(n)
+    x_star = np.linalg.solve(q, -c)
+    x0 = rng.standard_normal(n)
+    f0 = 0.5 * x0 @ q @ x0 + c @ x0
+    tol = 1e-8 * (1.0 + abs(f0)) if grad_tol is None else grad_tol
+    ascents = []
+    two_loop = optim._two_loop
+
+    def recording_two_loop(grad, history, precondition):
+        direction = two_loop(grad, history, precondition)
+        ascents.append(direction @ grad >= 0.0)
+        return direction
+
+    monkeypatch.setattr(optim, "_two_loop", recording_two_loop)
+    fg = lambda x: (0.5 * x @ q @ x + c @ x, q @ x + c)  # noqa: E731
+    settings = MinimizeSettings(grad_tol=grad_tol)
+    x, f, gnorm, iters, converged = lbfgs(fg, x0, settings, precondition=lambda v: -v)
+    assert ascents[0] and sum(ascents) > 1
+    assert converged and gnorm <= tol
+    assert np.linalg.norm(x - x_star) <= 1e-7 * (1.0 + np.linalg.norm(x_star))
+    # cut short, the run is not converged
+    x, f, gnorm, iters, converged = lbfgs(fg, x0, replace(settings, max_iters=3),
+                                          precondition=lambda v: -v)
+    assert (iters, converged) == (3, False) and gnorm > tol
+
+
 def test_lbfgs_honest_nonconvergence_flag():
     rng = np.random.default_rng(1)
     n = 40
@@ -256,13 +291,17 @@ def test_minimize_rejects_fully_pinned_and_bad_init():
     with pytest.raises(FullyConstrainedError):
         minimize(mesh, SPRING,
                  BoundaryCondition(kind="affine-layer", xi=np.eye(3), depth=0.5))
-    bc = BoundaryCondition(kind="affine-layer", xi=np.eye(3), depth=2.0 * mesh.h)
+    # depth h leaves the centre vertex free (at 2h every vertex was pinned,
+    # so each bad init below was a FullyConstrainedError)
+    bc = BoundaryCondition(kind="affine-layer", xi=np.eye(3), depth=mesh.h)
+    centre = int(np.flatnonzero((mesh.vertices == 0.5).all(axis=1))[0])
     bad_init = mesh.vertices.copy()
-    bad_init[13] = np.nan
-    with pytest.raises(ValueError):
+    bad_init[centre] = np.nan
+    with pytest.raises(ValueError, match="energy is not finite at the initial state"):
         minimize(mesh, SPRING, bc, init=bad_init)
-    with pytest.raises(ValueError):
-        minimize(mesh, SPRING, bc, init=np.zeros((3, 3)))
+    for shape in ((3, 3), mesh.vertices.T.shape, (mesh.vertices.size,)):
+        with pytest.raises(ValueError, match="initial state does not match the mesh"):
+            minimize(mesh, SPRING, bc, init=np.zeros(shape))
 
 
 def test_settings_validation():
