@@ -33,8 +33,8 @@ bc = BoundaryCondition(kind="dirichlet-face-free-traction", xi=xi,
 affine_energy = total_energy(mesh, affine_positions(mesh, xi), model)
 result = minimize(mesh, model, bc)
 print(f"  affine energy   {affine_energy:.8f}")
-print(f"  relaxed energy  {result.energy:.8f}")
-print(f"  converged={result.converged} after {result.iterations} iterations, "
+print(f"  relaxed energy  {result.value:.8f}")
+print(f"  status={result.status} after {result.iterations} iterations, "
       f"|grad| = {result.grad_norm:.2e}")
 
 print("\nCell problem: affine data xi*x pinned on a boundary layer of depth 2h")
@@ -46,7 +46,7 @@ problem = CellProblem(
 solution = solve_cell_problem(problem)
 print(f"  energy density {solution.value:.8f} at h = {solution.h:.4f} "
       f"({solution.n_free} free vertices)")
-print(f"  converged={solution.converged}, iterations={solution.iterations}")
+print(f"  status={solution.status}, iterations={solution.iterations}")
 print("  (on the periodic lattice the affine state is a critical point by")
 print("   symmetry, so the solver accepts the initial iterate)")
 
@@ -60,5 +60,5 @@ stochastic = CellProblem(
 )
 sol = solve_cell_problem(stochastic)
 print(f"  energy density {sol.value:.8f} at h = 0.1 ({sol.n_free} free vertices)")
-print(f"  converged={sol.converged}, iterations={sol.iterations}, "
+print(f"  status={sol.status}, iterations={sol.iterations}, "
       f"|grad| = {sol.grad_norm:.2e}")

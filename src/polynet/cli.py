@@ -379,10 +379,10 @@ def cmd_minimize(cfg: dict, args, out: Path) -> int:
     result = minimize(mesh, model, bc, settings=settings)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "energy": result.energy,
+        "energy": result.value,
         "grad_norm": result.grad_norm,
         "iterations": result.iterations,
-        "converged": result.converged,
+        "converged": result.status == "ok",
     }
     write_json(out / "result.json", payload)
     print(_to_json(payload))
@@ -479,7 +479,7 @@ def cmd_homogenize(cfg: dict, args, out: Path) -> int:
         xi_list, scales, model, source, n_real, seed, restarts, settings,
         frame=rotations[:n_frame], iso=rotations[:n_iso], parts=jobs, run=_run_shares)
 
-    statuses = Counter(rec.status for est in estimates if not isinstance(est, Exception)
+    statuses = Counter(rec.result.status for est in estimates if not isinstance(est, Exception)
                        for s in est.per_h for rec in s.records)
     # the cells in the means: converged or stopped at max_iters
     kept = statuses["ok"] + statuses["max_iters"]

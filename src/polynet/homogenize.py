@@ -37,7 +37,7 @@ from .meshing import (
     periodic_mesh_2d,
     periodic_mesh_3d,
 )
-from .optim import DEFAULT_SETTINGS, MinimizeSettings, minimize
+from .optim import DEFAULT_SETTINGS, MinimizeResult, MinimizeSettings, minimize
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,6 @@ def _xi_errors(xi: np.ndarray, model: EnergyModel) -> list:
             if below else None for ok, below in zip(finite, low)]
 
 
-@dataclass
-class CellSolution:
-    value: float  # energy density (energy / vol(unit box))
-    grad_norm: float
-    iterations: int
-    converged: bool
-    n_free: int
-    h: float
-
-
 def build_cell_mesh(source: PeriodicCell | StochasticCell) -> Mesh:
     if isinstance(source, PeriodicCell):
         return _periodic_mesh(source.m, source.dim, source.diagonal)
@@ -158,15 +148,16 @@ def at_scale(source: PeriodicCell | StochasticCell, scale, lattice_seed: int | N
     return replace(source, h=float(scale), lattice=lattice)
 
 
-def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSolution:
-    """Minimize over the interior with the affine layer pinned.
+def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> MinimizeResult:
+    """Minimize over the interior with the affine layer pinned; the best
+    run's MinimizeResult, without its state.
 
     mesh is the source's mesh when the caller has built it already (see
-    solve_cells); by default it is built here.  When the layer
-    swallows every vertex the admissible set is the single affine state and
-    its energy is returned directly (this happens for the coarsest meshes,
-    where 2h exceeds the inradius).  The first run starts from the affine
-    state (minimize's default), later ones from perturbations of it.
+    solve_cells); by default it is built here.  When the layer swallows
+    every vertex the admissible set is the single affine state and its
+    energy is returned with 0 iterations (the coarsest meshes, where 2h
+    exceeds the inradius).  The first run starts from the affine state
+    (minimize's default), later ones from perturbations of it.
     """
     if mesh is None:
         mesh = build_cell_mesh(problem.source)
@@ -174,7 +165,7 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
     layer = boundary_layer(mesh, depth)
     if layer.size == mesh.num_vertices:
         value = affine_energy(mesh, problem.xi, problem.model)
-        return CellSolution(value, 0.0, 0, True, 0, mesh.h)
+        return MinimizeResult(value, 0.0, 0, 0, "ok", 0, mesh.h)
 
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
     rng = np.random.default_rng(problem.seed) if problem.restarts > 1 else None
@@ -186,16 +177,15 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> CellSo
             init = affine_positions(mesh, problem.xi)
             init += scale * rng.standard_normal(init.shape)
         result = minimize(mesh, problem.model, bc, init=init, settings=problem.settings)
-        if best is None or result.energy < best.energy:
+        if best is None or result.value < best.value:
             best = result
-    return CellSolution(best.energy, best.grad_norm, best.iterations, best.converged,
-                        mesh.num_vertices - layer.size, mesh.h)
+    return replace(best, state=None)
 
 
 def solve_cells(cells, model: EnergyModel, restarts: int = 1,
                 settings: MinimizeSettings = DEFAULT_SETTINGS, parts: int = 1, run=map):
     """Solve every distinct cell (xi, cell source, run seed) once; returns
-    outcome(xi, cell source, run seed), the cell's CellSolution or the
+    outcome(xi, cell source, run seed), the cell's MinimizeResult or the
     ValueError or RuntimeError (every polynet error is one) it raised.
 
     The run seed only perturbs the starts of restarts after the first, so
@@ -251,7 +241,7 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
 
 
 def _periodic_solutions(cells, model: EnergyModel) -> list:
-    """Each one-restart periodic cell's CellSolution, or the error it raised,
+    """Each one-restart periodic cell's MinimizeResult, or the error it raised,
     in order: the m-cell solve would stop at its affine start, whose density
     is periodic_density.  The gradient there is exactly zero, no vertex is
     minimized over, and h is the m-cell mesh's, by _make_mesh's expression.
@@ -281,8 +271,8 @@ def _periodic_solutions(cells, model: EnergyModel) -> list:
             values = [_caught(periodic_density, xi, model, dim, diagonal) for xi in stack[valid]]
         per_cell = _unit_cell(dim, diagonal).num_elements
         for i, value in zip(valid, values):
-            outcomes[ks[i]] = value if isinstance(value, Exception) else CellSolution(
-                float(value), 0.0, 0, True, 0, (1.0 / (per_cell * ms[i] ** dim)) ** (1.0 / dim))
+            outcomes[ks[i]] = value if isinstance(value, Exception) else MinimizeResult(
+                float(value), 0.0, 0, 0, "ok", 0, (1.0 / (per_cell * ms[i] ** dim)) ** (1.0 / dim))
     return outcomes
 
 
@@ -303,7 +293,7 @@ def _solve_share(share, model, restarts, settings) -> list:
 
 
 def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -> list:
-    """Each cell's CellSolution or the error it raised, in order.  meshes (a
+    """Each cell's MinimizeResult or the error it raised, in order.  meshes (a
     fresh dict by default) keeps each source's mesh, built for its first
     valid cell, or the error its build raised, which each of its valid
     cells then gets."""
@@ -329,18 +319,14 @@ class CellRecord:
     scale: float  # h (stochastic) or the mesh h (periodic)
     realization: int
     seed: int
-    value: float
-    grad_norm: float
-    iterations: int
-    status: str = "ok"  # "ok", "max_iters" (stopped unconverged) or "failed"
-    error: str = ""  # "Type: message" of a failed cell, empty otherwise
+    result: MinimizeResult
 
 
 @dataclass
 class ScaleEstimate:
     h: float
     value: float  # mean over the scale's cells that did not fail
-    grad_norm: float
+    grad_norm: float  # the largest over the cells in the mean
     stderr: float  # standard error of that mean (0 for a single cell)
     n: int  # cells in the mean
     records: list[CellRecord] = field(default_factory=list)
@@ -474,30 +460,31 @@ def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
     """The HomogEstimate of one xi from its cells' outcomes.
 
     runs is sweep_runs' list; outcome(xi, cell source, run seed) is that
-    cell's CellSolution or the exception it failed with.  A cell that
-    stopped at max_iters keeps its value under status "max_iters".  A scale
-    with no successful cell raises a RuntimeError naming the first cell's
-    reason.
+    cell's MinimizeResult or the exception it failed with, recorded as a
+    result of status "failed" with a NaN value.  A cell that stopped at
+    max_iters keeps its value in the mean.  A scale with no successful cell
+    raises a RuntimeError naming the first cell's reason.
     """
     periodic = isinstance(runs[0][0][0], PeriodicCell)
     per_h: list[ScaleEstimate] = []
     for scale, scale_runs in zip(scales, runs):
         records = []
         for real, (cell_source, run_seed) in enumerate(scale_runs):
-            sol = outcome(xi, cell_source, run_seed)
-            if isinstance(sol, Exception):
-                records.append(CellRecord(scale, real, run_seed, math.nan, math.nan, 0,
-                                          "failed", failure_reason(sol)))
+            res = outcome(xi, cell_source, run_seed)
+            if isinstance(res, Exception):
+                records.append(CellRecord(scale, real, run_seed, MinimizeResult(
+                    math.nan, math.nan, 0, 0, "failed", 0, math.nan, failure_reason(res))))
             else:
-                records.append(CellRecord(sol.h if periodic else float(scale), real, run_seed,
-                                          sol.value, sol.grad_norm, sol.iterations,
-                                          "ok" if sol.converged else "max_iters"))
-        values = np.array([r.value for r in records if r.status != "failed"])
-        if values.size == 0:
-            raise RuntimeError(f"every cell problem failed at scale {scale}: {records[0].error}")
+                records.append(CellRecord(res.h if periodic else float(scale), real, run_seed,
+                                          res))
+        kept = [r.result for r in records if r.result.status != "failed"]
+        if not kept:
+            raise RuntimeError(
+                f"every cell problem failed at scale {scale}: {records[0].result.error}")
+        values = np.array([r.value for r in kept])
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-        grad_norm = float(max(r.grad_norm for r in records if r.status != "failed"))
+        grad_norm = float(max(r.grad_norm for r in kept))
         h_val = records[0].scale if periodic else float(scale)
         per_h.append(ScaleEstimate(h=h_val, value=mean, grad_norm=grad_norm, stderr=stderr,
                                    n=int(values.size), records=records))
@@ -677,15 +664,15 @@ def cell_estimator(
 
 def runs_estimator(runs, outcome):
     """Estimator xi -> mean density over the cells of runs, a list of (cell
-    source, run seed), read from outcome(xi, cell source, run seed) as
-    solve_cells returns it; the first failed cell raises its error."""
+    source, run seed), read from outcome(xi, cell source, run seed)'s result
+    as solve_cells returns it; the first failed cell raises its error."""
     def estimator(xi):
         values = []
         for cell_source, run_seed in runs:
-            solution = outcome(xi, cell_source, run_seed)
-            if isinstance(solution, Exception):
-                raise solution
-            values.append(solution.value)
+            result = outcome(xi, cell_source, run_seed)
+            if isinstance(result, Exception):
+                raise result
+            values.append(result.value)
         return float(np.mean(values))
 
     return estimator
@@ -704,7 +691,7 @@ def write_estimates_csv(path, estimates: list[HomogEstimate | Exception]) -> Non
     dim = present[0][1].xi.shape[0]
     xi_cols = [f"xi{i}{j}" for i in range(dim) for j in range(dim)]
     header = ["xi_id", *xi_cols, "h", "realization", "value", "grad_norm",
-              "iterations", "seed", "status", "error"]
+              "iterations", "evaluations", "seed", "status", "error"]
 
     def fmt(x):
         return f"{x:.17g}"
@@ -716,10 +703,11 @@ def write_estimates_csv(path, estimates: list[HomogEstimate | Exception]) -> Non
             flat = [fmt(v) for v in est.xi.ravel()]
             for scale in est.per_h:
                 for rec in scale.records:
+                    res = rec.result
                     writer.writerow(
                         [xi_id, *flat, fmt(rec.scale), rec.realization,
-                         fmt(rec.value), fmt(rec.grad_norm), rec.iterations,
-                         rec.seed, rec.status, rec.error]
+                         fmt(res.value), fmt(res.grad_norm), res.iterations,
+                         res.evaluations, rec.seed, res.status, res.error]
                     )
 
 
@@ -748,7 +736,7 @@ def summary_dict(estimates: list[HomogEstimate | Exception], probes: dict | None
                         "mean": s.value,
                         "stderr": s.stderr,
                         "n": s.n,
-                        "n_max_iters": sum(r.status == "max_iters" for r in s.records),
+                        "n_max_iters": sum(r.result.status == "max_iters" for r in s.records),
                     }
                     for s in est.per_h
                 ],

@@ -69,11 +69,18 @@ DEFAULT_SETTINGS = MinimizeSettings()
 
 @dataclass
 class MinimizeResult:
-    state: np.ndarray  # full deformed positions, fixed dofs included
-    energy: float
+    """A solve's outcome, the one record from minimize to a sweep's CSV row;
+    only minimize fills state, so a cell problem's record keeps no positions."""
+
+    value: float  # the energy; a cell's density, as the unit box has volume 1
     grad_norm: float
     iterations: int
-    converged: bool
+    evaluations: int  # energy-and-gradient calls of the run
+    status: str  # "ok" (converged), "max_iters" (stopped unconverged) or "failed"
+    n_free: int  # vertices minimized over
+    h: float  # the mesh's
+    error: str = ""  # "Type: message" of a failed cell
+    state: np.ndarray | None = None  # deformed positions, fixed dofs included
 
 
 def _two_loop(grad, history, precondition):
@@ -141,7 +148,7 @@ def _line_search(fg, x, f, g, direction, slope, gnorm):
 
 
 def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=None):
-    """Generic L-BFGS on a flat vector; returns (x, f, grad_norm, iters, converged).
+    """Generic L-BFGS on a flat vector; returns (x, f, grad_norm, iters, status).
 
     fg maps a flat vector to (energy, gradient), the gradient a flat array;
     it is called once per trial point.  precondition, when given, maps a
@@ -149,10 +156,12 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
     per iteration, never at a start that meets the gradient tolerance.  Each
     iteration runs one backtracking line search along the quasi-Newton
     direction (see _line_search) and raises OptimizationError when it finds
-    no step.  With settings.grad_tol None, a quasi-Newton direction whose
-    predicted decrease is at most GAP_EPS * (1 + |E(x0)|) ends the run as
-    converged before its line search.  A direction that does not descend is
-    replaced by -g, and from then on only |g| <= tol ends the run.
+    no step.  status is "ok" once |g| <= tol, or, with settings.grad_tol
+    None, once a quasi-Newton direction predicts a decrease of at most
+    GAP_EPS * (1 + |E(x0)|), and "max_iters" when the run is cut short.  A
+    direction that does not descend is replaced by -g, and from then on
+    precondition is dropped, so H0 is the scalar of the newest pair, and only
+    |g| <= tol ends the run.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fg(x)
@@ -167,14 +176,14 @@ def lbfgs(fg, x0, settings: MinimizeSettings = DEFAULT_SETTINGS, precondition=No
     for iterations in range(settings.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol or iterations == settings.max_iters:
-            return x, f, gnorm, iterations, gnorm <= tol
+            return x, f, gnorm, iterations, "ok" if gnorm <= tol else "max_iters"
         direction = _two_loop(g, history, precondition)
         slope = float(direction @ g)
         decrease = -0.5 * slope  # predicted by the quadratic model
         if decrease <= 0.0:  # H is not positive definite, so no later gap bounds f
-            direction, slope, gap_tol = -g, -float(g @ g), 0.0
+            direction, slope, gap_tol, precondition = -g, -float(g @ g), 0.0, None
         elif decrease <= gap_tol:
-            return x, f, gnorm, iterations, True
+            return x, f, gnorm, iterations, "ok"
         step = _line_search(fg, x, f, g, direction, slope, gnorm)
         if step is None:
             raise OptimizationError(
@@ -210,8 +219,11 @@ def minimize(
         positions[rows] = np.asarray(init, dtype=float)[rows]
     # f keeps the pinned elements' constant energy, so tolerance and result do too
     active, pinned_energy = split_pinned(mesh, free, bc.xi, model)
+    evaluations = 0
 
     def fg(x):
+        nonlocal evaluations
+        evaluations += 1
         positions[rows] = x.reshape(-1, mesh.dim)
         energy, grad = energy_and_gradient(active, positions, model)
         return energy + pinned_energy, grad[rows].ravel()
@@ -231,8 +243,7 @@ def minimize(
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return lu.solve(x.reshape(-1, mesh.dim)).ravel()
 
-    x, f, gnorm, iters, converged = lbfgs(fg, positions[rows].ravel(), settings, precondition)
+    x, f, gnorm, iters, status = lbfgs(fg, positions[rows].ravel(), settings, precondition)
     positions[rows] = x.reshape(-1, mesh.dim)
-    return MinimizeResult(
-        state=positions, energy=f, grad_norm=gnorm, iterations=iters, converged=converged
-    )
+    return MinimizeResult(f, gnorm, iters, evaluations, status, rows.size, mesh.h,
+                          state=positions)

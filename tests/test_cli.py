@@ -538,10 +538,15 @@ def test_homogenize_unconverged_cells_read_max_iters(tmp_path, capsys):
     with open(out / "homogenize.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
+    columns = list(rows[0])
+    assert columns[columns.index("iterations") + 1] == "evaluations"
     for row in rows:
-        expected = "ok" if float(row["h"]) == 0.25 else "max_iters"
-        assert (row["status"], row["error"]) == (expected, "")
+        pinned = float(row["h"]) == 0.25
+        assert (row["status"], row["error"]) == ("ok" if pinned else "max_iters", "")
         assert np.isfinite(float(row["value"]))
+        # the start and at least one trial step, or no call for a pinned cell
+        evaluations = int(row["evaluations"])
+        assert evaluations == 0 if pinned else evaluations >= 2
     # an unconverged cell keeps its value in the mean
     per_h = json.loads((out / "summary.json").read_text())["estimates"][0]["per_h"]
     assert [entry["n"] for entry in per_h] == [4, 4]

@@ -10,7 +10,6 @@ from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, GrowthBounds, PairPotential, check_growth_condition
 from polynet.homogenize import (
     CellProblem,
-    CellSolution,
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
@@ -30,6 +29,7 @@ from polynet.homogenize import (
     write_estimates_csv,
 )
 from polynet.meshing import StochasticLatticeSpec, periodic_mesh_2d
+from polynet.optim import MinimizeResult
 from polynet.volumetric import VolumetricParams
 
 SPRING = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
@@ -63,6 +63,7 @@ def test_cell_density_fully_pinned_coarse_mesh():
     sol = solve_cell_problem(problem)
     assert sol.n_free == 0
     assert sol.value == 3.0
+    assert (sol.iterations, sol.evaluations, sol.status) == (0, 0, "ok")
 
 
 def test_cell_density_calibrated_chain_rest_energy():
@@ -270,8 +271,8 @@ def test_sweep_mixing_valid_and_failing_xi_keeps_each_outcome(case):
         if isinstance(alone, Exception):
             assert type(mixed[k]) is type(alone) and str(mixed[k]) == str(alone)
             continue
-        assert [(r.scale, r.value, r.status, r.error) for s in alone.per_h for r in s.records] \
-            == [(r.scale, r.value, r.status, r.error) for s in mixed[k].per_h for r in s.records]
+        assert [(r.scale, r.result) for s in alone.per_h for r in s.records] \
+            == [(r.scale, r.result) for s in mixed[k].per_h for r in s.records]
     assert isinstance(mixed[1], RuntimeError)
 
 
@@ -550,8 +551,26 @@ def test_solve_cells_same_outcomes_for_every_parts(monkeypatch):
             assert all(len({cell[1] for cell in group}) == 1 for group in share)
             assert len(held(share)) == len(share)
         assert sum(len(group) for share in shares for group in share) == len(distinct)
-    assert all(isinstance(sol, CellSolution) for sol in outcomes[0])
+    assert all(isinstance(sol, MinimizeResult) for sol in outcomes[0])
     assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+
+
+def test_cell_results_carry_no_positions():
+    # a cell keeps and pickles no positions: neither the best of two
+    # restarts nor any outcome that a pool of two processes sends back
+    from polynet import cli
+
+    xi = np.diag([1.1, 0.9])
+    source = StochasticCell(LATTICE_2D, h=0.1, dim=2)
+    best = solve_cell_problem(CellProblem(xi=xi, source=source, model=SPRING, restarts=2))
+    assert best.state is None and best.n_free > 0 and best.evaluations > best.iterations > 0
+    cells = [(xi + 0.05 * k * np.eye(2), at_scale(source, h), 0)
+             for k in range(2) for h in (0.15, 0.1)]
+    cells.append((xi, PeriodicCell(m=4), 0))  # answered in closed form
+    outcome = solve_cells(cells, SPRING, parts=2, run=cli._run_shares)
+    assert all(isinstance(outcome(*cell), MinimizeResult) for cell in cells)
+    assert all(outcome(*cell).state is None for cell in cells)
+    assert outcome(*cells[-1]).evaluations == 0
 
 
 def spy_shares(cells, parts, restarts=1):
@@ -634,7 +653,7 @@ def test_solve_cells_deals_shares(counts, parts, expected):
         shares, outcome = spy_shares(cells, parts, restarts=2)
         assert [[(sources.index(group[0][1]), len(group)) for group in share]
                 for share in shares] == expected
-        assert all(isinstance(outcome(*cell), CellSolution) for cell in cells)
+        assert all(isinstance(outcome(*cell), MinimizeResult) for cell in cells)
 
 
 # ---------------------------------------------------------------------------
