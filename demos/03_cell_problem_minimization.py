@@ -44,7 +44,7 @@ problem = CellProblem(
     model=model,
 )
 solution = solve_cell_problem(problem)
-print(f"  energy density {solution.value:.8f} at h = {solution.h:.4f} "
+print(f"  energy density {solution.value:.8f} at h = {problem.source.h:.4f} "
       f"({solution.n_free} free vertices)")
 print(f"  status={solution.status}, iterations={solution.iterations}")
 print("  (on the periodic lattice the affine state is a critical point by")

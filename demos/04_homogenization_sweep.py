@@ -19,8 +19,9 @@ xi = np.array([[1.1, 0.0], [0.0, 0.9]])
 
 print("Periodic 2D lattice, quadratic springs: cell problems vs the closed form")
 for m in (2, 4, 8, 16):
-    sol = solve_cell_problem(CellProblem(xi=xi, source=PeriodicCell(m=m), model=spring))
-    print(f"  m = {m:2d}, h = {sol.h:.5f}: density {sol.value:.12f}")
+    cell = PeriodicCell(m=m)
+    sol = solve_cell_problem(CellProblem(xi=xi, source=cell, model=spring))
+    print(f"  m = {m:2d}, h = {cell.h:.5f}: density {sol.value:.12f}")
 print(f"  periodic_density (affine energy of one cell): {periodic_density(xi, spring):.12f}")
 print("  (the affine state is critical at every m, so every cell problem has the")
 print("   one-cell value; a sweep with one restart reads it without a mesh)")

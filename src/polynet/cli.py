@@ -274,7 +274,7 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
         elif depth == "2hR":
             if not isinstance(source, StochasticCell):
                 raise ConfigError("bc: depth rule '2hR' needs a stochastic mesh")
-            depth = default_layer_depth(source, mesh)
+            depth = default_layer_depth(source)
         else:
             depth = _number(depth, "bc: depth")
             if depth < 0.0:
@@ -479,8 +479,8 @@ def cmd_homogenize(cfg: dict, args, out: Path) -> int:
         xi_list, scales, model, source, n_real, seed, restarts, settings,
         frame=rotations[:n_frame], iso=rotations[:n_iso], parts=jobs, run=_run_shares)
 
-    statuses = Counter(rec.result.status for est in estimates if not isinstance(est, Exception)
-                       for s in est.per_h for rec in s.records)
+    statuses = Counter(r.status for est in estimates if not isinstance(est, Exception)
+                       for s in est.per_h for _, r in s.records)
     # the cells in the means: converged or stopped at max_iters
     kept = statuses["ok"] + statuses["max_iters"]
     out.mkdir(parents=True, exist_ok=True)

@@ -48,6 +48,11 @@ class PeriodicCell:
     dim: int = 2
     diagonal: str = "nw"
 
+    @property
+    def h(self) -> float:
+        """The m-cell mesh's h, N_el^(-1/dim) with N_el = dim! m^dim, bit for bit."""
+        return (1.0 / (math.factorial(self.dim) * self.m ** self.dim)) ** (1.0 / self.dim)
+
 
 @dataclass(frozen=True)
 class StochasticCell:
@@ -131,9 +136,9 @@ def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw")
     return affine_energy(_unit_cell(dim, diagonal), xi, model)
 
 
-def default_layer_depth(source: PeriodicCell | StochasticCell, mesh: Mesh) -> float:
+def default_layer_depth(source: PeriodicCell | StochasticCell) -> float:
     if isinstance(source, PeriodicCell):
-        return 2.0 * mesh.h
+        return 2.0 * source.h
     return 2.0 * source.h * source.lattice.R_cov
 
 
@@ -161,11 +166,11 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> Minimi
     """
     if mesh is None:
         mesh = build_cell_mesh(problem.source)
-    depth = default_layer_depth(problem.source, mesh)
+    depth = default_layer_depth(problem.source)
     layer = boundary_layer(mesh, depth)
     if layer.size == mesh.num_vertices:
         value = affine_energy(mesh, problem.xi, problem.model)
-        return MinimizeResult(value, 0.0, 0, 0, "ok", 0, mesh.h)
+        return MinimizeResult(value, 0.0, 0, 0, "ok", 0)
 
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
     rng = np.random.default_rng(problem.seed) if problem.restarts > 1 else None
@@ -243,8 +248,8 @@ def solve_cells(cells, model: EnergyModel, restarts: int = 1,
 def _periodic_solutions(cells, model: EnergyModel) -> list:
     """Each one-restart periodic cell's MinimizeResult, or the error it raised,
     in order: the m-cell solve would stop at its affine start, whose density
-    is periodic_density.  The gradient there is exactly zero, no vertex is
-    minimized over, and h is the m-cell mesh's, by _make_mesh's expression.
+    is periodic_density.  The gradient there is exactly zero and no vertex is
+    minimized over.
 
     Each cell's lattice and xi shape are checked first; then the cells of
     a lattice go through CellProblem's checks as one stack, and m, and the
@@ -269,10 +274,9 @@ def _periodic_solutions(cells, model: EnergyModel) -> list:
             values = periodic_density(stack[valid], model, dim, diagonal)
         except (ValueError, RuntimeError):  # some cell raises: each alone, for its own error
             values = [_caught(periodic_density, xi, model, dim, diagonal) for xi in stack[valid]]
-        per_cell = _unit_cell(dim, diagonal).num_elements
         for i, value in zip(valid, values):
             outcomes[ks[i]] = value if isinstance(value, Exception) else MinimizeResult(
-                float(value), 0.0, 0, 0, "ok", 0, (1.0 / (per_cell * ms[i] ** dim)) ** (1.0 / dim))
+                float(value), 0.0, 0, 0, "ok", 0)
     return outcomes
 
 
@@ -315,21 +319,13 @@ def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -
 
 
 @dataclass
-class CellRecord:
-    scale: float  # h (stochastic) or the mesh h (periodic)
-    realization: int
-    seed: int
-    result: MinimizeResult
-
-
-@dataclass
 class ScaleEstimate:
-    h: float
+    h: float  # the scale's cell sources' h
     value: float  # mean over the scale's cells that did not fail
     grad_norm: float  # the largest over the cells in the mean
     stderr: float  # standard error of that mean (0 for a single cell)
     n: int  # cells in the mean
-    records: list[CellRecord] = field(default_factory=list)
+    records: list[tuple[int, MinimizeResult]] = field(default_factory=list)  # (run seed, result)
 
 
 @dataclass
@@ -465,29 +461,24 @@ def sweep_estimate(xi, scales, runs, outcome) -> HomogEstimate:
     max_iters keeps its value in the mean.  A scale with no successful cell
     raises a RuntimeError naming the first cell's reason.
     """
-    periodic = isinstance(runs[0][0][0], PeriodicCell)
     per_h: list[ScaleEstimate] = []
     for scale, scale_runs in zip(scales, runs):
         records = []
-        for real, (cell_source, run_seed) in enumerate(scale_runs):
+        for cell_source, run_seed in scale_runs:
             res = outcome(xi, cell_source, run_seed)
             if isinstance(res, Exception):
-                records.append(CellRecord(scale, real, run_seed, MinimizeResult(
-                    math.nan, math.nan, 0, 0, "failed", 0, math.nan, failure_reason(res))))
-            else:
-                records.append(CellRecord(res.h if periodic else float(scale), real, run_seed,
-                                          res))
-        kept = [r.result for r in records if r.result.status != "failed"]
+                res = MinimizeResult(math.nan, math.nan, 0, 0, "failed", 0, failure_reason(res))
+            records.append((run_seed, res))
+        kept = [r for _, r in records if r.status != "failed"]
         if not kept:
             raise RuntimeError(
-                f"every cell problem failed at scale {scale}: {records[0].result.error}")
+                f"every cell problem failed at scale {scale}: {records[0][1].error}")
         values = np.array([r.value for r in kept])
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         grad_norm = float(max(r.grad_norm for r in kept))
-        h_val = records[0].scale if periodic else float(scale)
-        per_h.append(ScaleEstimate(h=h_val, value=mean, grad_norm=grad_norm, stderr=stderr,
-                                   n=int(values.size), records=records))
+        per_h.append(ScaleEstimate(h=scale_runs[0][0].h, value=mean, grad_norm=grad_norm,
+                                   stderr=stderr, n=int(values.size), records=records))
 
     gaps = [abs(per_h[k + 1].value - per_h[k].value) for k in range(len(per_h) - 1)]
     return HomogEstimate(xi=xi, per_h=per_h, cauchy_gaps=gaps,
@@ -567,10 +558,10 @@ def rank_one_convexity_sample(estimator, xi, a, b, t_grid,
                               noise_floor: float = 0.0) -> ConvexityReport:
     """Sampled convexity of t -> W(xi + t * a ox b) along a rank-one line.
 
-    Checks discrete midpoint convexity against neighbor chords; a positive
-    chord excess beyond the noise floor flags a violation of this necessary
-    condition for quasiconvexity.  Fewer than 3 grid points give a trivially
-    empty report.
+    Checks discrete midpoint convexity against neighbor chords on the
+    sorted t_grid, whose values must be distinct; a positive chord excess
+    beyond the noise floor flags a violation of this necessary condition
+    for quasiconvexity.  Fewer than 3 grid points give an empty report.
     """
     xi, a, b, ts = (np.asarray(x, dtype=float) for x in (xi, a, b, t_grid))
     if not (np.linalg.norm(a) > 0.0 and np.linalg.norm(b) > 0.0):
@@ -578,6 +569,8 @@ def rank_one_convexity_sample(estimator, xi, a, b, t_grid,
     if not all(np.isfinite(x).all() for x in (xi, a, b, ts, noise_floor)):
         raise ValueError("xi, a, b, t_grid and noise_floor must be finite")
     ts = np.sort(ts)
+    if (ts[1:] == ts[:-1]).any():
+        raise ValueError("t_grid values must be distinct")
     values = np.array([float(estimator(xi + t * np.outer(a, b))) for t in ts])
     if ts.size < 3:
         empty = np.empty(0)
@@ -702,12 +695,11 @@ def write_estimates_csv(path, estimates: list[HomogEstimate | Exception]) -> Non
         for xi_id, est in present:
             flat = [fmt(v) for v in est.xi.ravel()]
             for scale in est.per_h:
-                for rec in scale.records:
-                    res = rec.result
+                for realization, (seed, res) in enumerate(scale.records):
                     writer.writerow(
-                        [xi_id, *flat, fmt(rec.scale), rec.realization,
+                        [xi_id, *flat, fmt(scale.h), realization,
                          fmt(res.value), fmt(res.grad_norm), res.iterations,
-                         res.evaluations, rec.seed, res.status, res.error]
+                         res.evaluations, seed, res.status, res.error]
                     )
 
 
@@ -736,7 +728,7 @@ def summary_dict(estimates: list[HomogEstimate | Exception], probes: dict | None
                         "mean": s.value,
                         "stderr": s.stderr,
                         "n": s.n,
-                        "n_max_iters": sum(r.result.status == "max_iters" for r in s.records),
+                        "n_max_iters": sum(r.status == "max_iters" for _, r in s.records),
                     }
                     for s in est.per_h
                 ],

@@ -391,6 +391,8 @@ def check_admissibility(points, box, r_claim: float, R_claim: float) -> Admissib
     from scipy.spatial import cKDTree
 
     lo, hi = _box_arrays(box)
+    if points.shape[1:] != lo.shape:
+        raise ValueError(f"a {lo.size}D box does not fit points of shape {points.shape}")
     try:  # first, so a point set of another dimension is rejected before the probes
         quality = _min_quality(points, _delaunay_simplices(points)[0])
     except DegenerateGeometryError:

@@ -69,8 +69,8 @@ DEFAULT_SETTINGS = MinimizeSettings()
 
 @dataclass
 class MinimizeResult:
-    """A solve's outcome, the one record from minimize to a sweep's CSV row;
-    only minimize fills state, so a cell problem's record keeps no positions."""
+    """A solve's outcome, the one record from minimize to a CSV row (whose h
+    is the cell source's); minimize alone fills state, the positions."""
 
     value: float  # the energy; a cell's density, as the unit box has volume 1
     grad_norm: float
@@ -78,7 +78,6 @@ class MinimizeResult:
     evaluations: int  # energy-and-gradient calls of the run
     status: str  # "ok" (converged), "max_iters" (stopped unconverged) or "failed"
     n_free: int  # vertices minimized over
-    h: float  # the mesh's
     error: str = ""  # "Type: message" of a failed cell
     state: np.ndarray | None = None  # deformed positions, fixed dofs included
 
@@ -245,5 +244,4 @@ def minimize(
 
     x, f, gnorm, iters, status = lbfgs(fg, positions[rows].ravel(), settings, precondition)
     positions[rows] = x.reshape(-1, mesh.dim)
-    return MinimizeResult(f, gnorm, iters, evaluations, status, rows.size, mesh.h,
-                          state=positions)
+    return MinimizeResult(f, gnorm, iters, evaluations, status, rows.size, state=positions)

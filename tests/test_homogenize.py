@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 from functools import partial
@@ -14,7 +15,9 @@ from polynet.homogenize import (
     StochasticCell,
     anisotropy_counterexample,
     at_scale,
+    build_cell_mesh,
     cell_estimator,
+    default_layer_depth,
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
@@ -271,8 +274,8 @@ def test_sweep_mixing_valid_and_failing_xi_keeps_each_outcome(case):
         if isinstance(alone, Exception):
             assert type(mixed[k]) is type(alone) and str(mixed[k]) == str(alone)
             continue
-        assert [(r.scale, r.result) for s in alone.per_h for r in s.records] \
-            == [(r.scale, r.result) for s in mixed[k].per_h for r in s.records]
+        assert [(s.h, r) for s in alone.per_h for r in s.records] \
+            == [(s.h, r) for s in mixed[k].per_h for r in s.records]
     assert isinstance(mixed[1], RuntimeError)
 
 
@@ -888,6 +891,9 @@ BAD_DIAGNOSTIC_INPUTS = [
     (partial(_rank_one, xi=np.diag([math.inf, 1.0])), "t_grid and noise_floor must be finite"),
     (partial(_rank_one, a=(math.inf, 0.0)), "t_grid and noise_floor must be finite"),
     (partial(_rank_one, a=(0.0, 0.0)), "rank-one directions must be nonzero"),
+    # a repeated t made the chord 0/0: a NaN excess that read as non-convex
+    (partial(_rank_one, t_grid=[0.0, 0.1, 0.1, 0.1, 0.2]), "t_grid values must be distinct"),
+    (partial(_rank_one, t_grid=[0.2, 0.0, 0.1, -0.0]), "t_grid values must be distinct"),
 ]
 
 
@@ -922,6 +928,29 @@ def test_csv_and_summary_outputs(tmp_path):
     assert len(summary["estimates"][0]["cauchy_gaps"]) == 1
     assert summary["estimates"][0]["per_h"][0]["n"] == 4
     assert summary["probes"]["0"]["isotropy_deviation"] == 0.1
+
+
+@pytest.mark.parametrize("dim, diagonal", [(2, "nw"), (2, "ne"), (3, "nw")])
+def test_periodic_cell_h_is_its_mesh_h(dim, diagonal):
+    for m in range(1, 13):
+        source = PeriodicCell(m, dim, diagonal)
+        mesh = build_cell_mesh(source)
+        assert source.h == mesh.h
+        assert default_layer_depth(source) == 2.0 * mesh.h
+
+
+@pytest.mark.parametrize("dim, restarts", [(2, 1), (2, 2), (3, 1)])
+def test_periodic_sweep_csv_h_is_the_cell_h(tmp_path, dim, restarts):
+    # one restart answers in closed form, two solve the m-cell mesh
+    m_list = [1, 2, 3, 5]
+    est = estimate_whom(np.eye(dim), m_list, SPRING, PeriodicCell(m=0, dim=dim),
+                        restarts=restarts)
+    path = tmp_path / "est.csv"
+    write_estimates_csv(path, [est])
+    with open(path, newline="") as fh:
+        column = [row["h"] for row in csv.DictReader(fh)]
+    assert column == [f"{PeriodicCell(m, dim).h:.17g}" for m in m_list]
+    assert [s.h for s in est.per_h] == [PeriodicCell(m, dim).h for m in m_list]
 
 
 def test_stochastic_estimator_common_random_numbers():

@@ -225,6 +225,16 @@ def test_admissibility_needs_two_points():
         check_admissibility(np.zeros((1, 3)), UNIT_3D, 1.0, 1.0)
 
 
+def test_admissibility_rejects_a_box_of_another_dimension():
+    # 3D points in a 2D box used to reach scipy's KD-tree query, which raised
+    # "x must consist of vectors of length 3 but has shape (33, 2)"
+    rng = np.random.default_rng(0)
+    for dim, box_dim in ((3, 2), (2, 3)):
+        with pytest.raises(ValueError, match=f"a {box_dim}D box does not fit points"):
+            check_admissibility(rng.random((40, dim)),
+                                (np.zeros(box_dim), np.ones(box_dim)), 0.3, 0.5)
+
+
 def test_matern_separation_and_determinism():
     spec = StochasticLatticeSpec(
         kind="matern-hardcore", intensity=30.0, r_min=0.15, R_cov=0.6, seed=11

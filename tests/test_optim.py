@@ -672,7 +672,7 @@ def test_spring_cell_matches_exact_oracle(dim, h):
     solution = solve_cell_problem(problem)
     assert solution.status == "ok"
     mesh = build_cell_mesh(problem.source)
-    exact = spring_oracle(mesh, problem.xi, default_layer_depth(problem.source, mesh))
+    exact = spring_oracle(mesh, problem.xi, default_layer_depth(problem.source))
     assert abs(solution.value - exact) <= 1e-12 * exact
     if dim == 2:
         assert abs(exact - 3.2534707) <= 1e-7
@@ -694,7 +694,7 @@ def test_minimize_energy_includes_pinned_elements(dim, h):
     problem = standard_problem(dim, h, LANGEVIN_VOL)
     mesh = build_cell_mesh(problem.source)
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
-                           depth=default_layer_depth(problem.source, mesh))
+                           depth=default_layer_depth(problem.source))
     result = minimize(mesh, LANGEVIN_VOL, bc)
     assert result.status == "ok"
     full = total_energy(mesh, result.state, LANGEVIN_VOL)
@@ -708,7 +708,7 @@ def test_default_start_is_the_affine_init_bit_for_bit(dim, h):
     problem = standard_problem(dim, h, LANGEVIN_VOL)
     mesh = build_cell_mesh(problem.source)
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
-                           depth=default_layer_depth(problem.source, mesh))
+                           depth=default_layer_depth(problem.source))
     default = minimize(mesh, LANGEVIN_VOL, bc)
     given = minimize(mesh, LANGEVIN_VOL, bc, init=affine_positions(mesh, problem.xi))
     assert default.iterations > 0

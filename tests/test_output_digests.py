@@ -1,0 +1,31 @@
+"""tools/output_digests.py prints the same digests for --jobs 1 and 2, and
+again on a second run, for two quick configs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = [ROOT / "configs" / name for name in ("counterexample.json", "mesh_periodic.json")]
+
+
+def _digests() -> list[list[str]]:
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py"),
+                           *map(str, CONFIGS)], capture_output=True, text=True, check=True,
+                          timeout=300)
+    assert done.stderr == ""
+    return [line.split() for line in done.stdout.splitlines()]
+
+
+def test_output_digests_agree_across_jobs_and_runs():
+    lines = _digests()
+    assert all(len(line) == 4 for line in lines)
+    by_jobs = {jobs: [(case, name, digest) for case, j, name, digest in lines if j == jobs]
+               for jobs in ("1", "2")}
+    assert by_jobs["1"] == by_jobs["2"]
+    names = {(case, name) for case, name, _ in by_jobs["1"]}
+    assert names == {("counterexample.json", "counterexample.json"),
+                     ("mesh_periodic.json", "mesh.txt"),
+                     *((config.name, stream) for config in CONFIGS
+                       for stream in ("<stdout>", "<stderr>", "<exit>"))}
+    assert _digests() == lines
