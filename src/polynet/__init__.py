@@ -58,7 +58,6 @@ from .homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
-    at_scale,
     cell_estimator,
     estimate_whom,
     frame_invariance_probe,

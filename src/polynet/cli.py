@@ -34,8 +34,6 @@ from .homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
-    build_cell_mesh,
-    default_layer_depth,
     random_rotations,
     summary_dict,
     sweep,
@@ -274,7 +272,7 @@ def build_bc(cfg: dict, source: PeriodicCell | StochasticCell, mesh) -> Boundary
         elif depth == "2hR":
             if not isinstance(source, StochasticCell):
                 raise ConfigError("bc: depth rule '2hR' needs a stochastic mesh")
-            depth = default_layer_depth(source)
+            depth = source.layer_depth
         else:
             depth = _number(depth, "bc: depth")
             if depth < 0.0:
@@ -326,7 +324,7 @@ def _out_dir(cfg: dict, args) -> Path:
 
 def cmd_mesh(cfg: dict, args, out: Path) -> int:
     source = parse_mesh_section(cfg, args.seed)
-    mesh = build_cell_mesh(source)
+    mesh = source.mesh()
     out.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, out / "mesh.txt")
     print(f"h = {mesh.h:.17g}")
@@ -367,7 +365,7 @@ def cmd_lattice_check(cfg: dict, args, out: Path) -> int:
 def cmd_minimize(cfg: dict, args, out: Path) -> int:
     model = build_model(cfg)
     source = parse_mesh_section(cfg, args.seed)
-    mesh = build_cell_mesh(source)
+    mesh = source.mesh()
     bc = build_bc(cfg, source, mesh)
     settings, _ = build_settings(cfg)
     min_cfg = cfg.get("minimize", {})

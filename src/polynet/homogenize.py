@@ -3,15 +3,14 @@
 The homogenized density at a macroscopic gradient xi is estimated by
 pinning a boundary layer of the unit box to the affine map xi @ x,
 minimizing the network energy over the interior, and reading off the
-minimal energy per unit volume.  Periodic meshes use a layer of depth 2h;
-stochastic meshes use 2*h*R with R the lattice covering radius, and the
-estimate is averaged over independent lattice realizations.  The periodic
-lattices have one vertex per cell and their affine state is critical at
-every m, so a periodic cell's density is periodic_density, the affine
-energy of the m = 1 mesh (the lattice's Cauchy-Born energy), which takes a
-stack of gradients at once: sweeps answer all periodic cells of a lattice
-with one restart by one such call, without a mesh, while
-solve_cell_problem still solves the m-cell mesh.  Probes for frame
+minimal energy per unit volume.  A cell source answers for its own kind:
+PeriodicCell (m cells per side) and StochasticCell (a lattice rescaled by
+h) each give their mesh(), their layer_depth (2h periodic, 2hR stochastic,
+R the lattice covering radius) and at_scale, the source at another m or h.
+Stochastic estimates average over independent lattice realizations.  A
+periodic lattice's affine state is critical at every m, so its density is
+periodic_density, the affine energy of the m = 1 mesh: sweeps answer
+one-restart periodic cells by it, without a mesh.  Probes for frame
 invariance, isotropy and sampled rank-one convexity operate on any scalar
 estimator xi -> W(xi).
 """
@@ -42,7 +41,8 @@ from .optim import DEFAULT_SETTINGS, MinimizeResult, MinimizeSettings, minimize
 
 @dataclass(frozen=True)
 class PeriodicCell:
-    """Periodic mesh source: m cells per side of the unit box."""
+    """Periodic mesh source: m cells per side of the unit box; its affine
+    layer has depth 2h."""
 
     m: int
     dim: int = 2
@@ -53,21 +53,52 @@ class PeriodicCell:
         """The m-cell mesh's h, N_el^(-1/dim) with N_el = dim! m^dim, bit for bit."""
         return (1.0 / (math.factorial(self.dim) * self.m ** self.dim)) ** (1.0 / self.dim)
 
+    @property
+    def layer_depth(self) -> float:
+        return 2.0 * self.h
+
+    def mesh(self) -> Mesh:
+        if self.dim not in (2, 3):
+            raise ValueError("periodic sources support dim 2 and 3 only")
+        return (periodic_mesh_2d(self.m, self.diagonal) if self.dim == 2
+                else periodic_mesh_3d(self.m))
+
+    def at_scale(self, scale, lattice_seed: int | None = None) -> PeriodicCell:
+        """This source with m = scale cells per side; lattice_seed is unused."""
+        check_count(scale, "m")
+        return replace(self, m=int(scale))
+
 
 @dataclass(frozen=True)
 class StochasticCell:
-    """Stochastic mesh source: lattice spec rescaled by h into the unit box."""
+    """Stochastic mesh source: lattice spec rescaled by h, clipped to the unit
+    box and triangulated; its affine layer has depth 2hR, R the lattice's
+    covering radius."""
 
     lattice: StochasticLatticeSpec
     h: float
     dim: int = 3
+
+    @property
+    def layer_depth(self) -> float:
+        return 2.0 * self.h * self.lattice.R_cov
+
+    def mesh(self) -> Mesh:
+        return build_stochastic_mesh(self.lattice, self.h, self.dim)
+
+    def at_scale(self, scale, lattice_seed: int | None = None) -> StochasticCell:
+        """This source with h = scale, its lattice reseeded by lattice_seed if given."""
+        lattice = self.lattice
+        if lattice_seed is not None:
+            lattice = replace(lattice, seed=lattice_seed)
+        return replace(self, h=float(scale), lattice=lattice)
 
 
 @dataclass(frozen=True)
 class CellProblem:
     """One cell problem: macroscopic gradient, mesh source, model, protocol.
 
-    The pinned layer has the default depth (2h periodic, 2hR stochastic).
+    The pinned layer's depth is source.layer_depth (2h or 2hR).
     restarts is the total number of minimization runs; the first starts from
     the exact affine state, later ones from seeded perturbations of it with
     standard deviation 0.01 h.
@@ -101,23 +132,11 @@ def _xi_errors(xi: np.ndarray, model: EnergyModel) -> list:
             if below else None for ok, below in zip(finite, low)]
 
 
-def build_cell_mesh(source: PeriodicCell | StochasticCell) -> Mesh:
-    if isinstance(source, PeriodicCell):
-        return _periodic_mesh(source.m, source.dim, source.diagonal)
-    return build_stochastic_mesh(source.lattice, source.h, source.dim)
-
-
-def _periodic_mesh(m: int, dim: int, diagonal: str) -> Mesh:
-    if dim not in (2, 3):
-        raise ValueError("periodic sources support dim 2 and 3 only")
-    return periodic_mesh_2d(m, diagonal) if dim == 2 else periodic_mesh_3d(m)
-
-
 @cache
 def _unit_cell(dim: int, diagonal: str) -> Mesh:
     """The m = 1 periodic mesh, built once per (dim, diagonal) and shared by
     every caller; evaluations add only their own caches to it."""
-    return _periodic_mesh(1, dim, diagonal)
+    return PeriodicCell(1, dim, diagonal).mesh()
 
 
 def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw"):
@@ -136,23 +155,6 @@ def periodic_density(xi, model: EnergyModel, dim: int = 2, diagonal: str = "nw")
     return affine_energy(_unit_cell(dim, diagonal), xi, model)
 
 
-def default_layer_depth(source: PeriodicCell | StochasticCell) -> float:
-    if isinstance(source, PeriodicCell):
-        return 2.0 * source.h
-    return 2.0 * source.h * source.lattice.R_cov
-
-
-def at_scale(source: PeriodicCell | StochasticCell, scale, lattice_seed: int | None = None):
-    """source with m (periodic) or h (stochastic) set to scale; a stochastic
-    lattice is reseeded when lattice_seed is given."""
-    if isinstance(source, PeriodicCell):
-        return replace(source, m=int(scale))
-    lattice = source.lattice
-    if lattice_seed is not None:
-        lattice = replace(lattice, seed=lattice_seed)
-    return replace(source, h=float(scale), lattice=lattice)
-
-
 def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> MinimizeResult:
     """Minimize over the interior with the affine layer pinned; the best
     run's MinimizeResult, without its state.
@@ -165,8 +167,8 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> Minimi
     (minimize's default), later ones from perturbations of it.
     """
     if mesh is None:
-        mesh = build_cell_mesh(problem.source)
-    depth = default_layer_depth(problem.source)
+        mesh = problem.source.mesh()
+    depth = problem.source.layer_depth
     layer = boundary_layer(mesh, depth)
     if layer.size == mesh.num_vertices:
         value = affine_energy(mesh, problem.xi, problem.model)
@@ -307,7 +309,7 @@ def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -
         problem = CellProblem(xi=xi, source=source, model=model, restarts=restarts,
                               seed=seed, settings=settings)
         if source not in meshes:
-            meshes[source] = _caught(build_cell_mesh, source)
+            meshes[source] = _caught(source.mesh)
         mesh = meshes[source]
         return mesh if isinstance(mesh, Exception) else solve_cell_problem(problem, mesh)
 
@@ -374,7 +376,7 @@ def sweep_runs(source, scales, n_realizations: int = 1, seed: int = 0) -> list[l
     runs = []
     for s_idx, scale in enumerate(scales):
         seeds = [_realization_seed(seed, s_idx, r) for r in range(n_realizations)]
-        runs.append([(at_scale(source, scale, s), s) for s in seeds])
+        runs.append([(source.at_scale(scale, s), s) for s in seeds])
     return runs
 
 
@@ -384,14 +386,14 @@ def sweep(xi_list, scales, model: EnergyModel, source, n_realizations: int = 1,
     """Sweep cell problems over mesh scales (and realizations, if
     stochastic) for every xi, then probe each xi on the finest cells.
 
-    source is a PeriodicCell or StochasticCell template; scales replaces its
-    m (periodic) or h (stochastic) entry.  Periodic runs force one
-    realization; a non-finite xi, or an xi or rotation that is not dim x
-    dim, raises a ValueError before any cell runs.  The expectation over
-    lattice realizations is a sample mean with its standard error.  A
-    cell's ValueError or RuntimeError (every polynet error is one) is
-    recorded as its failure_reason.  Every cell, probe cells included, is
-    solved by one solve_cells call with `parts` and `run`.
+    source is a PeriodicCell or StochasticCell template; each scale is
+    passed to source.at_scale, an integer m of at least 1 or an h.
+    Periodic runs force one realization.  A fractional m, a non-finite xi,
+    or an xi or rotation that is not dim x dim raises a ValueError before
+    any cell runs.  Realizations are averaged with the mean's standard
+    error.  A cell's ValueError or RuntimeError (every polynet error is
+    one) is recorded as its failure_reason.  Every cell, probe cells
+    included, is solved by one solve_cells call with `parts` and `run`.
 
     Returns (estimates, probes).  estimates[k] is xi k's HomogEstimate, or
     the RuntimeError, naming the first cell's reason, of a scale with no

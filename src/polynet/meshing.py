@@ -28,9 +28,9 @@ class InfeasibleLatticeError(ValueError):
 
 
 def check_count(value, name: str) -> None:
-    """ValueError unless value is an integer of at least 1 (a count of cells,
-    runs, iterations or realizations; 2.5 would end in range's TypeError)."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    """ValueError unless value is a non-bool integer of at least 1 (a count of
+    cells, runs, iterations or realizations; 2.5 would end in range's TypeError)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 

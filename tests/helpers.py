@@ -3,6 +3,7 @@ exact spring-network solve."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -44,6 +45,34 @@ def rel_err(a, b) -> float:
     b = np.asarray(b, dtype=float)
     denom = max(np.linalg.norm(b), np.finfo(float).tiny)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def patch_cell_mesh(monkeypatch, wrap):
+    """Set PeriodicCell.mesh and StochasticCell.mesh to wrap(that class's
+    mesh method).  The m = 1 meshes that periodic_density shares keep the
+    original method, so only cell sources' meshes reach the replacement."""
+    from polynet import homogenize
+
+    unit_mesh = homogenize.PeriodicCell.mesh
+    monkeypatch.setattr(homogenize, "_unit_cell", functools.cache(
+        lambda dim, diagonal: unit_mesh(homogenize.PeriodicCell(1, dim, diagonal))))
+    for cls in (homogenize.PeriodicCell, homogenize.StochasticCell):
+        monkeypatch.setattr(cls, "mesh", wrap(cls.mesh))
+
+
+def count_cell_meshes(monkeypatch) -> list:
+    """Patch both mesh methods (see patch_cell_mesh) to append each source
+    to the returned list before building its mesh."""
+    built = []
+
+    def counting(build):
+        def counting_build(source):
+            built.append(source)
+            return build(source)
+        return counting_build
+
+    patch_cell_mesh(monkeypatch, counting)
+    return built
 
 
 def element_pair_laplacian(mesh, positions, coefficient):

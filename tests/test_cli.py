@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import count_cell_meshes, patch_cell_mesh
 from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, PairPotential
 from polynet.cli import build_model, build_settings, main
@@ -934,7 +935,7 @@ def test_out_not_a_directory_fails_before_any_work(tmp_path, capsys, monkeypatch
     # 1), homogenize's only after its whole sweep
     from polynet import cli, homogenize
 
-    monkeypatch.setattr(cli, "build_cell_mesh", _raise_index_error)
+    patch_cell_mesh(monkeypatch, lambda build: _raise_index_error)
     monkeypatch.setattr(cli, "stochastic_lattice", _raise_index_error)
     monkeypatch.setattr(homogenize, "solve_cell_problem", _raise_index_error)
     cfg = write_config(tmp_path, EVERY_COMMAND[command])
@@ -1045,18 +1046,14 @@ def test_homogenize_builds_each_source_once(tmp_path, monkeypatch, payload, buil
                                             solves):
     from polynet import homogenize
 
-    built, solved = [], []
-    build, solve = homogenize.build_cell_mesh, homogenize.solve_cell_problem
-
-    def counting_build(source):
-        built.append(source)
-        return build(source)
+    solved = []
+    solve = homogenize.solve_cell_problem
 
     def counting_solve(problem, mesh=None):
         solved.append(problem)
         return solve(problem, mesh)
 
-    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    built = count_cell_meshes(monkeypatch)
     monkeypatch.setattr(homogenize, "solve_cell_problem", counting_solve)
     cfg = write_config(tmp_path, payload)
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -1107,8 +1104,8 @@ def test_homogenize_builds_once_per_source_across_processes(tmp_path, monkeypatc
         processes = min(processes, len(CALLER_MASK))
 
     log = tmp_path / "calls.log"
-    monkeypatch.setattr(homogenize, "build_cell_mesh", _logging(
-        homogenize.build_cell_mesh, log, lambda source: f"build {os.getpid()} {source}"))
+    patch_cell_mesh(monkeypatch, lambda build: _logging(
+        build, log, lambda source: f"build {os.getpid()} {source}"))
     monkeypatch.setattr(homogenize, "solve_cell_problem", _logging(
         homogenize.solve_cell_problem, log, lambda problem, mesh=None: "solve"))
     cfg = write_config(tmp_path, payload)
@@ -1226,15 +1223,16 @@ def test_homogenize_failed_build_recorded_on_each_cell_of_its_source(
     from polynet import homogenize
     from polynet.meshing import InfeasibleLatticeError
 
-    build = homogenize.build_cell_mesh
     bad_seed = homogenize._realization_seed(11, 1, 0)
 
-    def failing_build(source):
-        if source.lattice.seed == bad_seed:
-            raise InfeasibleLatticeError("no admissible lattice")
-        return build(source)
+    def failing(build):
+        def failing_build(source):
+            if source.lattice.seed == bad_seed:
+                raise InfeasibleLatticeError("no admissible lattice")
+            return build(source)
+        return failing_build
 
-    monkeypatch.setattr(homogenize, "build_cell_mesh", failing_build)
+    patch_cell_mesh(monkeypatch, failing)
     code, _, out = run_every_jobs(tmp_path, STOCHASTIC_TWO_XI, capsys)
     assert code == 0
     with open(out / "homogenize.csv", newline="") as fh:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import patch_cell_mesh
 from polynet.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,7 +89,7 @@ def test_periodic_homogenize_builds_no_mesh_and_forks_no_worker(tmp_path, monkey
         calls.append(args)
         return density(*args)
 
-    monkeypatch.setattr(homogenize, "build_cell_mesh", refuse)
+    patch_cell_mesh(monkeypatch, lambda build: refuse)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(homogenize, "periodic_density", counted)
     assert _homogenize(tmp_path, config, jobs="2") == 0

@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import rotation_2d, single_cell_oracle_2d, spring_oracle
+from helpers import (count_cell_meshes, patch_cell_mesh, rotation_2d, single_cell_oracle_2d,
+                     spring_oracle)
 from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, GrowthBounds, PairPotential, check_growth_condition
 from polynet.homogenize import (
@@ -14,10 +15,7 @@ from polynet.homogenize import (
     PeriodicCell,
     StochasticCell,
     anisotropy_counterexample,
-    at_scale,
-    build_cell_mesh,
     cell_estimator,
-    default_layer_depth,
     estimate_whom,
     frame_invariance_probe,
     isotropy_probe,
@@ -32,7 +30,7 @@ from polynet.homogenize import (
     write_estimates_csv,
 )
 from polynet.meshing import StochasticLatticeSpec, periodic_mesh_2d
-from polynet.optim import MinimizeResult
+from polynet.optim import MinimizeResult, MinimizeSettings
 from polynet.volumetric import VolumetricParams
 
 SPRING = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
@@ -288,7 +286,7 @@ def test_sweep_rejects_wrong_shapes_before_any_cell(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(homogenize, "build_cell_mesh", refuse)
+    patch_cell_mesh(monkeypatch, lambda build: refuse)
     monkeypatch.setattr(homogenize, "periodic_density", refuse)
     eye2, eye3 = np.eye(2), np.eye(3)
     for source in (PeriodicCell(m=0), StochasticCell(LATTICE_2D, h=0.3, dim=2)):
@@ -457,12 +455,10 @@ def test_non_finite_parameters_rejected_on_both_routes(name, bad):
 def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
     # a bad argument is the caller's ValueError, raised before any cell
     # runs, not a cell failure that reads as the solver's
-    from polynet import homogenize
-
     def no_build(source):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(homogenize, "build_cell_mesh", no_build)
+    patch_cell_mesh(monkeypatch, lambda build: no_build)
     xi, source = np.diag([1.1, 0.9]), PeriodicCell(m=2)
     for bad in (0, 2.5):  # 2.5 used to end in range's TypeError
         with pytest.raises(ValueError, match="restarts"):
@@ -481,21 +477,63 @@ def test_bad_restarts_and_xi_rejected_before_any_cell(monkeypatch):
             estimate_whom(np.diag([bad, 1.0]), [2, 4], SPRING, source)
 
 
-def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
-    # two restarts, so the periodic cells are solved on their meshes
+def test_fractional_periodic_scale_rejected_before_any_cell(monkeypatch):
+    # a periodic scale used to become m = int(scale): [2.5, 4.9] returned
+    # the m = 2 and m = 4 estimates (h 0.35355 and 0.17678) with no error
     from polynet import homogenize
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    patch_cell_mesh(monkeypatch, lambda build: refuse)
+    monkeypatch.setattr(homogenize, "periodic_density", refuse)
+    with pytest.raises(ValueError, match="m must be an integer of at least 1, not 2.5"):
+        estimate_whom(np.eye(2), [2.5, 4.9], SPRING, PeriodicCell(m=0))
+    with pytest.raises(ValueError, match="not 4.0"):
+        sweep([np.eye(2)], [2, 4.0], SPRING, PeriodicCell(m=0))
+
+
+def _raise_outcome(outcome):
+    """A solve_cells outcome that is an error, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+# every entry point that takes a count, with the count's name; each
+# accepted a bool as 1 or 0 (a one-restart PeriodicCell(m=True) cell had
+# density 3.0)
+COUNT_ENTRY_POINTS = [
+    pytest.param("max_iters", lambda flag: MinimizeSettings(max_iters=flag),
+                 id="MinimizeSettings"),
+    pytest.param("m", lambda flag: periodic_mesh_2d(flag), id="periodic_mesh_2d"),
+    pytest.param("restarts", lambda flag: CellProblem(
+        xi=np.eye(2), source=PeriodicCell(m=2), model=SPRING, restarts=flag), id="CellProblem"),
+    pytest.param("parts", lambda flag: solve_cells(
+        [(np.eye(2), PeriodicCell(m=2), 0)], SPRING, parts=flag), id="solve_cells"),
+    pytest.param("m", lambda flag: _raise_outcome(solve_cells(
+        [(np.eye(2), PeriodicCell(m=flag), 0)], SPRING)(np.eye(2), PeriodicCell(m=flag), 0)),
+        id="closed-form cell"),
+    pytest.param("m", lambda flag: sweep([np.eye(2)], [flag, 2], SPRING, PeriodicCell(m=0)),
+                 id="sweep scale"),
+    pytest.param("n_realizations", lambda flag: sweep_runs(
+        StochasticCell(LATTICE_2D, h=0.3, dim=2), [0.3], n_realizations=flag), id="sweep_runs"),
+]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("name, call", COUNT_ENTRY_POINTS)
+def test_counts_reject_bools(name, call, flag):
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+        call(flag)
+
+
+def test_solve_cells_records_errors_and_shares_meshes(monkeypatch):
+    # two restarts, so the periodic cells are solved on their meshes
     xi = np.diag([1.1, 0.9])
     m4, bad_dim, bad_m = PeriodicCell(m=4), PeriodicCell(m=2, dim=4), PeriodicCell(m=2.5)
     expected = solve_cell_problem(CellProblem(xi=xi, source=m4, model=SPRING))
-    built = []
-    build = homogenize.build_cell_mesh
-
-    def counting_build(source):
-        built.append(source)
-        return build(source)
-
-    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    built = count_cell_meshes(monkeypatch)
     nan_xi, xi2 = np.diag([np.nan, 1.0]), np.diag([1.2, 0.8])
     cells = [(nan_xi, m4, 0), (xi, m4, 0), (xi, m4, 1), (xi, bad_dim, 0), (xi2, bad_dim, 1),
              (xi, bad_m, 0)]
@@ -567,7 +605,7 @@ def test_cell_results_carry_no_positions():
     source = StochasticCell(LATTICE_2D, h=0.1, dim=2)
     best = solve_cell_problem(CellProblem(xi=xi, source=source, model=SPRING, restarts=2))
     assert best.state is None and best.n_free > 0 and best.evaluations > best.iterations > 0
-    cells = [(xi + 0.05 * k * np.eye(2), at_scale(source, h), 0)
+    cells = [(xi + 0.05 * k * np.eye(2), source.at_scale(h), 0)
              for k in range(2) for h in (0.15, 0.1)]
     cells.append((xi, PeriodicCell(m=4), 0))  # answered in closed form
     outcome = solve_cells(cells, SPRING, parts=2, run=cli._run_shares)
@@ -934,9 +972,9 @@ def test_csv_and_summary_outputs(tmp_path):
 def test_periodic_cell_h_is_its_mesh_h(dim, diagonal):
     for m in range(1, 13):
         source = PeriodicCell(m, dim, diagonal)
-        mesh = build_cell_mesh(source)
+        mesh = source.mesh()
         assert source.h == mesh.h
-        assert default_layer_depth(source) == 2.0 * mesh.h
+        assert source.layer_depth == 2.0 * mesh.h
 
 
 @pytest.mark.parametrize("dim, restarts", [(2, 1), (2, 2), (3, 1)])
@@ -1002,16 +1040,7 @@ def test_cell_estimator_equals_solve_cell_problem():
 
 
 def test_cell_estimator_builds_each_mesh_once(monkeypatch):
-    from polynet import homogenize
-
-    built = []
-    build = homogenize.build_cell_mesh
-
-    def counting_build(source):
-        built.append(source)
-        return build(source)
-
-    monkeypatch.setattr(homogenize, "build_cell_mesh", counting_build)
+    built = count_cell_meshes(monkeypatch)
     source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
     xi = np.diag([1.1, 0.9])
     xis = [xi, rotation_2d(0.3) @ xi, xi @ rotation_2d(0.7), np.eye(2), xi]
@@ -1025,9 +1054,9 @@ def test_cell_estimator_builds_each_mesh_once(monkeypatch):
 
 
 def test_at_scale_sets_scale_and_reseeds():
-    assert at_scale(PeriodicCell(m=2, dim=3), 8) == PeriodicCell(m=8, dim=3)
+    assert PeriodicCell(m=2, dim=3).at_scale(8) == PeriodicCell(m=8, dim=3)
     stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
-    assert at_scale(stochastic, 0.1) == StochasticCell(LATTICE_2D, h=0.1, dim=2)
-    reseeded = at_scale(stochastic, 0.1, lattice_seed=9)
+    assert stochastic.at_scale(0.1) == StochasticCell(LATTICE_2D, h=0.1, dim=2)
+    reseeded = stochastic.at_scale(0.1, lattice_seed=9)
     assert reseeded.lattice.seed == 9 and reseeded.h == 0.1
-    assert at_scale(PeriodicCell(m=2), 4, lattice_seed=9) == PeriodicCell(m=4)
+    assert PeriodicCell(m=2).at_scale(4, lattice_seed=9) == PeriodicCell(m=4)

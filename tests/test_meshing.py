@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
-from polynet.homogenize import StochasticCell, build_cell_mesh
+from polynet.homogenize import StochasticCell
 from polynet.meshing import (
     DegenerateGeometryError,
     InfeasibleLatticeError,
@@ -534,7 +534,7 @@ def test_point_sets_of_other_dimension_rejected():
         with pytest.raises(ValueError, match=message):
             build_stochastic_mesh(spec, 0.5, dim)
         with pytest.raises(ValueError, match=message):
-            build_cell_mesh(StochasticCell(spec, 0.5, dim=dim))
+            StochasticCell(spec, 0.5, dim=dim).mesh()
         with pytest.raises(ValueError, match=message):
             delaunay_triangulate(rng.random((40, dim)))
         with pytest.raises(ValueError, match=message):

@@ -25,8 +25,6 @@ from polynet.chains import PairPotential
 from polynet.homogenize import (
     CellProblem,
     StochasticCell,
-    build_cell_mesh,
-    default_layer_depth,
     solve_cell_problem,
 )
 from polynet.meshing import (
@@ -671,8 +669,8 @@ def test_spring_cell_matches_exact_oracle(dim, h):
     problem = standard_problem(dim, h, SPRING)
     solution = solve_cell_problem(problem)
     assert solution.status == "ok"
-    mesh = build_cell_mesh(problem.source)
-    exact = spring_oracle(mesh, problem.xi, default_layer_depth(problem.source))
+    mesh = problem.source.mesh()
+    exact = spring_oracle(mesh, problem.xi, problem.source.layer_depth)
     assert abs(solution.value - exact) <= 1e-12 * exact
     if dim == 2:
         assert abs(exact - 3.2534707) <= 1e-7
@@ -692,9 +690,9 @@ def test_fine_matern_cells_converge(h, model):
 @pytest.mark.parametrize("dim, h", [(2, 0.05), (3, 0.125)])
 def test_minimize_energy_includes_pinned_elements(dim, h):
     problem = standard_problem(dim, h, LANGEVIN_VOL)
-    mesh = build_cell_mesh(problem.source)
+    mesh = problem.source.mesh()
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
-                           depth=default_layer_depth(problem.source))
+                           depth=problem.source.layer_depth)
     result = minimize(mesh, LANGEVIN_VOL, bc)
     assert result.status == "ok"
     full = total_energy(mesh, result.state, LANGEVIN_VOL)
@@ -706,9 +704,9 @@ def test_default_start_is_the_affine_init_bit_for_bit(dim, h):
     # the default start is evaluated like any other point, so passing the
     # affine positions as init changes nothing
     problem = standard_problem(dim, h, LANGEVIN_VOL)
-    mesh = build_cell_mesh(problem.source)
+    mesh = problem.source.mesh()
     bc = BoundaryCondition(kind="affine-layer", xi=problem.xi,
-                           depth=default_layer_depth(problem.source))
+                           depth=problem.source.layer_depth)
     default = minimize(mesh, LANGEVIN_VOL, bc)
     given = minimize(mesh, LANGEVIN_VOL, bc, init=affine_positions(mesh, problem.xi))
     assert default.iterations > 0
@@ -718,7 +716,7 @@ def test_default_start_is_the_affine_init_bit_for_bit(dim, h):
 
 def test_cell_solutions_on_a_shared_mesh_equal_fresh_ones():
     problem = standard_problem(2, 0.1, LANGEVIN_VOL)
-    mesh = build_cell_mesh(problem.source)
+    mesh = problem.source.mesh()
     split = None
     for xi in (XI_2D, np.diag([0.9, 1.1]), XI_2D):
         cell = replace(problem, xi=xi, restarts=2)
@@ -738,7 +736,7 @@ def test_supported_range_cells_converge():
     solved = 0
     for dim, h in ((2, 0.1), (3, 0.125)):
         source = standard_problem(dim, h, SPRING).source
-        mesh = build_cell_mesh(source)
+        mesh = source.mesh()
         for _ in range(5):
             stretches = np.exp(rng.uniform(math.log(0.3), math.log(3.0), dim))
             xi = random_rotation(dim, rng) @ np.diag(stretches) @ random_rotation(dim, rng)
@@ -758,7 +756,7 @@ def test_default_stop_keeps_cell_values_and_single_spring_iteration(dim, h):
     # the predicted-gap stop moves a density by at most ~GAP_EPS relative
     for model in (CHAIN, LANGEVIN_VOL):
         problem = standard_problem(dim, h, model)
-        mesh = build_cell_mesh(problem.source)
+        mesh = problem.source.mesh()
         default = solve_cell_problem(problem, mesh)
         tight = solve_cell_problem(
             replace(problem, settings=MinimizeSettings(grad_tol=1e-13)), mesh)
@@ -776,7 +774,7 @@ def test_default_stop_takes_fewer_iterations_than_the_gradient_rule():
     for seed in range(3):
         for model in (CHAIN, LANGEVIN_VOL):
             problem = standard_problem(2, 0.05, model, seed)
-            mesh = build_cell_mesh(problem.source)
+            mesh = problem.source.mesh()
             rule = 1e-8 * (1.0 + abs(affine_energy(mesh, problem.xi, model)))
             totals[0] += solve_cell_problem(problem, mesh).iterations
             totals[1] += solve_cell_problem(

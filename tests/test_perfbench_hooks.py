@@ -19,7 +19,6 @@ import numpy as np
 import polynet
 from polynet import (BoundaryCondition, CellProblem, EnergyModel, PairPotential, StochasticCell,
                      StochasticLatticeSpec, cli, minimize, solve_cell_problem)
-from polynet.homogenize import build_cell_mesh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COARSE_LATTICE = StochasticLatticeSpec(kind="jittered-grid", intensity=1.0, r_min=0.3,
@@ -71,7 +70,7 @@ def test_benchmark_reads_the_solve_result(monkeypatch, tmp_path):
     source = StochasticCell(COARSE_LATTICE, h=0.1, dim=2)
     xi = np.diag([1.1, 0.9])
     bc = BoundaryCondition(kind="affine-layer", xi=xi, depth=2.0 * source.h)
-    result = minimize(build_cell_mesh(source), spring, bc)
+    result = minimize(source.mesh(), spring, bc)
     iterations = spans._result_attrs("optim.minimize", result)["iterations"]
     assert iterations == result.iterations > 0
     solved = solve_cell_problem(CellProblem(xi=xi, source=source, model=spring))
