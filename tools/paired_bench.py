@@ -8,9 +8,18 @@ and the change first on even k, so a drift of the machine during the runs
 does not fall on one side.  For each end-to-end metric of CHANGE's
 BENCHMARK.json it prints both medians, the relative change of the median,
 the parent's quartile distance (IQR), how many pairs the change won
-(strictly better in the metric's direction) and whether |change median -
-parent median| exceeds the parent's IQR, the rule a claimed gain must
-pass.  It only runs and reads perfbench; nothing is written.
+(strictly better in the metric's direction), whether |change median -
+parent median| exceeds the parent's IQR, and two verdicts:
+
+- gain: the change is better, beyond the IQR, and won at least nine tenths
+  of the pairs -- the rule a claimed gain must pass;
+- bound: "ok" when the change's median is worse than the parent's by no
+  more than the metric's relative `bound`, "worse" when it is, and
+  "unresolved" when the parent's IQR is wider than the bound, so the runs
+  spread too widely to tell.
+
+Each checkout's perfbench runs with its own run length.  The tool only runs
+and reads perfbench; nothing is written.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ def run_order(pair: int) -> tuple[str, str]:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """The result line (the last line of stdout) of one perfbench run."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -63,27 +72,38 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         new = [run["metrics"][name]["value"] for run in change]
         old_median, new_median = statistics.median(old), statistics.median(new)
         spread = iqr(old)
+        delta_rel = (new_median - old_median) / old_median if old_median else 0.0
+        worse_rel = delta_rel if lower else -delta_rel
+        wins = sum(b < a if lower else b > a for a, b in zip(old, new))
+        beyond_iqr = abs(new_median - old_median) > spread
+        if old_median and spread / abs(old_median) > metric["bound"]:
+            bound = "unresolved"
+        else:
+            bound = "worse" if worse_rel > metric["bound"] else "ok"
         rows.append({
             "metric": name,
             "parent_median": old_median,
             "change_median": new_median,
-            "delta_rel": (new_median - old_median) / old_median if old_median else 0.0,
+            "delta_rel": delta_rel,
             "parent_iqr": spread,
-            "wins": sum(b < a if lower else b > a for a, b in zip(old, new)),
+            "wins": wins,
             "pairs": len(old),
-            "beyond_iqr": abs(new_median - old_median) > spread,
+            "beyond_iqr": beyond_iqr,
+            "gain": worse_rel < 0 and beyond_iqr and 10 * wins >= 9 * len(old),
+            "bound": bound,
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<12} {'parent':>12} {'change':>12} {'delta':>8} "
-             f"{'parent_iqr':>12} {'wins':>6}  |delta|>iqr"]
+             f"{'parent_iqr':>12} {'wins':>6}  {'|delta|>iqr':<11} {'gain':<4} bound"]
     for row in rows:
         lines.append(
             f"{row['metric']:<12} {row['parent_median']:>12.6g} {row['change_median']:>12.6g} "
             f"{row['delta_rel']:>+8.2%} {row['parent_iqr']:>12.6g} "
-            f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['beyond_iqr'] else 'no'}")
+            f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['beyond_iqr'] else 'no':<11} "
+            f"{'yes' if row['gain'] else 'no':<4} {row['bound']}")
     return "\n".join(lines)
 
 
@@ -94,7 +114,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=22.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -104,7 +123,7 @@ def main(argv: list[str]) -> int:
     results = {side: [] for side in SIDES}
     for pair in range(1, args.pairs + 1):
         for side in run_order(pair):
-            result = run_perfbench(checkouts[side], args.workload, args.seed, args.seconds)
+            result = run_perfbench(checkouts[side], args.workload, args.seed)
             results[side].append(result)
             print(f"pair {pair} {side}: correct {result['correct']}, "
                   f"failed {result['failed']}, metrics "
