@@ -31,7 +31,7 @@ for diagonal in ("nw", "ne"):
 spring = EnergyModel(pair=PairPotential.quadratic_spring(1.0), f=1.0)
 xi = np.array([[1.2, 0.0], [0.0, 1.0]])
 
-print("\nProbes on the periodic estimator (m = 10, about 200 elements)")
+print("\nProbes on the periodic estimator (m = 10, whose density is that of every m)")
 periodic = cell_estimator(PeriodicCell(m=10, dim=2), spring)
 frame_dev = frame_invariance_probe(periodic, xi, random_rotations(2, 4, 5))
 iso_dev = isotropy_probe(periodic, xi, random_rotations(2, 4, 5))

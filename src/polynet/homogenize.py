@@ -7,12 +7,12 @@ minimal energy per unit volume.  A cell source answers for its own kind:
 PeriodicCell (m cells per side) and StochasticCell (a lattice rescaled by
 h) each give their mesh(), their layer_depth (2h periodic, 2hR stochastic,
 R the lattice covering radius) and at_scale, the source at another m or h.
-Stochastic estimates average over independent lattice realizations.  A
-periodic lattice's affine state is critical at every m, so its density is
-periodic_density, the affine energy of the m = 1 mesh: sweeps answer
-one-restart periodic cells by it, without a mesh.  Probes for frame
-invariance, isotropy and sampled rank-one convexity operate on any scalar
-estimator xi -> W(xi).
+Stochastic estimates average over independent lattice realizations.
+solve_cells answers every cell, a sweep's or an estimator's: one-restart
+periodic cells by periodic_density (the affine state is critical at every
+m), the rest by _solve_share, on one mesh at a time or on the meshes an
+estimator keeps across calls in the dict it passes.  Probes for frame
+invariance, isotropy and rank-one convexity take any estimator xi -> W(xi).
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from functools import cache, partial
 
 import numpy as np
 
-from .assembly import (BoundaryCondition, EnergyModel, affine_energy, affine_positions,
-                       check_gradient_shape)
+from .assembly import (BoundaryCondition, EnergyModel, FullyConstrainedError, affine_energy,
+                       affine_positions, check_gradient_shape)
 from .chains import PairPotential
 from .meshing import (
     Mesh,
     StochasticLatticeSpec,
-    boundary_layer,
     build_stochastic_mesh,
     check_count,
     periodic_mesh_2d,
@@ -88,9 +87,10 @@ class StochasticCell:
 
     def at_scale(self, scale, lattice_seed: int | None = None) -> StochasticCell:
         """This source with h = scale, its lattice reseeded by lattice_seed if given."""
-        lattice = self.lattice
-        if lattice_seed is not None:
-            lattice = replace(lattice, seed=lattice_seed)
+        if not 0.0 < float(scale) < math.inf:
+            raise ValueError("h must be finite and positive")
+        lattice = (self.lattice if lattice_seed is None
+                   else replace(self.lattice, seed=lattice_seed))
         return replace(self, h=float(scale), lattice=lattice)
 
 
@@ -160,30 +160,26 @@ def solve_cell_problem(problem: CellProblem, mesh: Mesh | None = None) -> Minimi
     run's MinimizeResult, without its state.
 
     mesh is the source's mesh when the caller has built it already (see
-    solve_cells); by default it is built here.  When the layer swallows
-    every vertex the admissible set is the single affine state and its
-    energy is returned with 0 iterations (the coarsest meshes, where 2h
-    exceeds the inradius).  The first run starts from the affine state
-    (minimize's default), later ones from perturbations of it.
+    solve_cells); by default it is built here.  The first run starts from
+    the affine state (minimize's default), later ones from perturbations of
+    it.  A layer that holds every vertex (minimize's FullyConstrainedError,
+    on the coarsest meshes) admits the affine state alone: its energy is
+    returned with 0 iterations and 0 evaluations.
     """
     if mesh is None:
         mesh = problem.source.mesh()
-    depth = problem.source.layer_depth
-    layer = boundary_layer(mesh, depth)
-    if layer.size == mesh.num_vertices:
-        value = affine_energy(mesh, problem.xi, problem.model)
-        return MinimizeResult(value, 0.0, 0, 0, "ok", 0)
-
-    bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=depth)
+    bc = BoundaryCondition(kind="affine-layer", xi=problem.xi, depth=problem.source.layer_depth)
     rng = np.random.default_rng(problem.seed) if problem.restarts > 1 else None
-    scale = 0.01 * mesh.h
     best = None
     for attempt in range(problem.restarts):
         init = None
         if attempt > 0:
             init = affine_positions(mesh, problem.xi)
-            init += scale * rng.standard_normal(init.shape)
-        result = minimize(mesh, problem.model, bc, init=init, settings=problem.settings)
+            init += 0.01 * mesh.h * rng.standard_normal(init.shape)
+        try:
+            result = minimize(mesh, problem.model, bc, init=init, settings=problem.settings)
+        except FullyConstrainedError:
+            return MinimizeResult(affine_energy(mesh, bc.xi, problem.model), 0.0, 0, 0, "ok", 0)
         if best is None or result.value < best.value:
             best = result
     return replace(best, state=None)
@@ -291,29 +287,24 @@ def _caught(fn, *args):
         return exc
 
 
-def _solve_share(share, model, restarts, settings) -> list:
-    """The outcomes of a share's single-source cell lists, in order; each
-    list's mesh is dropped before the next is built."""
-    return [outcome for cells in share
-            for outcome in _solve_chunk(cells, model, restarts, settings)]
-
-
-def _solve_chunk(cells, model, restarts, settings, meshes: dict | None = None) -> list:
-    """Each cell's MinimizeResult or the error it raised, in order.  meshes (a
-    fresh dict by default) keeps each source's mesh, built for its first
-    valid cell, or the error its build raised, which each of its valid
-    cells then gets."""
-    meshes = {} if meshes is None else meshes
+def _solve_share(share, model, restarts, settings, meshes: dict | None = None) -> list:
+    """Each cell's MinimizeResult or the error it raised, in order, over the
+    share's single-source cell lists.  A source's mesh, or its build's error,
+    answers its valid cells; the dict meshes keeps every mesh across calls,
+    else each is dropped before the next is built (a share holds a source once)."""
+    kept = {} if meshes is None else meshes
 
     def solve(xi, source, seed):
         problem = CellProblem(xi=xi, source=source, model=model, restarts=restarts,
                               seed=seed, settings=settings)
-        if source not in meshes:
-            meshes[source] = _caught(source.mesh)
-        mesh = meshes[source]
+        if source not in kept:
+            if meshes is None:
+                kept.clear()
+            kept[source] = _caught(source.mesh)
+        mesh = kept[source]
         return mesh if isinstance(mesh, Exception) else solve_cell_problem(problem, mesh)
 
-    return [_caught(solve, *cell) for cell in cells]
+    return [_caught(solve, *cell) for cells in share for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +557,10 @@ def rank_one_convexity_sample(estimator, xi, a, b, t_grid,
     for quasiconvexity.  Fewer than 3 grid points give an empty report.
     """
     xi, a, b, ts = (np.asarray(x, dtype=float) for x in (xi, a, b, t_grid))
+    if ts.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
+    if not a.shape == b.shape == xi.shape[:1]:
+        raise ValueError("rank-one directions must have the length of xi's side")
     if not (np.linalg.norm(a) > 0.0 and np.linalg.norm(b) > 0.0):
         raise ValueError("rank-one directions must be nonzero")
     if not all(np.isfinite(x).all() for x in (xi, a, b, ts, noise_floor)):
@@ -643,14 +638,18 @@ def cell_estimator(
     scale of estimate_whom; the seeds are fixed by the factory, so different
     xi are evaluated on the same meshes (common random numbers) and
     deviations between xi reflect anisotropy rather than sampling noise.
-    Each mesh is built once, on first use, and kept by the estimator.
+    Each cell is answered by solve_cells, as a sweep's: with one restart a
+    periodic cell is periodic_density, and other cells solve in this process
+    on meshes the estimator builds once, on first use, and keeps.
     """
     check_count(restarts, "restarts")
     meshes = {}
 
-    def outcome(xi, cell_source, run_seed):
-        return _solve_chunk([(xi, cell_source, run_seed)], model, restarts, settings,
-                            meshes)[0]
+    def run(solve, shares):
+        return [solve(share, meshes=meshes) for share in shares]
+
+    def outcome(*cell):
+        return solve_cells([cell], model, restarts, settings, run=run)(*cell)
 
     runs = ([(source, seed)] if isinstance(source, PeriodicCell)
             else sweep_runs(source, [source.h], n_realizations, seed)[0])

@@ -1179,9 +1179,9 @@ def test_homogenize_stochastic_config_deals_three_shares(tmp_path, monkeypatch, 
                          ids=["periodic", "stochastic"])
 def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
     # every probe deviation is the library's on the sweep's finest cells: for
-    # a periodic source with one restart, periodic_density
-    from polynet import EnergyModel, PairPotential, StochasticCell
-    from polynet.homogenize import (frame_invariance_probe, isotropy_probe, periodic_density,
+    # a periodic source with one restart, cell_estimator's at the finest m
+    from polynet import EnergyModel, PairPotential, PeriodicCell, StochasticCell
+    from polynet.homogenize import (cell_estimator, frame_invariance_probe, isotropy_probe,
                                     random_rotations, runs_estimator, solve_cells,
                                     sweep_runs)
     from polynet.meshing import StochasticLatticeSpec
@@ -1191,9 +1191,8 @@ def test_homogenize_probes_equal_library_probes(tmp_path, capsys, payload):
     restarts = payload.get("solver", {}).get("restarts", 1)
     if mesh["kind"] == "periodic":
         assert restarts == 1
-
-        def estimator(xi):
-            return periodic_density(xi, spring, mesh["dim"], mesh["diagonal"])
+        estimator = cell_estimator(PeriodicCell(m=section["m_list"][-1], dim=mesh["dim"],
+                                                diagonal=mesh["diagonal"]), spring)
     else:
         source = StochasticCell(StochasticLatticeSpec(**mesh["lattice"]), h=mesh["h"],
                                 dim=mesh["dim"])

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import (count_cell_meshes, patch_cell_mesh, rotation_2d, single_cell_oracle_2d,
                      spring_oracle)
-from polynet.assembly import EnergyModel
+from polynet.assembly import EnergyModel, affine_energy
 from polynet.chains import ChainParams, GrowthBounds, PairPotential, check_growth_condition
 from polynet.homogenize import (
     CellProblem,
@@ -58,13 +58,22 @@ def test_cell_density_identity_quadratic():
 
 
 def test_cell_density_fully_pinned_coarse_mesh():
-    # at m = 2 the 2h layer swallows every vertex; the admissible set is the
-    # affine state alone and its energy is returned
-    problem = CellProblem(xi=np.eye(2), source=PeriodicCell(m=2), model=SPRING)
-    sol = solve_cell_problem(problem)
-    assert sol.n_free == 0
-    assert sol.value == 3.0
-    assert (sol.iterations, sol.evaluations, sol.status) == (0, 0, "ok")
+    # at m = 2 the 2h layer swallows every vertex, and so does the 2hR layer
+    # of h = 0.25, R = 1 (depth 0.5, the unit box's inradius); the admissible
+    # set is the affine state alone and its energy is returned, restarts or not
+    stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    xi = np.diag([1.1, 0.9])
+    for restarts in (1, 3):
+        problem = CellProblem(xi=np.eye(2), source=PeriodicCell(m=2), model=SPRING,
+                              restarts=restarts)
+        sol = solve_cell_problem(problem)
+        assert sol.n_free == 0
+        assert sol.value == 3.0
+        assert (sol.iterations, sol.evaluations, sol.status) == (0, 0, "ok")
+        problem = CellProblem(xi=xi, source=stochastic, model=SPRING, restarts=restarts)
+        sol = solve_cell_problem(problem)
+        assert (sol.n_free, sol.iterations, sol.evaluations, sol.status) == (0, 0, 0, "ok")
+        assert sol.value == affine_energy(stochastic.mesh(), xi, SPRING)
 
 
 def test_cell_density_calibrated_chain_rest_energy():
@@ -214,7 +223,7 @@ def test_closed_form_cells_fail_as_mesh_solves(case, m):
     model, xi = CELL_ERRORS[case]
     source = PeriodicCell(m=m, dim=xi.shape[0])
     with pytest.raises((ValueError, RuntimeError)) as on_mesh:
-        cell_estimator(source, model)(xi)
+        solve_cell_problem(CellProblem(xi=xi, source=source, model=model))
     closed = solve_cells([(xi, source, 0)], model)(xi, source, 0)
     assert type(closed) is type(on_mesh.value)
     assert str(closed) == str(on_mesh.value)
@@ -491,6 +500,21 @@ def test_fractional_periodic_scale_rejected_before_any_cell(monkeypatch):
         estimate_whom(np.eye(2), [2.5, 4.9], SPRING, PeriodicCell(m=0))
     with pytest.raises(ValueError, match="not 4.0"):
         sweep([np.eye(2)], [2, 4.0], SPRING, PeriodicCell(m=0))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 0.0, math.nan, math.inf])
+def test_bad_stochastic_scale_rejected_before_any_cell(monkeypatch, bad):
+    # a bad h is the caller's ValueError before any cell runs, not every
+    # cell's recorded failure at that scale
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    patch_cell_mesh(monkeypatch, lambda build: refuse)
+    source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        sweep([np.eye(2)], [0.25, bad], SPRING, source)
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        cell_estimator(StochasticCell(LATTICE_2D, h=bad, dim=2), SPRING)
 
 
 def _raise_outcome(outcome):
@@ -901,7 +925,8 @@ def _growth(bounds=(8.0, 1.0, 1.0), r_max=1.0, samples=512):
         assert potential.calls == []
 
 
-def _rank_one(xi=np.eye(2), t_grid=(0.0, 0.1, 0.2), noise_floor=0.0, a=(1.0, 0.0)):
+def _rank_one(xi=np.eye(2), t_grid=(0.0, 0.1, 0.2), noise_floor=0.0, a=(1.0, 0.0),
+              b=(0.0, 1.0)):
     calls = []
 
     def estimator(xi):
@@ -909,7 +934,7 @@ def _rank_one(xi=np.eye(2), t_grid=(0.0, 0.1, 0.2), noise_floor=0.0, a=(1.0, 0.0
         return periodic_density(xi, SPRING)
 
     try:
-        rank_one_convexity_sample(estimator, xi, a, [0.0, 1.0], t_grid, noise_floor)
+        rank_one_convexity_sample(estimator, xi, a, b, t_grid, noise_floor)
     finally:
         assert calls == []
 
@@ -932,6 +957,12 @@ BAD_DIAGNOSTIC_INPUTS = [
     # a repeated t made the chord 0/0: a NaN excess that read as non-convex
     (partial(_rank_one, t_grid=[0.0, 0.1, 0.1, 0.1, 0.2]), "t_grid values must be distinct"),
     (partial(_rank_one, t_grid=[0.2, 0.0, 0.1, -0.0]), "t_grid values must be distinct"),
+    # a t_grid that is not 1-D, or a direction whose length is not xi's side
+    (partial(_rank_one, t_grid=0.1), "t_grid must be one-dimensional"),
+    (partial(_rank_one, t_grid=[[0.0, 0.1], [0.2, 0.3]]), "t_grid must be one-dimensional"),
+    (partial(_rank_one, a=(1.0, 0.0, 0.0)), "rank-one directions must have the length of xi's"),
+    (partial(_rank_one, b=[[0.0, 1.0]]), "rank-one directions must have the length of xi's"),
+    (partial(_rank_one, xi=np.eye(3)), "rank-one directions must have the length of xi's"),
 ]
 
 
