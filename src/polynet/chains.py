@@ -4,9 +4,11 @@ Two potentials are provided: the free energy of a freely-jointed polymer
 chain, evaluated through the order-7 odd-polynomial truncation of the
 inverse Langevin function, and a plain quadratic spring.  Both are functions
 of the stretch ratio r = (deformed edge length) / (reference edge length)
-and come with analytic first and second derivatives, all evaluated by the
-methods of `PairPotential`.  Everything here is a pure function of its
-inputs; scalars in give scalars out, arrays give arrays.
+with analytic first and second derivatives.  `PairPotential` evaluates every
+order on one path, which forms the chain's series once for all the orders a
+call asks for; `_seam` switches each Langevin helper from its Taylor series
+near the origin to the closed form.  Everything here is a pure function of
+its inputs; scalars in give scalars out, arrays give arrays.
 """
 
 from __future__ import annotations
@@ -50,10 +52,15 @@ def _series(rho):
     return rho * (_C1 + r2 * (_C3 + r2 * (_C5 + r2 * _C7)))
 
 
-def _inv_langevin_series_prime(rho):
-    """Derivative of the truncated series with respect to rho."""
-    r2 = rho * rho
-    return _C1 + r2 * (3.0 * _C3 + r2 * (5.0 * _C5 + r2 * (7.0 * _C7)))
+def _seam(v, small, series, closed):
+    """series(s, s*s) of the entries s of v where small holds, closed(b) of
+    the rest b; with no small entry, closed(v) of the whole v, unmasked."""
+    if not small.any():
+        return closed(v)
+    out, s = np.empty_like(v), v[small]
+    out[small] = series(s, s * s)
+    out[~small] = closed(v[~small])
+    return out
 
 
 def _log_x_over_sinh(x):
@@ -64,30 +71,16 @@ def _log_x_over_sinh(x):
     log a - a - log1p(-exp(-2a)) + log 2 avoids sinh overflow.
     """
     a = np.abs(np.asarray(x, dtype=float))
-    small = a < 1e-4
-    if not small.any():
-        return np.log(a) - a - np.log1p(-np.exp(-2.0 * a)) + _LN2
-    out = np.zeros_like(a)
-    asml = a[small]
-    out[small] = asml * asml * (asml * asml / 180.0 - 1.0 / 6.0)
-    abig = a[~small]
-    out[~small] = np.log(abig) - abig - np.log1p(-np.exp(-2.0 * abig)) + _LN2
-    return out
+    return _seam(a, a < 1e-4, lambda _, s2: s2 * (s2 / 180.0 - 1.0 / 6.0),
+                 lambda b: np.log(b) - b - np.log1p(-np.exp(-2.0 * b)) + _LN2)
 
 
 def _langevin(x):
     """Langevin function coth x - 1/x with a series branch near the origin."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 0.05
-    if not small.any():
-        return 1.0 / np.tanh(x) - 1.0 / x
-    out = np.zeros_like(x)
-    xs = x[small]
-    x2 = xs * xs
-    out[small] = xs * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    xb = x[~small]
-    out[~small] = 1.0 / np.tanh(xb) - 1.0 / xb
-    return out
+    return _seam(x, np.abs(x) < 0.05, lambda s, s2: s * (
+        1.0 / 3.0 + s2 * (-1.0 / 45.0 + s2 * (2.0 / 945.0 - s2 / 4725.0))),
+        lambda b: 1.0 / np.tanh(b) - 1.0 / b)
 
 
 def _langevin_prime(x):
@@ -95,13 +88,9 @@ def _langevin_prime(x):
     origin; above it 1/sinh^2 is 4e^{-2|x|} / (1 - e^{-2|x|})^2, which
     cannot overflow."""
     a = np.abs(np.asarray(x, dtype=float))
-    small = a < 0.05
-    out = np.empty_like(a)
-    a2 = a[small] ** 2
-    out[small] = 1.0 / 3.0 + a2 * (-1.0 / 15.0 + a2 * (2.0 / 189.0 - a2 / 675.0))
-    ab = a[~small]
-    out[~small] = 1.0 / (ab * ab) - 4.0 * np.exp(-2.0 * ab) / np.expm1(-2.0 * ab) ** 2
-    return out
+    return _seam(a, a < 0.05, lambda _, s2: (
+        1.0 / 3.0 + s2 * (-1.0 / 15.0 + s2 * (2.0 / 189.0 - s2 / 675.0))),
+        lambda b: 1.0 / (b * b) - 4.0 * np.exp(-2.0 * b) / np.expm1(-2.0 * b) ** 2)
 
 
 @dataclass(frozen=True)
@@ -127,30 +116,6 @@ class ChainParams:
 
 
 DEFAULT_CHAIN = ChainParams()
-
-
-def _stretch_and_series(r, p: ChainParams):
-    """rho = r / sqrt(n) and the series x(rho), as float arrays."""
-    rho = np.asarray(r, dtype=float) / math.sqrt(p.n)
-    return rho, _series(rho)
-
-
-def _chain_energy(p: ChainParams, rho, x):
-    return (p.k / p.beta) * p.n * (rho * x + _log_x_over_sinh(x)) - p.c / p.beta
-
-
-def _chain_derivative(p: ChainParams, rho, x):
-    return (p.k / p.beta) * math.sqrt(p.n) * (
-        x + (rho - _langevin(x)) * _inv_langevin_series_prime(rho)
-    )
-
-
-def _chain_second_derivative(p: ChainParams, rho, x):
-    """d/dr of _chain_derivative; x' and x'' are the series' derivatives at rho."""
-    r2, dx = rho * rho, _inv_langevin_series_prime(rho)
-    ddx = rho * (6.0 * _C3 + r2 * (20.0 * _C5 + r2 * (42.0 * _C7)))
-    return (p.k / p.beta) * (2.0 * dx - _langevin_prime(x) * dx * dx
-                             + (rho - _langevin(x)) * ddx)
 
 
 @dataclass(frozen=True)
@@ -189,42 +154,51 @@ class PairPotential:
         r/sqrt(n) and x the truncated inverse Langevin of rho, it is
         (k/beta)*n*(rho*x + log(x/sinh x)) - c/beta, exactly -c/beta at
         r = 0; for the spring, stiffness * r**2."""
-        if self.kind == LANGEVIN_CHAIN:
-            out = _chain_energy(self.chain, *_stretch_and_series(r, self.chain))
-        else:
-            r = np.asarray(r, dtype=float)
-            out = self.stiffness * r * r
-        return out if out.ndim else float(out)
+        return self._evaluate(r, 0)[0]
 
     def derivative(self, r):
         """Analytic d/dr of energy as implemented (series substituted).  For
         the chain it is (k/beta)*sqrt(n)*(x + (rho - L(x))*x'(rho)) with L the
         Langevin function, the bracket the exact derivative of rho*x +
         log(x/sinh x), and vanishes at r = 0; for the spring, 2 * stiffness * r."""
-        if self.kind == LANGEVIN_CHAIN:
-            out = _chain_derivative(self.chain, *_stretch_and_series(r, self.chain))
-        else:
-            out = 2.0 * self.stiffness * np.asarray(r, dtype=float)
-        return out if out.ndim else float(out)
+        return self._evaluate(r, 1)[0]
 
     def second_derivative(self, r):
         """Analytic d^2/dr^2 of energy: 2 * stiffness for the spring, and for
         the chain (k/beta) (2x' - L'(x) x'^2 + (rho - L(x)) x''), x the series
         at rho = r/sqrt(n) and L the Langevin function."""
-        if self.kind == LANGEVIN_CHAIN:
-            out = _chain_second_derivative(self.chain, *_stretch_and_series(r, self.chain))
-        else:
-            out = np.full(np.shape(r), 2.0 * self.stiffness)
-        return out if out.ndim else float(out)
+        return self._evaluate(r, 2)[0]
 
     def energy_and_derivative(self, r):
-        """(energy(r), derivative(r)) of a float array r, sharing the chain's
-        series; each equals the separate call's result bit for bit."""
-        if self.kind == LANGEVIN_CHAIN:
-            rho, x = _stretch_and_series(r, self.chain)
-            return _chain_energy(self.chain, rho, x), _chain_derivative(self.chain, rho, x)
+        """(energy(r), derivative(r)), each the separate call's result bit for bit."""
+        return self._evaluate(r, 0, 1)
+
+    def _evaluate(self, r, *orders):
+        """The derivatives of energy of the given orders (0 the energy
+        itself, then 1 and 2, ascending) at stretch ratios r, as a tuple,
+        0-d results as floats.  The chain forms rho = r/sqrt(n) and the
+        series x once, and x' and rho - L(x) once for both derivatives."""
         r = np.asarray(r, dtype=float)
-        return self.stiffness * r * r, 2.0 * self.stiffness * r
+        if self.kind == QUADRATIC_SPRING:
+            s = self.stiffness
+            out = [s * r * r if o == 0 else 2.0 * s * r if o == 1 else np.full(r.shape, 2.0 * s)
+                   for o in orders]
+        else:
+            p = self.chain
+            scale, rho = p.k / p.beta, r / math.sqrt(p.n)
+            x, out = _series(rho), []
+            if 0 in orders:
+                out.append(scale * p.n * (rho * x + _log_x_over_sinh(x)) - p.c / p.beta)
+            if orders[-1] > 0:
+                r2 = rho * rho
+                dx = _C1 + r2 * (3.0 * _C3 + r2 * (5.0 * _C5 + r2 * (7.0 * _C7)))
+                gap = rho - _langevin(x)
+            if 1 in orders:
+                out.append(scale * math.sqrt(p.n) * (x + gap * dx))
+            if 2 in orders:
+                ddx = rho * (6.0 * _C3 + r2 * (20.0 * _C5 + r2 * (42.0 * _C7)))
+                out.append(scale * (2.0 * dx - _langevin_prime(x) * dx * dx + gap * ddx))
+        return tuple(v if v.ndim else float(v) for v in out)
 
 
 @dataclass(frozen=True)

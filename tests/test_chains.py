@@ -140,6 +140,7 @@ def test_pair_potential_dispatch():
         PairPotential(kind="bogus")
     with pytest.raises(ValueError):
         PairPotential.quadratic_spring(-1.0)
+    assert PairPotential(kind="quadratic-spring").stiffness == 1.0
 
 
 def test_chain_params_validation():

@@ -16,8 +16,9 @@ from helpers import count_cell_meshes, patch_cell_mesh
 from polynet.assembly import EnergyModel
 from polynet.chains import ChainParams, PairPotential
 from polynet.cli import build_model, build_settings, main
-from polynet.homogenize import anisotropy_counterexample
-from polynet.meshing import read_mesh
+from polynet.homogenize import (CellProblem, StochasticCell, anisotropy_counterexample,
+                                solve_cell_problem)
+from polynet.meshing import StochasticLatticeSpec, read_mesh
 from polynet.optim import MinimizeSettings
 from polynet.volumetric import VolumetricParams
 
@@ -876,6 +877,24 @@ def test_input_check_is_config_error(tmp_path, capsys, case):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def test_minimize_2hR_depth_on_stochastic_mesh(tmp_path):
+    # the 2hR rule pins the stochastic cell's own layer, so the CLI's energy
+    # is the library's cell solve bit for bit
+    xi = [[1.1, 0.0], [0.0, 0.9]]
+    cfg = write_config(tmp_path, {
+        "model": {"pair": {"kind": "quadratic-spring", "stiffness": 1.0}, "f": 1.0},
+        "mesh": {**STOCHASTIC_2D, "h": 0.1},
+        "bc": {"kind": "affine-layer", "xi": xi, "depth": "2hR"},
+    })
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    source = StochasticCell(StochasticLatticeSpec(**STOCHASTIC_2D["lattice"]), h=0.1, dim=2)
+    model = EnergyModel(pair=PairPotential.quadratic_spring(1.0))
+    expected = solve_cell_problem(CellProblem(np.array(xi), source, model))
+    assert expected.n_free > 0
+    assert json.loads((out / "result.json").read_text())["energy"] == expected.value
 
 
 FACE_BC = {"kind": "dirichlet-face-free-traction", "xi": [[1.2, 0.0], [0.0, 1.0]]}

@@ -978,6 +978,13 @@ def test_diagnostics_reject_bad_inputs_before_evaluating(call, message):
 # serialization
 
 
+def test_csv_of_failed_sweeps_only_rejected(tmp_path):
+    path = tmp_path / "est.csv"
+    with pytest.raises(ValueError, match="nothing to write"):
+        write_estimates_csv(path, [ValueError("sweep failed"), RuntimeError("too")])
+    assert not path.exists()
+
+
 def test_csv_and_summary_outputs(tmp_path):
     xi = np.array([[1.1, 0.0], [0.0, 0.9]])
     est = estimate_whom(xi, [2, 4], SPRING, PeriodicCell(m=0))
@@ -1022,11 +1029,19 @@ def test_periodic_sweep_csv_h_is_the_cell_h(tmp_path, dim, restarts):
     assert [s.h for s in est.per_h] == [PeriodicCell(m, dim).h for m in m_list]
 
 
+def _first_realization_solves(source, xi, seed):
+    """The first realization of an estimator's batch has free vertices, so
+    the estimator runs minimize and does not only sum the affine energy."""
+    cell, run_seed = sweep_runs(source, [source.h], 1, seed)[0][0]
+    problem = CellProblem(xi=xi, source=cell, model=SPRING, seed=run_seed)
+    assert solve_cell_problem(problem).n_free > 0
+
+
 def test_stochastic_estimator_common_random_numbers():
-    est = cell_estimator(
-        StochasticCell(LATTICE_2D, h=0.25, dim=2), SPRING, n_realizations=2, seed=5
-    )
+    source = StochasticCell(LATTICE_2D, h=0.1, dim=2)
+    est = cell_estimator(source, SPRING, n_realizations=2, seed=5)
     xi = np.array([[1.2, 0.0], [0.0, 1.0]])
+    _first_realization_solves(source, xi, seed=5)
     rot = rotation_2d(0.3)
     v1 = est(xi)
     v2 = est(xi)
@@ -1053,9 +1068,9 @@ def test_cell_estimator_equals_solve_cell_problem():
 
     xi = np.array([[1.1, 0.05], [0.0, 0.95]])
 
-    stochastic = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    stochastic = StochasticCell(LATTICE_2D, h=0.1, dim=2)
     seeds = [_realization_seed(5, 0, r) for r in range(3)]
-    values = [
+    results = [
         solve_cell_problem(
             CellProblem(
                 xi=xi,
@@ -1063,16 +1078,17 @@ def test_cell_estimator_equals_solve_cell_problem():
                 model=SPRING,
                 seed=s,
             )
-        ).value
+        )
         for s in seeds
     ]
+    assert all(result.n_free > 0 for result in results)
     estimator = cell_estimator(stochastic, SPRING, n_realizations=3, seed=5)
-    assert estimator(xi) == float(np.mean(values))
+    assert estimator(xi) == float(np.mean([result.value for result in results]))
 
 
 def test_cell_estimator_builds_each_mesh_once(monkeypatch):
     built = count_cell_meshes(monkeypatch)
-    source = StochasticCell(LATTICE_2D, h=0.25, dim=2)
+    source = StochasticCell(LATTICE_2D, h=0.1, dim=2)
     xi = np.diag([1.1, 0.9])
     xis = [xi, rotation_2d(0.3) @ xi, xi @ rotation_2d(0.7), np.eye(2), xi]
     estimator = cell_estimator(source, SPRING, n_realizations=2, seed=5)
@@ -1082,6 +1098,7 @@ def test_cell_estimator_builds_each_mesh_once(monkeypatch):
     fresh = [cell_estimator(source, SPRING, n_realizations=2, seed=5)(x) for x in xis]
     assert values == fresh
     assert len(built) == 2 + 2 * len(xis)
+    _first_realization_solves(source, xi, seed=5)
 
 
 def test_at_scale_sets_scale_and_reseeds():

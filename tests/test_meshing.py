@@ -235,6 +235,25 @@ def test_admissibility_rejects_a_box_of_another_dimension():
                                 (np.zeros(box_dim), np.ones(box_dim)), 0.3, 0.5)
 
 
+LATTICE_2D = StochasticLatticeSpec("matern-hardcore", 1.0, 0.3, 1.0, 0)
+# (call, message): input checks of the lattice and mesh functions no other test reaches
+BAD_LATTICE_INPUTS = {
+    "empty box": (lambda: stochastic_lattice(LATTICE_2D, ([0, 0], [0, 1])),
+                  "box must be a pair of lo/hi corners with hi > lo"),
+    "zero claimed radius": (lambda: check_admissibility(
+        np.random.default_rng(0).random((40, 2)), UNIT_2D, 0.0, 0.5),
+        "claimed radii must be positive"),
+    "zero h": (lambda: build_stochastic_mesh(LATTICE_2D, 0.0, 2), "h must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LATTICE_INPUTS))
+def test_bad_lattice_input_rejected(case):
+    call, message = BAD_LATTICE_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_matern_separation_and_determinism():
     spec = StochasticLatticeSpec(
         kind="matern-hardcore", intensity=30.0, r_min=0.15, R_cov=0.6, seed=11

@@ -1,10 +1,13 @@
 """tools/output_digests.py prints the same digests for --jobs 1 and 2, and
-again on a second run, for two quick configs and one demo."""
+again on a second run, for two quick configs and one demo; its digest of a
+perfbench cell workload is that of every cell's outcome."""
 
 import hashlib
 import subprocess
 import sys
 from pathlib import Path
+
+from polynet.homogenize import solve_cell_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [ROOT / "configs" / name for name in ("counterexample.json", "mesh_periodic.json")]
@@ -36,3 +39,20 @@ def test_output_digests_agree_across_jobs_and_runs():
                      *((config.name, stream) for config in CONFIGS
                        for stream in ("<stdout>", "<stderr>", "<exit>"))}
     assert _digests() == lines
+
+
+def test_perfbench_cells_digest_is_every_cell_outcome(monkeypatch):
+    # the digest the tool takes in a fresh interpreter, of the outcomes solved here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import output_digests
+    import workloads
+
+    lines = []
+    for cell in workloads.make_cells("cell2d-matern", 0):
+        r = solve_cell_problem(cell.problem)
+        lines.append(f"{cell.id} {r.value.hex()} {r.grad_norm.hex()} {r.iterations} "
+                     f"{r.evaluations} {r.status}\n")
+    assert len(lines) == 24
+    assert output_digests.digest_cells("cell2d-matern", 0) == hashlib.sha256(
+        "".join(lines).encode()).hexdigest()

@@ -150,6 +150,8 @@ def test_gradient_errors():
         w_vol_gradient(np.zeros((3, 3)), K1)
     with pytest.raises(InvertedElementError):
         w_vol_gradient(np.diag([1.0, 1.0, -1.0]), K1)
+    with pytest.raises(ValueError, match="expects a 2x2 or 3x3 matrix"):
+        w_vol_gradient(np.eye(4), K1)
 
 
 def test_cofactor_matches_det_times_inverse_transpose():

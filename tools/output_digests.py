@@ -2,13 +2,17 @@
 
 Runs every configs/*.json command (the command is the file-name prefix) and
 the perfbench CLI config (perfbench/workloads.write_cli_config) at seeds 1
-and 5, each at --jobs 1 and 2, then every demos/*.py script.  Every run is a
-fresh interpreter with this checkout's src/ first on the path, started in
-its own temporary directory (holding a copy of the config), so no output
-names a path of the checkout.  For each output file, stdout, stderr and the
-exit code of a config run it prints one line, `case jobs name sha256`, and
-for each demo's stdout, stderr and exit code one line, `demo file name
-sha256`, so two checkouts write the same outputs exactly when their
+and 5, each at --jobs 1 and 2, then every demos/*.py script, then every
+cell of the perfbench cell workloads at seeds 0-2.  Every run is a fresh
+interpreter with this checkout's src/ first on the path, started in its own
+temporary directory (holding a copy of the config), so no output names a
+path of the checkout.  For each output file, stdout, stderr and the exit
+code of a config run it prints one line, `case jobs name sha256`, for each
+demo's stdout, stderr and exit code one line, `demo file name sha256`, and
+for each cell workload and seed one line, `perfbench-cells workload seed<k>
+sha256`, of every cell's id, value and grad_norm (as hex), iterations,
+evaluations and status, solved as the benchmark solves it (BLAS on one
+thread).  So two checkouts write the same outputs exactly when their
 printouts are equal:
 
     python tools/output_digests.py > change.txt
@@ -16,7 +20,7 @@ printouts are equal:
     diff parent.txt change.txt
 
 Given paths, only those run: a .py path as a demo, any other as a config
-(no perfbench config).
+(no perfbench config and no cells).
 """
 
 from __future__ import annotations
@@ -33,20 +37,42 @@ ROOT = Path(__file__).resolve().parents[1]
 JOBS = (1, 2)
 PERFBENCH_SEEDS = (1, 5)
 MAIN = "import sys; from polynet.cli import main; sys.exit(main())"
+CELL_SEEDS = (0, 1, 2)
+# one line per cell of perfbench workload argv[1] at seed argv[2]
+CELLS = """
+import sys
+import workloads
+from polynet.homogenize import solve_cell_problem
+for cell in workloads.make_cells(sys.argv[1], int(sys.argv[2])):
+    try:
+        r = solve_cell_problem(cell.problem)
+    except Exception as exc:
+        print(cell.id, f"{type(exc).__name__}: {exc}")
+    else:
+        print(cell.id, r.value.hex(), r.grad_norm.hex(), r.iterations, r.evaluations, r.status)
+"""
+ONE_BLAS_THREAD = {var: "1" for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _python(args: list[str], work: Path, paths=("src",), env=None):
+    """`python args` run in work with these directories of the checkout
+    first on the path and env added to the environment."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*(str(ROOT / path) for path in paths), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True,
+                          check=False)
+
+
 def _run(args: list[str], work: Path) -> list[tuple[str, str]]:
     """(name, sha256) of the stdout, stderr and exit code of `python args`,
     run in work with this checkout's src/ first on the path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True,
-                          check=False)
+    done = _python(args, work)
     return [("<stdout>", _sha256(done.stdout)), ("<stderr>", _sha256(done.stderr)),
             ("<exit>", _sha256(str(done.returncode).encode()))]
 
@@ -72,12 +98,29 @@ def digest_demo(demo: Path) -> list[tuple[str, str]]:
         return _run([str(demo)], Path(tmp))
 
 
-def _perfbench_configs(work: Path) -> list[tuple[str, str, Path]]:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def digest_cells(workload: str, seed: int) -> str:
+    """sha256 of the outcome lines of every cell of one perfbench cell
+    workload at one seed, solved in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        done = _python(["-c", CELLS, workload, str(seed)], Path(tmp), ("src", "perfbench"),
+                       ONE_BLAS_THREAD)
+    if done.returncode:
+        raise RuntimeError(f"{workload} seed {seed} failed:\n{done.stderr.decode()}")
+    return _sha256(done.stdout)
+
+
+def _workloads():
+    """perfbench's workloads module, imported from this checkout."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
+    return workloads
+
+
+def _perfbench_configs(work: Path) -> list[tuple[str, str, Path]]:
     return [(f"perfbench-seed{seed}", "homogenize",
-             workloads.write_cli_config(seed, work / f"seed{seed}"))
+             _workloads().write_cli_config(seed, work / f"seed{seed}"))
             for seed in PERFBENCH_SEEDS]
 
 
@@ -97,6 +140,11 @@ def main(argv: list[str]) -> int:
     for demo in demos:
         for name, digest in digest_demo(demo):
             print("demo", demo.name, name, digest, flush=True)
+    if not argv:
+        for workload in sorted(_workloads().CELL_WORKLOADS):
+            for seed in CELL_SEEDS:
+                print("perfbench-cells", workload, f"seed{seed}", digest_cells(workload, seed),
+                      flush=True)
     return 0
 
 
